@@ -1,10 +1,10 @@
 """Command-line pipeline: synth -> build -> train -> eval/map.
 
-Every command takes `--config PATH` (key-value file), `--seed`, `--threads`,
-`--out DIR` and repeatable `--set key=value` overrides (flags win over the
-file). Each run writes a resolved-config snapshot next to its outputs, and
-identical (config, seed) runs produce byte-identical primary outputs. The
-`GRAFT_LOG` environment variable sets log verbosity (debug/info/warning).
+Every command takes `--config PATH` (key-value file), `--seed`, `--out DIR`
+and repeatable `--set key=value` overrides (flags win over the file). Each
+run writes a resolved-config snapshot next to its outputs, and identical
+(config, seed) runs produce byte-identical primary outputs. The `GRAFT_LOG`
+environment variable sets log verbosity (debug/info/warning).
 
 Exit codes by failure class: 2 config, 3 I/O, 4 manifest/referential
 integrity, 5 training divergence, 6 checkpoint/world mismatch or missing
@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--threads", type=int, help="worker threads (outputs unchanged)")
         p.add_argument("--out", default="graft_out", help="output directory")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override any config key")
@@ -102,8 +101,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.apply_overrides(args.overrides)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if getattr(args, "loss", None):
         cfg.loss_variant = _LOSS_FLAG[args.loss]
     if getattr(args, "epochs", None) is not None:
@@ -224,15 +221,16 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
+    loss_cfg, sched, batch_size = cfg.loss_config(), cfg.schedule(), cfg.batch_size()
     out = _outdir(args)
     world = _load_world(args)
     ds = corpus.load_dataset(args.dataset)
     result = train(
         ds,
         world.ground_encoder,
-        cfg.loss_config(),
-        cfg.schedule(),
-        batch_size=cfg.train_batch_size,
+        loss_cfg,
+        sched,
+        batch_size=batch_size,
         hidden_dim=cfg.train_hidden_dim,
     )
     ckpt_path = out / "checkpoint.grcp"

@@ -8,6 +8,7 @@ configuration snapshot next to its outputs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,13 +20,21 @@ from .train import TrainSchedule
 
 
 class ConfigError(ValueError):
-    """Bad key, unparsable value, or malformed config line."""
+    """Bad key, unparsable or out-of-range value, or malformed config line."""
+
+
+@contextmanager
+def _rejected_as_config_error(section: str):
+    """Report a value rejected by a config object's own checks as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
 
     world_classes: int = 8
     world_embed_dim: int = 16
@@ -116,42 +125,56 @@ class RunConfig:
         path.write_text(self.to_text())
         return path
 
-    # Views onto the module-level config objects.
+    # Views onto the module-level config objects. A value those objects reject
+    # raises ConfigError.
 
     def world_config(self) -> SynthWorldConfig:
-        return SynthWorldConfig(
-            n_classes=self.world_classes,
-            embed_dim=self.world_embed_dim,
-            feature_dim=self.world_feature_dim,
-            extent_km=self.world_extent_km,
-            n_ground=self.world_n_ground,
-            noise_sigma=self.world_noise_sigma,
-            n_snapshots=self.world_snapshots,
-            channels=self.world_channels,
-            center_lat=self.world_center_lat,
-            center_lon=self.world_center_lon,
-            prompts=tuple(self.prompt_set().templates),
-        )
+        prompts = tuple(self.prompt_set().templates)
+        with _rejected_as_config_error("world"):
+            return SynthWorldConfig(
+                n_classes=self.world_classes,
+                embed_dim=self.world_embed_dim,
+                feature_dim=self.world_feature_dim,
+                extent_km=self.world_extent_km,
+                n_ground=self.world_n_ground,
+                noise_sigma=self.world_noise_sigma,
+                n_snapshots=self.world_snapshots,
+                channels=self.world_channels,
+                center_lat=self.world_center_lat,
+                center_lon=self.world_center_lon,
+                prompts=prompts,
+            )
 
     def tile_spec(self) -> TileSpec:
-        return TileSpec(
-            center=GeoPoint(self.world_center_lat, self.world_center_lon),
-            resolution_m_per_px=self.tile_resolution_m,
-            size_px=self.tile_size_px,
-            patch_px=self.tile_patch_px,
-        )
+        with _rejected_as_config_error("tile"):
+            return TileSpec(
+                center=GeoPoint(self.world_center_lat, self.world_center_lon),
+                resolution_m_per_px=self.tile_resolution_m,
+                size_px=self.tile_size_px,
+                patch_px=self.tile_patch_px,
+            )
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(tau=self.loss_tau, variant=self.loss_variant)
+        with _rejected_as_config_error("loss"):
+            return LossConfig(tau=self.loss_tau, variant=self.loss_variant)
 
     def schedule(self) -> TrainSchedule:
-        return TrainSchedule(
-            peak_lr=self.train_peak_lr,
-            warmup_steps=self.train_warmup_steps,
-            weight_decay=self.train_weight_decay,
-            epochs=self.train_epochs,
-            seed=self.seed,
-        )
+        with _rejected_as_config_error("train"):
+            return TrainSchedule(
+                peak_lr=self.train_peak_lr,
+                warmup_steps=self.train_warmup_steps,
+                weight_decay=self.train_weight_decay,
+                epochs=self.train_epochs,
+                seed=self.seed,
+            )
+
+    def batch_size(self) -> int:
+        if self.train_batch_size < 2:
+            raise ConfigError(
+                f"train.batch_size must be >= 2 so every tile has negatives, "
+                f"got {self.train_batch_size}"
+            )
+        return self.train_batch_size
 
     def prompt_set(self) -> PromptSet:
         templates = tuple(t for t in self.prompts.split("|") if t)

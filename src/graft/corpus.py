@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import geo
-from .geo import GeoPoint, PixelCoord, TileSpec
+from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, save_embeddings, unit
 
 CONTAINER_MAGIC = b"GRFT"
@@ -119,26 +119,42 @@ class SatTileRecord:
 
 @dataclass
 class PairBatch:
-    """One training batch: tiles, their ground records, and per-ground pixels."""
+    """One training batch: tiles plus their (tile, ground) pairs, tile-major.
+
+    Tile i owns `sizes[i]` consecutive entries of the pair arrays.
+    """
 
     tiles: list[SatTileRecord]
-    grounds: list[list[GroundImageRecord]]
-    pixels: list[list[PixelCoord]]
+    sizes: np.ndarray  # (B,) grounds per tile
+    ground: np.ndarray  # (M,) index into the dataset's grounds
+    patch: np.ndarray  # (M,) flat patch index (prow * grid_px + pcol) under the geotag
 
     def __post_init__(self):
         if len(self.tiles) < 1:
             raise ValueError("a batch needs at least one tile")
-        if not (len(self.tiles) == len(self.grounds) == len(self.pixels)):
-            raise ValueError("tiles, grounds and pixels must align")
-        for i, (gs, ps) in enumerate(zip(self.grounds, self.pixels)):
-            if len(gs) < 1:
-                raise ValueError(f"tile {i} has no grounds in batch")
-            if len(gs) != len(ps):
-                raise ValueError(f"tile {i}: {len(gs)} grounds vs {len(ps)} pixels")
+        if len(self.sizes) != len(self.tiles):
+            raise ValueError("one pair count per tile required")
+        if np.any(self.sizes < 1):
+            raise ValueError(f"tile {int(np.argmin(self.sizes))} has no grounds in batch")
+        if not (len(self.ground) == len(self.patch) == int(self.sizes.sum())):
+            raise ValueError("ground and patch indices must list every pair once")
 
     @property
     def n_tiles(self) -> int:
         return len(self.tiles)
+
+
+@dataclass(frozen=True)
+class PairIndex:
+    """Every (tile, ground) pair of a dataset as flat arrays, tile-major.
+
+    The pairs of tile t occupy `offsets[t]:offsets[t + 1]`, in assignment order.
+    """
+
+    offsets: np.ndarray  # (T + 1,)
+    ground: np.ndarray  # (P,) index into the dataset's grounds
+    pixel: np.ndarray  # (P, 2) raster (row, col) of the ground's geotag
+    patch: np.ndarray  # (P,) flat patch index prow * grid_px + pcol
 
 
 @dataclass(eq=False)
@@ -147,6 +163,7 @@ class PairedDataset:
     grounds: list[GroundImageRecord]
     assignments: list[list[int]]  # per tile, indices into `grounds`
     provenance: dict
+    _pairs: PairIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.assignments) != len(self.tiles):
@@ -155,6 +172,15 @@ class PairedDataset:
     @property
     def n_pairs(self) -> int:
         return sum(len(a) for a in self.assignments)
+
+    def pair_index(self) -> PairIndex:
+        """The packed pair arrays, computed and checked on first use.
+
+        Datasets are read-only after construction, so the pack is kept.
+        """
+        if self._pairs is None:
+            self._pairs = _pack_pairs(self)
+        return self._pairs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairedDataset):
@@ -165,6 +191,64 @@ class PairedDataset:
             and self.assignments == other.assignments
             and self.provenance == other.provenance
         )
+
+
+def _pack_pairs(ds: PairedDataset) -> PairIndex:
+    """Vectorized geotag -> pixel -> patch mapping of every pair, with bounds checks.
+
+    The arithmetic repeats `geo.geotag_to_pixel` operation for operation, with
+    the longitude scale taken per tile through scalar `math.cos`, so pixels are
+    bit-identical to the scalar path. Raises IntegrityError, naming the tile,
+    for an assignment index out of range, a geotag outside the tile footprint
+    or a pixel outside the patch grid.
+    """
+    counts = np.array([len(a) for a in ds.assignments], dtype=np.int64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+
+    def fail(pair: int, what: str):
+        tile = ds.tiles[int(np.searchsorted(offsets, pair, side="right")) - 1]
+        raise IntegrityError(f"tile {tile.id}: {what}")
+
+    ground = np.fromiter(
+        (m for members in ds.assignments for m in members), dtype=np.int64, count=offsets[-1]
+    )
+    bad = (ground < 0) | (ground >= len(ds.grounds))
+    if bad.any():
+        k = int(np.argmax(bad))
+        fail(k, f"assignment index {ground[k]} out of range")
+
+    def per_pair(values, dtype=np.float64):
+        return np.repeat(np.array(values, dtype=dtype), counts)
+
+    specs = [t.spec for t in ds.tiles]
+    center_lat = per_pair([s.center.lat for s in specs])
+    center_lon = per_pair([s.center.lon for s in specs])
+    lon_scale = per_pair([math.cos(math.radians(s.center.lat)) for s in specs])
+    res = per_pair([s.resolution_m_per_px for s in specs])
+    size = per_pair([s.size_px for s in specs], np.int64)
+    patch_px = per_pair([s.patch_px for s in specs], np.int64)
+    grid = per_pair([s.grid_px for s in specs], np.int64)
+    half = per_pair([s.half_extent_m for s in specs])
+    lat = np.array([g.geo.lat for g in ds.grounds])[ground]
+    lon = np.array([g.geo.lon for g in ds.grounds])[ground]
+
+    north = (lat - center_lat) * geo.METERS_PER_DEGREE
+    east = (lon - center_lon) * geo.METERS_PER_DEGREE * lon_scale
+    outside = ~((np.abs(north) < half) & (np.abs(east) < half))
+    if outside.any():
+        k = int(np.argmax(outside))
+        fail(k, f"ground {ground[k]} at ({lat[k]}, {lon[k]}) lies outside the footprint: "
+                f"offset ({north[k]:.1f} m N, {east[k]:.1f} m E), half extent {half[k]:.1f} m")
+    row = np.floor(size / 2 - north / res).astype(np.int64)
+    col = np.floor(size / 2 + east / res).astype(np.int64)
+    prow, pcol = row // patch_px, col // patch_px
+    off_grid = (row < 0) | (col < 0) | (prow >= grid) | (pcol >= grid)
+    if off_grid.any():
+        k = int(np.argmax(off_grid))
+        fail(k, f"pixel ({row[k]}, {col[k]}) maps outside patch grid")
+    return PairIndex(offsets=offsets, ground=ground, pixel=np.stack([row, col], axis=1),
+                     patch=prow * grid + pcol)
 
 
 def parse_ground_manifest(path: str | Path) -> list[GroundImageRecord]:
@@ -428,15 +512,7 @@ def build_pairs(
 
 def validate_dataset(ds: PairedDataset) -> None:
     """Referential integrity plus in-bounds pixel mapping for every pair."""
-    n_grounds = len(ds.grounds)
-    for t, members in zip(ds.tiles, ds.assignments):
-        for m in members:
-            if not (0 <= m < n_grounds):
-                raise IntegrityError(f"tile {t.id}: assignment index {m} out of range")
-            px = geo.geotag_to_pixel(t.spec, ds.grounds[m].geo)
-            patch = geo.pixel_to_patch(px, t.spec.patch_px)
-            if not (0 <= patch.prow < t.spec.grid_px and 0 <= patch.pcol < t.spec.grid_px):
-                raise IntegrityError(f"tile {t.id}: pixel {px} maps outside patch grid")
+    ds.pair_index()
 
 
 def subset_tiles(ds: PairedDataset, indices: Sequence[int]) -> PairedDataset:
@@ -456,9 +532,12 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
 
     A final short chunk is kept only if it still has at least two tiles; a
     lone leftover tile cannot contrast against anything and is dropped.
+    Pair indices come from the dataset's pack, so no geotag is mapped twice.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    pairs = ds.pair_index()
+    counts = np.diff(pairs.offsets)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds.tiles))
     batches: list[PairBatch] = []
@@ -466,13 +545,13 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
         chunk = order[start : start + batch_size]
         if len(chunk) < batch_size and len(chunk) < 2:
             break
-        tiles = [ds.tiles[i] for i in chunk]
-        grounds = [[ds.grounds[m] for m in ds.assignments[i]] for i in chunk]
-        pixels = [
-            [geo.geotag_to_pixel(t.spec, g.geo) for g in tile_grounds]
-            for t, tile_grounds in zip(tiles, grounds)
-        ]
-        batches.append(PairBatch(tiles=tiles, grounds=grounds, pixels=pixels))
+        sizes = counts[chunk]
+        # positions of the chunk's CSR segments, concatenated in chunk order
+        rows = np.arange(sizes.sum()) + np.repeat(
+            pairs.offsets[chunk] - (np.cumsum(sizes) - sizes), sizes
+        )
+        batches.append(PairBatch(tiles=[ds.tiles[i] for i in chunk], sizes=sizes,
+                                 ground=pairs.ground[rows], patch=pairs.patch[rows]))
     return batches
 
 

@@ -9,9 +9,10 @@ contrastive loss.
 
 All functions return (value, gradient) pairs. Gradients are ambient-space
 derivatives with respect to the anchor embeddings (normalization of the
-anchors happens upstream in the encoder and is differentiated there). Softmax
-terms are computed through a max-shifted log-sum-exp, so logits of magnitude
-several hundred stay finite.
+anchors happens upstream in the encoder and is differentiated there). Every
+softmax variant goes through one kernel, `_softmax_mix`: a max-shifted
+log-sum-exp computed in place, so logits of magnitude several hundred stay
+finite and the (anchors x grounds) logit matrix is the only buffer of its size.
 """
 
 from __future__ import annotations
@@ -84,11 +85,20 @@ def _flatten(groups: Sequence[GroundGroup]) -> tuple[np.ndarray, np.ndarray, np.
     return grounds, owner, sizes
 
 
-def _logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (log-sum-exp, softmax), stable under large logits."""
-    m = np.max(x, axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
-    return lse[:, 0], np.exp(x - lse)
+def _softmax_mix(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp of `logits` and the softmax-weighted sum of `values` rows.
+
+    The one contrastive kernel behind every softmax variant. It makes a single
+    max-shifted exp pass in place and normalizes the (rows, D) product instead
+    of the logits, so no temporary of the logits' size is allocated. `logits`
+    must be a fresh buffer owned by the caller: it is overwritten.
+    Returns (lse (R,), softmax(logits) @ values (R, D)).
+    """
+    m = np.max(logits, axis=1, keepdims=True)
+    logits -= m
+    np.exp(logits, out=logits)
+    sums = np.sum(logits, axis=1, keepdims=True)
+    return (m + np.log(sums))[:, 0], (logits @ values) / sums
 
 
 def image_loss(
@@ -112,14 +122,13 @@ def image_loss(
         _require_unit("sat_embs", sat_embs)
         _require_unit("ground embeddings", grounds)
 
-    logits = sat_embs @ grounds.T / tau  # (N_B, M)
-    lse, p = _logsumexp_rows(logits)
-    own = owner == np.arange(n_b)[:, None]  # (N_B, M) membership mask
-    per_pair_nll = lse[:, None] - logits  # -log softmax at every (i, b)
-    value = float(np.sum(np.where(own, per_pair_nll, 0.0) / sizes[:, None]) / n_b)
+    scaled = sat_embs / tau
+    lse, mix = _softmax_mix(scaled @ grounds.T, grounds)  # over (N_B, M) logits
+    own_logit = np.einsum("ij,ij->i", scaled[owner], grounds)  # s_i . g_i^j / tau
+    value = float(np.sum((lse[owner] - own_logit) / sizes[owner]) / n_b)
 
     group_means = np.stack([g.mean for g in ground_groups], axis=0)
-    grad = (p @ grounds - group_means) / (n_b * tau)
+    grad = (mix - group_means) / (n_b * tau)
     return value, grad
 
 
@@ -148,12 +157,12 @@ def pixel_loss_anchors(
         _require_unit("ground embeddings", grounds)
 
     n_b = len(ground_groups)
-    logits = anchors @ grounds.T / tau  # (M, M)
-    lse, p = _logsumexp_rows(logits)
-    own_logit = np.diagonal(logits)
+    scaled = anchors / tau
+    lse, mix = _softmax_mix(scaled @ grounds.T, grounds)  # the one (M, M) buffer
+    own_logit = np.einsum("ij,ij->i", scaled, grounds)  # row r's own pair
     weight = 1.0 / (n_b * sizes[owner])  # per-pair weight 1/(N_B N_i)
     value = float(np.sum(weight * (lse - own_logit)))
-    grad = weight[:, None] * (p @ grounds - grounds) / tau
+    grad = weight[:, None] * (mix - grounds) / tau
     return value, grad
 
 
@@ -216,14 +225,13 @@ def loss_sum_prob(
         _require_unit("sat_embs", sat_embs)
         _require_unit("ground embeddings", grounds)
 
-    logits = sat_embs @ grounds.T / tau
-    lse, p = _logsumexp_rows(logits)
-    own = owner == np.arange(n_b)[:, None]
-    masked = np.where(own, logits, -np.inf)
-    own_lse, own_softmax = _logsumexp_rows(masked)
+    logits = (sat_embs / tau) @ grounds.T
+    own_logits = np.where(owner == np.arange(n_b)[:, None], logits, -np.inf)
+    lse, mix = _softmax_mix(logits, grounds)
+    own_lse, own_mix = _softmax_mix(own_logits, grounds)
     # -log((1/N_i) sum_own exp(l)/Z) = lse - (lse_own - log N_i)
     value = float(np.mean(lse - own_lse + np.log(sizes)))
-    grad = (p - own_softmax) @ grounds / (n_b * tau)
+    grad = (mix - own_mix) / (n_b * tau)
     return value, grad
 
 
@@ -257,10 +265,10 @@ def loss_avg_rep(
         )
     z_hat = means / norms[:, None]
 
-    logits = sat_embs @ z_hat.T / tau  # (N_B, N_B)
-    lse, q = _logsumexp_rows(logits)
-    value = float(np.mean(lse - np.diagonal(logits)))
-    grad = (q @ z_hat - z_hat) / (n_b * tau)
+    scaled = sat_embs / tau
+    lse, mix = _softmax_mix(scaled @ z_hat.T, z_hat)  # over (N_B, N_B) logits
+    value = float(np.mean(lse - np.einsum("ij,ij->i", scaled, z_hat)))
+    grad = (mix - z_hat) / (n_b * tau)
     return value, grad
 
 

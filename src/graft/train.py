@@ -30,7 +30,6 @@ from .encoder import (
     init_params,
 )
 from .frozen import FrozenEncoder, embed_ground
-from .geo import pixel_to_patch
 from .losses import GroundGroup, LossConfig
 
 CHECKPOINT_MAGIC = b"GRCP"
@@ -148,13 +147,29 @@ def adamw_update(
         p -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
 
 
-def batch_ground_groups(batch: PairBatch, frozen: FrozenEncoder) -> list[GroundGroup]:
-    """Frozen embeddings of every ground image in the batch, grouped per tile."""
+def resolve_ground_embeddings(ds: PairedDataset, frozen: FrozenEncoder) -> np.ndarray:
+    """Frozen embeddings of a dataset's grounds as one (len(ds.grounds), D) matrix.
+
+    Resolved once per run. Row g holds ground g's embedding when some tile
+    pairs with it and stays zero otherwise, so an unpaired ground's reference
+    is never looked up.
+    """
+    embs = np.zeros((len(ds.grounds), frozen.dim))
+    for g in np.unique(ds.pair_index().ground):
+        embs[g] = embed_ground(frozen, ds.grounds[g].embedding_ref)
+    return embs
+
+
+def batch_ground_groups(batch: PairBatch, ground_embs: np.ndarray) -> list[GroundGroup]:
+    """Frozen embeddings of every ground image in the batch, grouped per tile.
+
+    `ground_embs` comes from resolve_ground_embeddings; each group is a view
+    into one gathered (M, D) array.
+    """
+    grounds = ground_embs[batch.ground]
     return [
-        GroundGroup.from_embeddings(
-            np.stack([embed_ground(frozen, g.embedding_ref) for g in tile_grounds])
-        )
-        for tile_grounds in batch.grounds
+        GroundGroup.from_embeddings(g)
+        for g in np.split(grounds, np.cumsum(batch.sizes)[:-1])
     ]
 
 
@@ -196,47 +211,31 @@ def _pixel_level_backward(
     groups: list[GroundGroup],
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    # Only patches containing at least one ground image are forwarded; all
-    # other patches receive no gradient by construction.
-    grid = batch.tiles[0].spec.grid_px
-    anchor_rows: list[np.ndarray] = []
-    tile_infos = []
-    for tile, tile_pixels in zip(batch.tiles, batch.pixels):
-        flat = tile.patch_features.reshape(grid * grid, -1)
-        rows = [
-            pixel_to_patch(px, tile.spec.patch_px).prow * grid
-            + pixel_to_patch(px, tile.spec.patch_px).pcol
-            for px in tile_pixels
-        ]
-        uniq, inverse = np.unique(np.array(rows), return_inverse=True)
-        embs, cache = forward_patch_rows(params, flat[uniq])
-        anchor_rows.append(embs[inverse])
-        tile_infos.append((cache, inverse, len(uniq)))
+    # Only patches containing at least one ground image are forwarded, those
+    # of every tile in one pass; all other patches receive no gradient.
+    features = np.stack([t.patch_features for t in batch.tiles])  # (B, G, G, F)
+    n_patches = features.shape[1] * features.shape[2]
+    tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
+    uniq, inverse = np.unique(tile_of_pair * n_patches + batch.patch, return_inverse=True)
+    embs, cache = forward_patch_rows(params, features.reshape(-1, features.shape[3])[uniq])
+    value, d_anchors = losses.pixel_loss_anchors(embs[inverse], groups, cfg.tau)
 
-    anchors = np.concatenate(anchor_rows, axis=0)
-    value, d_anchors = losses.pixel_loss_anchors(anchors, groups, cfg.tau)
-
-    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-    offset = 0
-    for cache, inverse, n_uniq in tile_infos:
-        n_pairs = len(inverse)
-        d_rows = np.zeros((n_uniq, params.embed_dim))
-        np.add.at(d_rows, inverse, d_anchors[offset : offset + n_pairs])
-        offset += n_pairs
-        g = encoder_backward(params, cache, d_patch_embs=d_rows, d_image_emb=None)
-        for k in grads:
-            grads[k] += g[k]
-    return value, grads
+    d_rows = np.zeros((len(uniq), params.embed_dim))
+    np.add.at(d_rows, inverse, d_anchors)
+    return value, encoder_backward(params, cache, d_patch_embs=d_rows, d_image_emb=None)
 
 
 def loss_and_param_grads(
     params: SatEncoderParams,
     batch: PairBatch,
-    frozen: FrozenEncoder,
+    ground_embs: np.ndarray,
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward the batch through the encoder and the configured loss; full grads."""
-    groups = batch_ground_groups(batch, frozen)
+    """Forward the batch through the encoder and the configured loss; full grads.
+
+    `ground_embs` is the matrix from resolve_ground_embeddings.
+    """
+    groups = batch_ground_groups(batch, ground_embs)
     if cfg.variant == "pixel_default":
         return _pixel_level_backward(params, batch, groups, cfg)
     return _image_level_backward(params, batch, groups, cfg)
@@ -245,7 +244,7 @@ def loss_and_param_grads(
 def train_step(
     params: SatEncoderParams,
     batch: PairBatch,
-    frozen: FrozenEncoder,
+    ground_embs: np.ndarray,
     cfg: LossConfig,
     sched: TrainSchedule,
     step: int,
@@ -256,7 +255,7 @@ def train_step(
     Functional: the input params are untouched. `state` (adaptive moments) is
     updated in place when provided, fresh-zero otherwise.
     """
-    value, grads = loss_and_param_grads(params, batch, frozen, cfg)
+    value, grads = loss_and_param_grads(params, batch, ground_embs, cfg)
     if not math.isfinite(value):
         raise DivergenceError(step, f"non-finite loss {value}")
     for name, g in grads.items():
@@ -310,12 +309,15 @@ def train(
     """
     if not ds.tiles:
         raise ValueError("cannot train on an empty dataset")
+    if batch_size < 2:
+        raise ValueError(f"batch_size {batch_size} < 2 leaves every tile without negatives")
     feature_dim = ds.tiles[0].feature_dim
     n_patches = ds.tiles[0].spec.grid_px ** 2
     params = init_params(feature_dim, hidden_dim, frozen.dim, n_patches, seed=sched.seed)
 
     batches_per_epoch = len(make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, 0)))
     sched = sched.resolve(batches_per_epoch)
+    ground_embs = resolve_ground_embeddings(ds, frozen)
     state = AdamWState.zeros_like(params)
     history: list[float] = []
     step = 0
@@ -324,7 +326,7 @@ def train(
         epoch_losses = []
         for batch in batches:
             step += 1
-            params, value = train_step(params, batch, frozen, cfg, sched,
+            params, value = train_step(params, batch, ground_embs, cfg, sched,
                                        min(step, sched.total_steps), state)
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))

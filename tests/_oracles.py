@@ -64,3 +64,68 @@ def ap_at_k_bruteforce(flags, k: int) -> float:
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(numeric)), 1e-12)
     return float(np.linalg.norm(analytic - numeric)) / denom
+
+
+# ---- contrastive losses, the literal two-exp formulation -------------------
+#
+# These are the loss definitions as first written: a log-sum-exp followed by
+# a second exp for the softmax, a dense membership mask and the diagonal of
+# the logit matrix. The library computes the same quantities through one
+# in-place kernel; these oracles check it.
+
+
+def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (log-sum-exp, softmax), stable under large logits."""
+    m = np.max(x, axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+    return lse[:, 0], np.exp(x - lse)
+
+
+def _flat_groups(groups):
+    sizes = np.array([len(g) for g in groups])
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    return np.concatenate(groups, axis=0), owner, sizes
+
+
+def image_loss_oracle(sat_embs, groups, tau):
+    """`groups` is a list of (N_i, D) arrays; returns (value, grad wrt sat_embs)."""
+    grounds, owner, sizes = _flat_groups(groups)
+    n_b = sat_embs.shape[0]
+    logits = sat_embs @ grounds.T / tau
+    lse, p = logsumexp_rows(logits)
+    own = owner == np.arange(n_b)[:, None]
+    per_pair_nll = lse[:, None] - logits
+    value = float(np.sum(np.where(own, per_pair_nll, 0.0) / sizes[:, None]) / n_b)
+    means = np.stack([g.mean(axis=0) for g in groups])
+    return value, (p @ grounds - means) / (n_b * tau)
+
+
+def sum_prob_oracle(sat_embs, groups, tau):
+    grounds, owner, sizes = _flat_groups(groups)
+    n_b = sat_embs.shape[0]
+    logits = sat_embs @ grounds.T / tau
+    lse, p = logsumexp_rows(logits)
+    own_lse, own_softmax = logsumexp_rows(
+        np.where(owner == np.arange(n_b)[:, None], logits, -np.inf)
+    )
+    value = float(np.mean(lse - own_lse + np.log(sizes)))
+    return value, (p - own_softmax) @ grounds / (n_b * tau)
+
+
+def avg_rep_oracle(sat_embs, groups, tau):
+    means = np.stack([g.mean(axis=0) for g in groups])
+    z_hat = means / np.linalg.norm(means, axis=1, keepdims=True)
+    n_b = sat_embs.shape[0]
+    logits = sat_embs @ z_hat.T / tau
+    lse, q = logsumexp_rows(logits)
+    value = float(np.mean(lse - np.diagonal(logits)))
+    return value, (q @ z_hat - z_hat) / (n_b * tau)
+
+
+def pixel_loss_anchors_oracle(anchors, groups, tau):
+    grounds, owner, sizes = _flat_groups(groups)
+    logits = anchors @ grounds.T / tau
+    lse, p = logsumexp_rows(logits)
+    weight = 1.0 / (len(groups) * sizes[owner])
+    value = float(np.sum(weight * (lse - np.diagonal(logits))))
+    return value, weight[:, None] * (p @ grounds - grounds) / tau

@@ -78,6 +78,28 @@ def test_unknown_config_key_exits_2():
     assert main(["synth", "--out", "ignored", "--set", "world.bogus=1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("train", "loss.tau=0"),  # LossConfig
+        ("train", "train.peak_lr=-1"),  # TrainSchedule
+        ("train", "train.batch_size=1"),  # a one-tile batch has no negatives
+        ("synth", "world.classes=1"),  # SynthWorldConfig
+        ("build", "tile.patch_px=15"),  # TileSpec: 224 px is not a multiple
+    ],
+)
+def test_rejected_config_value_exits_2(pipeline, tmp_path, capsys, command, override):
+    _, world_dir, dataset, _ = pipeline
+    inputs = {
+        "synth": [],
+        "build": ["--world", str(world_dir)],
+        "train": ["--world", str(world_dir), "--dataset", str(dataset)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / "o"), "--set", override]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_build_report(pipeline, capsys):
     root, world_dir, _, _ = pipeline
     capsys.readouterr()
@@ -99,6 +121,19 @@ def test_build_corrupt_manifest_exits_4(pipeline, tmp_path):
     shutil.copytree(world_dir, broken)
     (broken / "ground_manifest.txt").write_text("this is not a manifest\n")
     assert main(["build", "--world", str(broken), "--out", str(tmp_path / "d")]) == 4
+
+
+def test_train_out_of_range_assignment_exits_4(pipeline, tmp_path, capsys):
+    _, world_dir, dataset, _ = pipeline
+    ds = corpus.load_dataset(dataset)
+    ds.assignments[1].append(10**6)
+    bad = tmp_path / "bad.grft"
+    corpus.save_dataset(ds, bad)
+    capsys.readouterr()
+    assert main(["train", "--world", str(world_dir), "--dataset", str(bad),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 4
+    err = capsys.readouterr().err
+    assert f"tile {ds.tiles[1].id}" in err and "1000000 out of range" in err
 
 
 def test_train_zero_epochs_equals_init(pipeline, tmp_path):

@@ -213,12 +213,56 @@ def test_make_batches_epoch_coverage(small_dataset):
     assert len(ids) >= retained - 7  # only the final short chunk may be dropped
 
 
+def test_pair_index_matches_scalar_geometry(small_dataset):
+    ds = small_dataset
+    pairs = ds.pair_index()
+    k = 0
+    for t, (tile, members) in enumerate(zip(ds.tiles, ds.assignments)):
+        assert (pairs.offsets[t], pairs.offsets[t + 1]) == (k, k + len(members))
+        for m in members:
+            px = geo.geotag_to_pixel(tile.spec, ds.grounds[m].geo)
+            patch = geo.pixel_to_patch(px, tile.spec.patch_px)
+            assert pairs.ground[k] == m
+            assert (pairs.pixel[k, 0], pairs.pixel[k, 1]) == (px.row, px.col)
+            assert pairs.patch[k] == patch.prow * tile.spec.grid_px + patch.pcol
+            k += 1
+    assert k == len(pairs.patch) == ds.n_pairs
+
+
+def test_make_batches_gathers_each_tiles_pairs(small_dataset):
+    ds = small_dataset
+    pairs = ds.pair_index()
+    index_of = {t.id: i for i, t in enumerate(ds.tiles)}
+    for batch in make_batches(ds, 7, seed=5):
+        segments = [range(pairs.offsets[index_of[t.id]], pairs.offsets[index_of[t.id] + 1])
+                    for t in batch.tiles]
+        assert list(batch.sizes) == [len(s) for s in segments]
+        rows = [r for s in segments for r in s]
+        np.testing.assert_array_equal(batch.ground, pairs.ground[rows])
+        np.testing.assert_array_equal(batch.patch, pairs.patch[rows])
+
+
+def test_pair_index_rejects_bad_assignments(small_dataset):
+    ds = subset_tiles(small_dataset, [0, 1])
+    ds.assignments[1].append(10**6)
+    with pytest.raises(IntegrityError, match=f"tile {ds.tiles[1].id}: assignment index 1000000"):
+        make_batches(ds, 2)
+
+    ds = subset_tiles(small_dataset, [0, 1])
+    outside = next(i for i, g in enumerate(ds.grounds)
+                   if not geo.tile_contains(ds.tiles[1].spec, g.geo))
+    ds.assignments[1].append(outside)
+    with pytest.raises(IntegrityError, match=f"tile {ds.tiles[1].id}: ground {outside} .* outside"):
+        validate_dataset(ds)
+
+
 def test_make_batches_pixels_in_bounds(small_dataset):
+    pixel = small_dataset.pair_index().pixel
+    assert np.all((0 <= pixel) & (pixel < 224))
     for batch in make_batches(small_dataset, 16, seed=2):
-        for tile, pixels in zip(batch.tiles, batch.pixels):
-            for px in pixels:
-                assert 0 <= px.row < tile.spec.size_px
-                assert 0 <= px.col < tile.spec.size_px
+        tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
+        for k, patch in zip(tile_of_pair, batch.patch):
+            assert 0 <= patch < batch.tiles[k].spec.grid_px ** 2
 
 
 def test_synth_world_noiseless_embeddings_exact(noiseless_world):

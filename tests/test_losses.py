@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient, rand_unit, relative_error
+from _oracles import (
+    avg_rep_oracle,
+    fd_gradient,
+    image_loss_oracle,
+    pixel_loss_anchors_oracle,
+    rand_unit,
+    relative_error,
+    sum_prob_oracle,
+)
 from graft.frozen import DegenerateEmbeddingError
 from graft.geo import PixelCoord
 from graft.losses import (
@@ -276,3 +284,45 @@ def test_pixel_grid_grads_match_anchor_grads(rng):
     np.testing.assert_allclose(grads[0][0, 0], d_anchors[0], atol=1e-15)
     np.testing.assert_allclose(grads[0][1, 1], d_anchors[1], atol=1e-15)
     np.testing.assert_allclose(grads[1][1, 0], d_anchors[2], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "loss_fn, oracle",
+    [
+        (image_loss, image_loss_oracle),
+        (loss_sum_prob, sum_prob_oracle),
+        (loss_avg_rep, avg_rep_oracle),
+        (pixel_loss_anchors, pixel_loss_anchors_oracle),
+    ],
+)
+@pytest.mark.parametrize("tau", [TAU, 1.0, 1e-3])
+def test_softmax_losses_match_two_exp_oracle(loss_fn, oracle, tau, rng):
+    # At tau = 1e-3 the logits reach 1e3 and overflow an unshifted exp. Their
+    # rounding, and so the gradient's, grows as 1/tau: scale the tolerance.
+    tol = 1e-12 * max(1.0, TAU / tau)
+    for _ in range(20):
+        sat, groups = random_instance(rng, n_b=int(rng.integers(2, 12)), max_grounds=6)
+        if loss_fn is pixel_loss_anchors:
+            sat = rand_unit(rng, (sum(g.size for g in groups), sat.shape[1]))
+        value, grad = loss_fn(sat, groups, tau)
+        want_value, want_grad = oracle(sat, [g.embeddings for g in groups], tau)
+        assert abs(value - want_value) <= tol
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=tol)
+
+
+def test_losses_leave_inputs_untouched(rng):
+    sat, groups = random_instance(rng, n_b=5, max_grounds=4)
+    anchors = rand_unit(rng, (sum(g.size for g in groups), sat.shape[1]))
+    grids = [rand_unit(rng, (2, 2, sat.shape[1])) for _ in groups]
+    pixels = [[PixelCoord(16 * (j % 2), 16 * (j // 2 % 2)) for j in range(g.size)]
+              for g in groups]
+    inputs = [sat, anchors, *grids] + [a for g in groups for a in (g.embeddings, g.mean)]
+    before = [a.copy() for a in inputs]
+    image_loss(sat, groups, TAU)
+    loss_sum_prob(sat, groups, TAU)
+    loss_avg_rep(sat, groups, TAU)
+    loss_l2(sat, groups)
+    pixel_loss_anchors(anchors, groups, TAU)
+    pixel_loss(grids, pixels, groups, TAU, patch_px=16)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()

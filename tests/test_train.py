@@ -5,8 +5,9 @@ import pytest
 
 from _oracles import fd_gradient_inplace, relative_error
 from graft import corpus
-from graft.encoder import init_params
-from graft.losses import LossConfig
+from graft.encoder import encoder_backward, forward_patch_rows, init_params
+from graft.geo import geotag_to_pixel, pixel_to_patch
+from graft.losses import LossConfig, pixel_loss_anchors
 from graft.train import (
     AdamWState,
     DivergenceError,
@@ -16,6 +17,7 @@ from graft.train import (
     load_checkpoint,
     loss_and_param_grads,
     lr_at,
+    resolve_ground_embeddings,
     save_checkpoint,
     train,
     train_step,
@@ -89,7 +91,8 @@ def test_zero_lr_keeps_params_bit_identical(tiny_setup):
     batch = corpus.make_batches(ds, 4, seed=0)[0]
     params = init_params(8, 6, 8, 16, seed=1)
     sched = TrainSchedule(peak_lr=0.0, warmup_steps=1, total_steps=10)
-    new_params, value = train_step(params, batch, world.ground_encoder,
+    new_params, value = train_step(params, batch,
+                                   resolve_ground_embeddings(ds, world.ground_encoder),
                                    LossConfig(), sched, step=5)
     assert np.isfinite(value)
     for name, arr in params.arrays().items():
@@ -104,10 +107,11 @@ def test_repeated_batch_reduces_loss(tiny_setup, variant):
     params = init_params(8, 6, 8, 16, seed=2)
     sched = TrainSchedule(peak_lr=1e-2, warmup_steps=5, total_steps=50)
     state = AdamWState.zeros_like(params)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     first = None
     value = None
     for step in range(1, 51):
-        params, value = train_step(params, batch, world.ground_encoder,
+        params, value = train_step(params, batch, ground_embs,
                                    LossConfig(variant=variant), sched, step, state)
         if first is None:
             first = value
@@ -133,11 +137,12 @@ def test_full_parameter_gradient_matches_fd(tiny_setup, variant, rng):
     batch = corpus.make_batches(ds, 3, seed=0)[0]
     params = init_params(4, 4, 4, 4, seed=6)
     loss_cfg = LossConfig(variant=variant)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
 
-    _, grads = loss_and_param_grads(params, batch, world.ground_encoder, loss_cfg)
+    _, grads = loss_and_param_grads(params, batch, ground_embs, loss_cfg)
 
     def objective():
-        value, _ = loss_and_param_grads(params, batch, world.ground_encoder, loss_cfg)
+        value, _ = loss_and_param_grads(params, batch, ground_embs, loss_cfg)
         return value
 
     for name, grad in grads.items():
@@ -153,8 +158,9 @@ def test_divergence_raises_with_step(tiny_setup):
     batch.tiles[0].patch_features[0, 0, 0] = np.nan
     params = init_params(8, 6, 8, 16, seed=3)
     sched = TrainSchedule(peak_lr=1e-3, warmup_steps=1, total_steps=10)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     with pytest.raises(DivergenceError, match="step 7"):
-        train_step(params, batch, world.ground_encoder, LossConfig(), sched, step=7)
+        train_step(params, batch, ground_embs, LossConfig(), sched, step=7)
     batch.tiles[0].patch_features[0, 0, 0] = 0.0  # un-poison the shared fixture
 
 
@@ -167,6 +173,12 @@ def test_train_zero_epochs_returns_init(tiny_setup):
     for name, arr in init.arrays().items():
         assert arr.tobytes() == result.params.arrays()[name].tobytes()
     assert result.epoch_mean_loss == []
+
+
+def test_train_rejects_batches_without_negatives(tiny_setup):
+    world, ds = tiny_setup
+    with pytest.raises(ValueError, match="batch_size 1"):
+        train(ds, world.ground_encoder, LossConfig(), TrainSchedule(epochs=1), batch_size=1)
 
 
 def test_train_loss_decreases_and_is_deterministic(tiny_setup):
@@ -211,7 +223,63 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_batch_ground_groups_shapes(tiny_setup):
     world, ds = tiny_setup
     batch = corpus.make_batches(ds, 4, seed=3)[0]
-    groups = batch_ground_groups(batch, world.ground_encoder)
+    groups = batch_ground_groups(batch, resolve_ground_embeddings(ds, world.ground_encoder))
     assert len(groups) == batch.n_tiles
-    for tile_grounds, group in zip(batch.grounds, groups):
-        assert group.size == len(tile_grounds)
+    for n_grounds, group in zip(batch.sizes, groups):
+        assert group.size == n_grounds
+
+
+def per_tile_pixel_grads(params, batch, ds, ground_embs, tau):
+    """Pixel-level loss and parameter gradients with one encoder pass per tile.
+
+    Patch rows come from the scalar geotag mapping, not from the dataset pack.
+    """
+    groups = batch_ground_groups(batch, ground_embs)
+    anchors, passes = [], []
+    start = 0
+    for tile, n in zip(batch.tiles, batch.sizes):
+        grid, patch_px = tile.spec.grid_px, tile.spec.patch_px
+        rows = []
+        for g in batch.ground[start : start + n]:
+            patch = pixel_to_patch(geotag_to_pixel(tile.spec, ds.grounds[g].geo), patch_px)
+            rows.append(patch.prow * grid + patch.pcol)
+        start += n
+        uniq, inverse = np.unique(rows, return_inverse=True)
+        embs, cache = forward_patch_rows(params, tile.patch_features.reshape(grid * grid, -1)[uniq])
+        anchors.append(embs[inverse])
+        passes.append((cache, inverse, len(uniq)))
+    value, d_anchors = pixel_loss_anchors(np.concatenate(anchors), groups, tau)
+
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    offset = 0
+    for cache, inverse, n_uniq in passes:
+        d_rows = np.zeros((n_uniq, params.embed_dim))
+        np.add.at(d_rows, inverse, d_anchors[offset : offset + len(inverse)])
+        offset += len(inverse)
+        for k, g in encoder_backward(params, cache, d_patch_embs=d_rows).items():
+            grads[k] += g
+    return value, grads
+
+
+def test_batched_pixel_backward_matches_per_tile_passes():
+    # a dense world, so tiles hold many grounds and some share a patch
+    cfg = corpus.SynthWorldConfig(extent_km=1.0, n_ground=300, center_lat=41.0, center_lon=8.0)
+    world = corpus.synth_world(cfg, seed=8)
+    from graft.geo import GeoPoint, TileSpec
+
+    ds = corpus.build_pairs(
+        world.grounds, world.snapshots, TileSpec(GeoPoint(41.0, 8.0)), seed=8,
+        fields={"field.json": world.field}, embeddings=world.ground_encoder,
+    )
+    batch = corpus.make_batches(ds, 6, seed=4)[0]
+    assert batch.sizes.min() > 1
+    tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
+    assert len(np.unique(tile_of_pair * 196 + batch.patch)) < len(batch.patch)
+    params = init_params(16, 6, 16, 196, seed=7)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
+    value, grads = loss_and_param_grads(params, batch, ground_embs,
+                                        LossConfig(variant="pixel_default"))
+    want_value, want_grads = per_tile_pixel_grads(params, batch, ds, ground_embs, 0.07)
+    assert abs(value - want_value) <= 1e-12
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
