@@ -7,8 +7,9 @@ run writes a resolved-config snapshot next to its outputs, and identical
 environment variable sets log verbosity (debug/info/warning).
 
 Exit codes by failure class: 2 config, 3 I/O, 4 manifest/referential
-integrity, 5 training divergence, 6 checkpoint/world mismatch or missing
-fixtures.
+integrity or a corrupt container, fixture or world.json, 5 training
+divergence, 6 checkpoint/world mismatch, a corrupt checkpoint or missing
+fixture entries.
 """
 
 from __future__ import annotations
@@ -125,11 +126,6 @@ def _class_prompt_embeddings(world: LoadedWorld, cfg: RunConfig) -> np.ndarray:
     )
 
 
-def _tile_gt_label(world: LoadedWorld, tile: corpus.SatTileRecord) -> int:
-    grid = world.field.class_grid(tile.spec)
-    return int(np.bincount(grid.ravel()).argmax())
-
-
 def _check_compatible(params: SatEncoderParams, world: LoadedWorld,
                       ds: corpus.PairedDataset | None) -> None:
     if params.embed_dim != world.ground_encoder.dim:
@@ -157,7 +153,7 @@ def _load_checkpoint_or_mismatch(path: str) -> tuple[SatEncoderParams, dict]:
     try:
         return load_checkpoint(path)
     except ValueError as exc:
-        raise MismatchError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise MismatchError(f"cannot read {exc}") from exc
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -256,7 +252,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
     _check_compatible(params, world, ds)
     class_embs = _class_prompt_embeddings(world, cfg)
-    gts = np.array([_tile_gt_label(world, t) for t in ds.tiles])
+    gt_grids = [world.field.class_grid(t.spec).ravel() for t in ds.tiles]
+    gts = np.array([int(np.bincount(grid).argmax()) for grid in gt_grids])
     cfg.write_snapshot(out)
 
     if args.task == "classify":
@@ -310,15 +307,13 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
 
     # segment
-    per_class_all: dict[int, list[float]] = {}
-    pred_flat, gt_flat = [], []
+    pred_flat = []
     for tile in ds.tiles:
         patch_embs, _ = encoder_forward(params, tile.patch_features)
         labels, _ = evaluation.segment_patches(patch_embs, class_embs)
         pred_flat.append(labels.ravel())
-        gt_flat.append(world.field.class_grid(tile.spec).ravel())
     pred = np.concatenate(pred_flat)[None, :]
-    gt = np.concatenate(gt_flat)[None, :]
+    gt = np.concatenate(gt_grids)[None, :]
     accs, mean_acc = evaluation.per_class_accuracy(pred, gt)
     table = "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import geo
+from .codec import FormatError, Reader, Writer
 from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, save_embeddings, unit
 
@@ -60,8 +60,7 @@ class EmptyDatasetError(ValueError):
     """Pairing produced no tiles at all."""
 
 
-class DatasetFormatError(ValueError):
-    """A dataset container failed to parse; message includes the byte offset."""
+DatasetFormatError = FormatError  # a container failed to parse; names the byte offset
 
 
 class DatasetVersionError(DatasetFormatError):
@@ -734,6 +733,10 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     )
 
 
+_WORLD_FILES = ("ground_manifest", "snapshot_manifest", "field", "ground_embeddings",
+                "text_embeddings")
+
+
 @dataclass
 class LoadedWorld:
     """A world directory as read back from disk (what the CLI consumes)."""
@@ -757,14 +760,17 @@ def load_world_dir(worlddir: str | Path) -> LoadedWorld:
     world_file = worlddir / "world.json"
     if not world_file.exists():
         raise FileNotFoundError(f"no world.json in {worlddir}")
-    meta = json.loads(world_file.read_text())
-    files = meta["files"]
+    try:
+        meta = json.loads(world_file.read_text())
+        files = {key: worlddir / meta["files"][key] for key in _WORLD_FILES}
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise IntegrityError(f"{world_file} is not a world summary: {exc!r}") from exc
     return LoadedWorld(
-        grounds=parse_ground_manifest(worlddir / files["ground_manifest"]),
-        snapshots=parse_snapshot_manifest(worlddir / files["snapshot_manifest"]),
-        field=load_feature_field(worlddir / files["field"]),
-        ground_encoder=load_embeddings(worlddir / files["ground_embeddings"]),
-        text_encoder=load_embeddings(worlddir / files["text_embeddings"]),
+        grounds=parse_ground_manifest(files["ground_manifest"]),
+        snapshots=parse_snapshot_manifest(files["snapshot_manifest"]),
+        field=load_feature_field(files["field"]),
+        ground_encoder=load_embeddings(files["ground_embeddings"]),
+        text_encoder=load_embeddings(files["text_embeddings"]),
         meta=meta,
     )
 
@@ -784,181 +790,82 @@ def resolve_fields(
     return fields
 
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def u16(self, v: int):
-        self.raw(struct.pack("<H", v))
-
-    def u32(self, v: int):
-        self.raw(struct.pack("<I", v))
-
-    def i64(self, v: int):
-        self.raw(struct.pack("<q", v))
-
-    def f64(self, v: float):
-        self.raw(struct.pack("<d", v))
-
-    def string(self, s: str):
-        b = s.encode("utf-8")
-        self.u16(len(b))
-        self.raw(b)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes, base: int = 0):
-        self.data = data
-        self.off = 0
-        self.base = base  # absolute offset of data[0] in the file
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise DatasetFormatError(
-                f"container truncated: wanted {n} bytes at byte {self.base + self.off}"
-            )
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        return self.take(n).decode("utf-8")
+_TILE_HEADER = "<dddIIqIIII"  # lat, lon, m/px, size_px, patch_px, timestamp, channels, G, G, F
 
 
 def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     """Write the versioned binary container: magic, version, four sections."""
-    tiles = _Writer()
-    tiles.u32(len(ds.tiles))
+    tiles = Writer()
+    tiles.pack("<I", len(ds.tiles))
     for t in ds.tiles:
+        spec = t.spec
         tiles.string(t.id)
-        tiles.f64(t.spec.center.lat)
-        tiles.f64(t.spec.center.lon)
-        tiles.f64(t.spec.resolution_m_per_px)
-        tiles.u32(t.spec.size_px)
-        tiles.u32(t.spec.patch_px)
-        tiles.i64(t.timestamp)
-        tiles.u32(t.channels)
-        g0, g1, f = t.patch_features.shape
-        tiles.u32(g0)
-        tiles.u32(g1)
-        tiles.u32(f)
-        tiles.raw(np.ascontiguousarray(t.patch_features, dtype="<f4").tobytes())
+        tiles.pack(_TILE_HEADER, spec.center.lat, spec.center.lon, spec.resolution_m_per_px,
+                   spec.size_px, spec.patch_px, t.timestamp, t.channels, *t.patch_features.shape)
+        tiles.array(t.patch_features, "<f4")
 
-    grounds = _Writer()
-    grounds.u32(len(ds.grounds))
+    grounds = Writer()
+    grounds.pack("<I", len(ds.grounds))
     for g in ds.grounds:
         grounds.string(g.id)
-        grounds.f64(g.geo.lat)
-        grounds.f64(g.geo.lon)
-        grounds.i64(g.timestamp)
+        grounds.pack("<ddq", g.geo.lat, g.geo.lon, g.timestamp)
         grounds.string(g.embedding_ref)
 
-    assigns = _Writer()
-    assigns.u32(len(ds.assignments))
+    assigns = Writer()
+    assigns.pack("<I", len(ds.assignments))
     for members in ds.assignments:
-        assigns.u32(len(members))
-        for m in members:
-            assigns.u32(m)
+        assigns.pack(f"<I{len(members)}I", len(members), *members)
 
-    prov = json.dumps(ds.provenance, sort_keys=True).encode("utf-8")
+    prov = Writer()
+    prov.json(ds.provenance)
 
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<H", CONTAINER_VERSION))
-        for section in (tiles.getvalue(), grounds.getvalue(), assigns.getvalue(), prov):
-            fh.write(struct.pack("<Q", len(section)))
-            fh.write(section)
+    out = Writer()
+    out.header(CONTAINER_MAGIC, CONTAINER_VERSION)
+    for section in (tiles, grounds, assigns, prov):
+        out.section(section)
+    out.save(path)
 
 
 def load_dataset(path: str | Path) -> PairedDataset:
     """Read a container written by save_dataset; round-trips structurally."""
-    data = Path(path).read_bytes()
-    if len(data) < 6:
-        raise DatasetFormatError(f"container truncated: only {len(data)} bytes")
-    if data[:4] != CONTAINER_MAGIC:
-        raise DatasetVersionError(f"bad magic {data[:4]!r}, expected {CONTAINER_MAGIC!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CONTAINER_VERSION:
-        raise DatasetVersionError(f"unsupported container version {version}")
-
-    top = _Reader(data)
-    top.off = 6
-    sections: list[_Reader] = []
-    for _ in range(4):
-        length = top.u64()
-        start = top.off
-        payload = top.take(length)
-        sections.append(_Reader(payload, base=start))
-    tiles_r, grounds_r, assigns_r, prov_r = sections
+    r = Reader(Path(path).read_bytes(), f"container {path}")
+    r.header(CONTAINER_MAGIC, CONTAINER_VERSION, DatasetVersionError)
+    tiles_r, grounds_r, assigns_r, prov_r = (r.section() for _ in range(4))
+    r.done()
 
     tiles: list[SatTileRecord] = []
-    for _ in range(tiles_r.u32()):
+    for _ in range(tiles_r.unpack("<I")[0]):
+        start = tiles_r.off
         tid = tiles_r.string()
-        lat = tiles_r.f64()
-        lon = tiles_r.f64()
-        res = tiles_r.f64()
-        size_px = tiles_r.u32()
-        patch_px = tiles_r.u32()
-        ts = tiles_r.i64()
-        channels = tiles_r.u32()
-        g0 = tiles_r.u32()
-        g1 = tiles_r.u32()
-        f = tiles_r.u32()
-        raw = tiles_r.take(4 * g0 * g1 * f)
-        features = np.frombuffer(raw, dtype="<f4").reshape(g0, g1, f).copy()
+        lat, lon, res, size_px, patch_px, ts, channels, *grid = tiles_r.unpack(_TILE_HEADER)
+        features = tiles_r.array("<f4", tuple(grid))
         try:
             spec = TileSpec(GeoPoint(lat, lon), res, size_px, patch_px)
             tiles.append(SatTileRecord(tid, spec, ts, features, channels))
         except ValueError as exc:
-            raise DatasetFormatError(
-                f"invalid tile record ending at byte {tiles_r.base + tiles_r.off}: {exc}"
-            ) from exc
+            raise tiles_r.fail(f"invalid tile record ({exc})", start) from exc
+    tiles_r.done()
 
     grounds: list[GroundImageRecord] = []
-    for _ in range(grounds_r.u32()):
+    for _ in range(grounds_r.unpack("<I")[0]):
+        start = grounds_r.off
         gid = grounds_r.string()
-        lat = grounds_r.f64()
-        lon = grounds_r.f64()
-        ts = grounds_r.i64()
+        lat, lon, ts = grounds_r.unpack("<ddq")
         ref = grounds_r.string()
         try:
             grounds.append(GroundImageRecord(gid, GeoPoint(lat, lon), ts, ref))
         except ValueError as exc:
-            raise DatasetFormatError(
-                f"invalid ground record ending at byte {grounds_r.base + grounds_r.off}: {exc}"
-            ) from exc
+            raise grounds_r.fail(f"invalid ground record ({exc})", start) from exc
+    grounds_r.done()
 
+    start = assigns_r.off
     assignments: list[list[int]] = []
-    for _ in range(assigns_r.u32()):
-        n = assigns_r.u32()
-        assignments.append([assigns_r.u32() for _ in range(n)])
-
-    try:
-        provenance = json.loads(prov_r.data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetFormatError(f"provenance section at byte {prov_r.base}: {exc}") from exc
+    for _ in range(assigns_r.unpack("<I")[0]):
+        (n,) = assigns_r.unpack("<I")
+        assignments.append(list(assigns_r.unpack(f"<{n}I")))
+    assigns_r.done()
+    if len(assignments) != len(tiles):
+        raise assigns_r.fail(f"{len(assignments)} assignment lists for {len(tiles)} tiles", start)
 
     return PairedDataset(tiles=tiles, grounds=grounds, assignments=assignments,
-                         provenance=provenance)
+                         provenance=prov_r.json())

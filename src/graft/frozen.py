@@ -9,11 +9,13 @@ the per-prompt embeddings are averaged, and the mean is re-normalized.
 from __future__ import annotations
 
 import hashlib
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .codec import Reader, Writer
 
 DEFAULT_PROMPTS = (
     "A photo of a {label}",
@@ -29,14 +31,14 @@ class MissingEmbeddingError(KeyError):
 
 
 class DegenerateEmbeddingError(ValueError):
-    """A vector with (near-)zero norm cannot be normalized."""
+    """A vector with a non-finite or (near-)zero norm cannot be normalized."""
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit L2 norm; degenerate input raises."""
+    """Return v scaled to unit L2 norm; a non-finite or (near-)zero vector raises."""
     v = np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v))
-    if n < UNIT_NORM_TOL:
+    if not math.isfinite(n) or n < UNIT_NORM_TOL:
         raise DegenerateEmbeddingError(f"cannot normalize vector with norm {n:.3e}")
     return v / n
 
@@ -71,7 +73,7 @@ class FrozenEncoder:
                 raise ValueError(
                     f"entry {key!r} has shape {vec.shape}, expected ({self.dim},)"
                 )
-            if abs(float(np.linalg.norm(vec)) - 1.0) > UNIT_NORM_TOL:
+            if not abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL:
                 raise ValueError(f"entry {key!r} is not unit-norm")
 
     @classmethod
@@ -123,36 +125,38 @@ def save_embeddings(path: str | Path, table: dict[str, np.ndarray]) -> None:
     dims = {v.shape[-1] for v in table.values()}
     if len(dims) != 1:
         raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    dim = dims.pop()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", len(table), dim))
-        for key in sorted(table):
-            raw = key.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(np.asarray(table[key], dtype=np.float32).tobytes())
+    w = Writer()
+    w.pack("<II", len(table), dims.pop())
+    for key in sorted(table):
+        w.string(key)
+        w.array(table[key], "<f4")
+    w.save(path)
 
 
 def load_embeddings(path: str | Path) -> FrozenEncoder:
-    """Load a fixture file written by save_embeddings; entries are re-normalized."""
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise ValueError(f"embedding fixture {path} truncated: {len(data)} bytes")
-    count, dim = struct.unpack_from("<II", data, 0)
-    off = 8
-    vectors: dict[str, np.ndarray] = {}
+    """Load a fixture file written by save_embeddings; entries are re-normalized.
+
+    An empty table, a duplicate key, and an entry that is non-finite or has
+    (near-)zero norm all raise FormatError naming the entry and its byte offset.
+    """
+    r = Reader(Path(path).read_bytes(), f"embedding fixture {path}")
+    count, dim = r.unpack("<II")
+    if count == 0:
+        raise r.fail("empty table", 0)
+    starts, keys, rows = [], [], []
     for _ in range(count):
-        if off + 2 > len(data):
-            raise ValueError(f"embedding fixture truncated at byte {off}")
-        (klen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        if off + klen + 4 * dim > len(data):
-            raise ValueError(f"embedding fixture truncated at byte {off}")
-        key = data[off : off + klen].decode("utf-8")
-        off += klen
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=off).astype(np.float64)
-        off += 4 * dim
-        vectors[key] = vec
-    if len(vectors) != count:
-        raise ValueError(f"duplicate keys in embedding fixture {path}")
-    return FrozenEncoder.from_vectors(vectors)
+        starts.append(r.off)
+        keys.append(r.string())
+        rows.append(r.array("<f4", (dim,)))
+    r.done()
+    first: dict[str, int] = {}
+    for i, key in enumerate(keys):
+        if first.setdefault(key, i) != i:
+            raise r.fail(f"duplicate key {key!r}", starts[i])
+    vecs = np.array(rows, dtype=np.float64)
+    norms = np.linalg.norm(vecs, axis=1)
+    bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise r.fail(f"entry {keys[i]!r} has norm {norms[i]:.3e}", starts[i])
+    return FrozenEncoder.from_vectors(dict(zip(keys, vecs)))

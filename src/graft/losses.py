@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .frozen import DegenerateEmbeddingError
-from .geo import PixelCoord, pixel_to_patch
 
 VARIANTS = ("image_default", "pixel_default", "sum_prob", "avg_rep", "l2")
 
@@ -164,45 +163,6 @@ def pixel_loss_anchors(
     value = float(np.sum(weight * (lse - own_logit)))
     grad = weight[:, None] * (mix - grounds) / tau
     return value, grad
-
-
-def pixel_loss(
-    patch_grids: Sequence[np.ndarray],
-    pixels: Sequence[Sequence[PixelCoord]],
-    ground_groups: Sequence[GroundGroup],
-    tau: float,
-    patch_px: int,
-    validate: bool = True,
-) -> tuple[float, list[np.ndarray]]:
-    """Pixel-level multi-positive loss over patch-embedding grids.
-
-    Each ground image's pixel selects the patch that contains it; that patch
-    embedding is the anchor for the pair. Gradients are returned as one grid
-    per tile and are exactly zero on patches containing no ground image.
-    """
-    if not (len(patch_grids) == len(pixels) == len(ground_groups)):
-        raise ValueError("patch_grids, pixels and ground_groups must align")
-    anchors = []
-    locations: list[tuple[int, int, int]] = []
-    for i, (grid, tile_pixels, group) in enumerate(zip(patch_grids, pixels, ground_groups)):
-        grid = np.asarray(grid, dtype=np.float64)
-        if len(tile_pixels) != group.size:
-            raise ValueError(f"tile {i}: {len(tile_pixels)} pixels for {group.size} grounds")
-        for px in tile_pixels:
-            patch = pixel_to_patch(px, patch_px)
-            if patch.prow >= grid.shape[0] or patch.pcol >= grid.shape[1]:
-                raise ValueError(
-                    f"pixel {px} maps to patch {patch} outside grid {grid.shape[:2]}"
-                )
-            anchors.append(grid[patch.prow, patch.pcol])
-            locations.append((i, patch.prow, patch.pcol))
-    value, danchors = pixel_loss_anchors(
-        np.asarray(anchors), ground_groups, tau, validate=validate
-    )
-    grads = [np.zeros_like(np.asarray(grid, dtype=np.float64)) for grid in patch_grids]
-    for row, (i, pr, pc) in enumerate(locations):
-        grads[i][pr, pc] += danchors[row]
-    return value, grads
 
 
 def loss_sum_prob(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -20,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses
+from .codec import Reader, Writer
 from .corpus import PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
@@ -349,58 +349,38 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def save_checkpoint(path: str | Path, params: SatEncoderParams, provenance: dict) -> None:
     """Versioned binary checkpoint: parameter tensors as f64 plus provenance."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        arrays = params.arrays()
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in PARAM_NAMES:
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes())
-        prov = json.dumps(provenance, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(prov)))
-        fh.write(prov)
+    w = Writer()
+    w.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    arrays = params.arrays()
+    w.pack("<I", len(arrays))
+    for name in PARAM_NAMES:
+        arr = np.asarray(arrays[name])
+        w.string(name)
+        w.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        w.array(arr, "<f8")
+    prov = Writer()
+    prov.json(provenance)
+    w.section(prov, "<I")
+    w.save(path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[SatEncoderParams, dict]:
-    data = Path(path).read_bytes()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 6
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    """Read a checkpoint written by save_checkpoint; a bad file raises FormatError."""
+    r = Reader(Path(path).read_bytes(), f"checkpoint {path}")
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = tuple(
-            struct.unpack_from("<I", data, off + 4 * i)[0] for i in range(ndim)
-        )
-        off += 4 * ndim
-        n_items = int(np.prod(shape)) if shape else 1
-        arrays[name] = (
-            np.frombuffer(data, dtype="<f8", count=n_items, offset=off)
-            .reshape(shape)
-            .copy()
-        )
-        off += 8 * n_items
-    (plen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    provenance = json.loads(data[off : off + plen].decode("utf-8"))
+    for _ in range(r.unpack("<I")[0]):
+        name = r.string()
+        (ndim,) = r.unpack("<B")
+        arrays[name] = r.array("<f8", r.unpack(f"<{ndim}I"))
+    provenance = r.section("<I").json()
+    r.done()
     missing = set(PARAM_NAMES) - set(arrays)
     if missing:
-        raise ValueError(f"checkpoint missing parameter tensors: {sorted(missing)}")
+        raise r.fail(f"missing parameter tensors {sorted(missing)}")
+    h, d = arrays["b1"].size, arrays["b2"].size
+    shapes = {k: arrays[k].shape for k in PARAM_NAMES}
+    if shapes != {"w1": (h, arrays["w1"].size // max(h, 1)), "b1": (h,), "w2": (d, h),
+                  "b2": (d,), "pool_logits": (arrays["pool_logits"].size,)}:
+        raise r.fail(f"tensor shapes {shapes} do not fit one encoder")
     return SatEncoderParams(**{k: arrays[k] for k in PARAM_NAMES}), provenance

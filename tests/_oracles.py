@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from graft.geo import PixelCoord, pixel_to_patch
+from graft.losses import GroundGroup, pixel_loss_anchors
+
 
 def rand_unit(rng: np.random.Generator, shape) -> np.ndarray:
     v = rng.standard_normal(shape)
@@ -129,3 +132,50 @@ def pixel_loss_anchors_oracle(anchors, groups, tau):
     weight = 1.0 / (len(groups) * sizes[owner])
     value = float(np.sum(weight * (lse - np.diagonal(logits))))
     return value, weight[:, None] * (p @ grounds - grounds) / tau
+
+
+# ---- grid-level pixel loss --------------------------------------------------
+#
+# The pixel loss as first written: one anchor gathered per (tile, ground) pair
+# from per-tile patch grids, and the anchor gradients scattered back onto those
+# grids, pair by pair, around the library's `pixel_loss_anchors`. Tests check
+# the anchor-level interface against it.
+
+
+def pixel_loss(
+    patch_grids: list[np.ndarray],
+    pixels: list[list[PixelCoord]],
+    ground_groups: list[GroundGroup],
+    tau: float,
+    patch_px: int,
+    validate: bool = True,
+) -> tuple[float, list[np.ndarray]]:
+    """Pixel-level multi-positive loss over patch-embedding grids.
+
+    Each ground image's pixel selects the patch that contains it; that patch
+    embedding is the anchor for the pair. Gradients are returned as one grid
+    per tile and are exactly zero on patches containing no ground image.
+    """
+    if not (len(patch_grids) == len(pixels) == len(ground_groups)):
+        raise ValueError("patch_grids, pixels and ground_groups must align")
+    anchors = []
+    locations: list[tuple[int, int, int]] = []
+    for i, (grid, tile_pixels, group) in enumerate(zip(patch_grids, pixels, ground_groups)):
+        grid = np.asarray(grid, dtype=np.float64)
+        if len(tile_pixels) != group.size:
+            raise ValueError(f"tile {i}: {len(tile_pixels)} pixels for {group.size} grounds")
+        for px in tile_pixels:
+            patch = pixel_to_patch(px, patch_px)
+            if patch.prow >= grid.shape[0] or patch.pcol >= grid.shape[1]:
+                raise ValueError(
+                    f"pixel {px} maps to patch {patch} outside grid {grid.shape[:2]}"
+                )
+            anchors.append(grid[patch.prow, patch.pcol])
+            locations.append((i, patch.prow, patch.pcol))
+    value, danchors = pixel_loss_anchors(
+        np.asarray(anchors), ground_groups, tau, validate=validate
+    )
+    grads = [np.zeros_like(np.asarray(grid, dtype=np.float64)) for grid in patch_grids]
+    for row, (i, pr, pc) in enumerate(locations):
+        grads[i][pr, pc] += danchors[row]
+    return value, grads

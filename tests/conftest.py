@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graft import corpus, geo
+
+# Property tests draw the same examples on every run and keep no example
+# database, so results do not depend on an untracked `.hypothesis/` directory.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -253,6 +256,85 @@ def test_eval_dimension_mismatch_exits_6(pipeline, tmp_path):
     assert main(["eval", "classify", "--world", str(world_dir), "--dataset",
                  str(dataset), "--checkpoint", str(bad),
                  "--out", str(tmp_path / "e")]) == 6
+
+
+@pytest.mark.parametrize("cut", [7, 12])
+def test_eval_corrupt_checkpoint_exits_6(pipeline, tmp_path, capsys, cut):
+    root, world_dir, dataset, ckpt = pipeline
+    bad = tmp_path / "cut.grcp"
+    bad.write_bytes(ckpt.read_bytes()[:cut])
+    capsys.readouterr()
+    assert main(["eval", "classify", "--world", str(world_dir), "--dataset",
+                 str(dataset), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "e")]) == 6
+    assert "truncated at byte" in capsys.readouterr().err
+
+
+def train_on(world_dir, dataset, out) -> int:
+    return main(["train", "--world", str(world_dir), "--dataset", str(dataset),
+                 "--out", str(out), "--epochs", "1"])
+
+
+def corrupt_copy(world_dir, tmp_path, name: str, corrupt):
+    """A copy of the world directory with `name` rewritten as corrupt(bytes)."""
+    broken = tmp_path / "broken_world"
+    shutil.copytree(world_dir, broken)
+    path = broken / name
+    path.write_bytes(bytes(corrupt(bytearray(path.read_bytes()))))
+    return broken
+
+
+def _first_vector(raw: bytearray) -> slice:
+    """Bytes of a fixture's first vector: 16 float32s, after the header and first key."""
+    (klen,) = struct.unpack_from("<H", raw, 8)
+    return slice(10 + klen, 10 + klen + 4 * 16)
+
+
+def _flip_key_length(raw):
+    raw[8:10] = bytes(b ^ 0xFF for b in raw[8:10])
+    return raw
+
+
+def _nan_entry(raw):
+    start = _first_vector(raw).start
+    raw[start : start + 4] = struct.pack("<f", math.nan)
+    return raw
+
+
+def _zero_entry(raw):
+    vec = _first_vector(raw)
+    raw[vec] = bytes(vec.stop - vec.start)
+    return raw
+
+
+@pytest.mark.parametrize("corrupt", [lambda raw: raw[:-3], _flip_key_length, _nan_entry,
+                                     _zero_entry], ids=["cut", "key_length", "nan", "zero"])
+def test_train_corrupt_fixture_exits_4(pipeline, tmp_path, capsys, corrupt):
+    _, world_dir, dataset, _ = pipeline
+    broken = corrupt_copy(world_dir, tmp_path, "text_embeddings.bin", corrupt)
+    capsys.readouterr()
+    assert train_on(broken, dataset, tmp_path / "run") == 4
+    assert "text_embeddings.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{", '{"files": {}}'])
+def test_train_malformed_world_json_exits_4(pipeline, tmp_path, capsys, text):
+    _, world_dir, dataset, _ = pipeline
+    broken = corrupt_copy(world_dir, tmp_path, "world.json", lambda _: text.encode())
+    capsys.readouterr()
+    assert train_on(broken, dataset, tmp_path / "run") == 4
+    assert "world.json" in capsys.readouterr().err
+
+
+def test_train_corrupt_container_exits_4(pipeline, tmp_path, capsys):
+    _, world_dir, dataset, _ = pipeline
+    raw = bytearray(dataset.read_bytes())
+    raw[20] = 0xFF  # the first byte of the first tile id is no longer UTF-8
+    bad = tmp_path / "bad.grft"
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert train_on(world_dir, bad, tmp_path / "run") == 4
+    assert "at byte 20" in capsys.readouterr().err
 
 
 def test_map_density_matches_ground_truth(pipeline, tmp_path, capsys):

@@ -1,0 +1,206 @@
+"""Corrupt and truncated binary files fail with FormatError, never anything else.
+
+Small samples of the three binary formats (dataset container, checkpoint,
+embedding fixture) are cut at every length and flipped one byte at a time.
+Each load either returns or raises `FormatError` naming a byte offset.
+"""
+
+from __future__ import annotations
+
+import math
+import shutil
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graft import corpus
+from graft.codec import FormatError, Reader
+from graft.corpus import (
+    DatasetFormatError,
+    GroundImageRecord,
+    IntegrityError,
+    PairedDataset,
+    SatTileRecord,
+)
+from graft.encoder import init_params
+from graft.frozen import (
+    DegenerateEmbeddingError,
+    FrozenEncoder,
+    load_embeddings,
+    save_embeddings,
+    unit,
+)
+from graft.geo import GeoPoint, TileSpec
+from graft.train import load_checkpoint, save_checkpoint
+
+
+def tiny_dataset() -> PairedDataset:
+    rng = np.random.default_rng(3)
+    spec = TileSpec(GeoPoint(45.0, 7.0), 1.0, 32, 16)
+    tiles = [
+        SatTileRecord(f"t{i}", spec, 1_600_000_000 + i,
+                      rng.standard_normal((2, 2, 3)).astype(np.float32), channels=3)
+        for i in range(2)
+    ]
+    grounds = [GroundImageRecord(f"g{j}", GeoPoint(45.0, 7.0), 1_600_000_000, f"g{j}")
+               for j in range(3)]
+    return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[0, 1], [2]],
+                         provenance={"seed": 3, "note": "café"})
+
+
+def tiny_table() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(4)
+    return {key: unit(rng.standard_normal(4)) for key in ("a", "bé", "c")}
+
+
+def write_sample(fmt: str, path) -> None:
+    if fmt == "container":
+        corpus.save_dataset(tiny_dataset(), path)
+    elif fmt == "checkpoint":
+        save_checkpoint(path, init_params(3, 4, 2, 4, seed=0), {"seed": 0})
+    else:
+        save_embeddings(path, tiny_table())
+
+
+LOADERS = {
+    "container": corpus.load_dataset,
+    "checkpoint": load_checkpoint,
+    "fixture": load_embeddings,
+}
+
+
+@pytest.fixture(scope="module")
+def samples(tmp_path_factory):
+    """Bytes of each sample format, plus a temporary path to write variants to."""
+    root = tmp_path_factory.mktemp("formats")
+    raw = {}
+    for fmt in LOADERS:
+        write_sample(fmt, root / fmt)
+        raw[fmt] = (root / fmt).read_bytes()
+    return raw, root / "variant"
+
+
+def load_variant(fmt: str, path, data: bytes):
+    path.write_bytes(data)
+    return LOADERS[fmt](path)
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_samples_roundtrip(fmt, samples):
+    raw, path = samples
+    load_variant(fmt, path, raw[fmt])
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_every_truncation_raises_format_error(fmt, samples):
+    # every prefix length, so a cut lands inside and at the end of every field
+    raw, path = samples
+    for cut in range(len(raw[fmt])):
+        with pytest.raises(FormatError, match=r"byte \d+"):
+            load_variant(fmt, path, raw[fmt][:cut])
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_trailing_bytes_raise_format_error(fmt, samples):
+    raw, path = samples
+    with pytest.raises(FormatError, match="trailing"):
+        load_variant(fmt, path, raw[fmt] + b"\x00")
+
+
+@pytest.mark.parametrize("fmt", LOADERS)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_single_byte_flip_loads_or_raises_format_error(fmt, samples, data):
+    raw, path = samples
+    flipped = bytearray(raw[fmt])
+    pos = data.draw(st.integers(0, len(flipped) - 1), label="pos")
+    flipped[pos] ^= data.draw(st.integers(1, 255), label="mask")
+    try:
+        load_variant(fmt, path, bytes(flipped))
+    except FormatError as exc:
+        assert "byte" in str(exc)
+
+
+def test_empty_array_with_oversized_sides():
+    # zero bytes to read, but numpy cannot represent the shape
+    with pytest.raises(FormatError, match=r"too large at byte 0"):
+        Reader(b"", "blob").array("<f8", (0, 2**40, 2**40))
+
+
+def test_container_invalid_utf8_id(samples):
+    raw, path = samples
+    bad = bytearray(raw["container"])
+    bad[20] = 0xFF  # first byte of the first tile id: magic, version, length, count, id length
+    with pytest.raises(DatasetFormatError, match="UTF-8.* at byte 20"):
+        load_variant("container", path, bytes(bad))
+
+
+def test_container_error_is_the_codec_error():
+    assert DatasetFormatError is FormatError
+    assert issubclass(corpus.DatasetVersionError, FormatError)
+
+
+@pytest.mark.parametrize("name, shape", [("b1", (5,)), ("w2", (4, 2)), ("pool_logits", (2, 2))])
+def test_checkpoint_inconsistent_shapes(samples, name, shape):
+    _, path = samples
+    params = init_params(3, 4, 2, 4, seed=0)
+    setattr(params, name, np.zeros(shape))
+    save_checkpoint(path, params, {})
+    with pytest.raises(FormatError, match="do not fit one encoder"):
+        load_checkpoint(path)
+
+
+def fixture_entry(raw: bytes, bad: np.ndarray) -> bytes:
+    """The sample fixture with its first vector replaced by `bad`."""
+    (klen,) = struct.unpack_from("<H", raw, 8)
+    start = 8 + 2 + klen
+    return raw[:start] + bad.astype("<f4").tobytes() + raw[start + 4 * len(bad):]
+
+
+BAD_VECTORS = [[math.nan, 0, 0, 1], [0, math.inf, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+def test_fixture_bad_entry_names_key_and_offset(samples, bad):
+    raw, path = samples
+    data = fixture_entry(raw["fixture"], np.array(bad))
+    with pytest.raises(FormatError, match=r"entry 'a' has norm .* at byte 8"):
+        load_variant("fixture", path, data)
+
+
+def test_fixture_duplicate_key(samples):
+    raw, path = samples
+    table = tiny_table()
+    body = b"".join(struct.pack("<H", 1) + b"a" + table["a"].astype("<f4").tobytes()
+                    for _ in range(2))
+    with pytest.raises(FormatError, match="duplicate key 'a' at byte 27"):
+        load_variant("fixture", path, struct.pack("<II", 2, 4) + body)
+
+
+def test_fixture_empty_table(samples):
+    _, path = samples
+    with pytest.raises(FormatError, match="empty"):
+        load_variant("fixture", path, struct.pack("<II", 0, 4))
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+def test_unit_rejects_non_finite_and_zero(bad):
+    v = np.array(bad, dtype=np.float64)
+    with pytest.raises(DegenerateEmbeddingError):
+        unit(v)
+    with pytest.raises(ValueError, match="not unit-norm"):
+        FrozenEncoder({"x": v}, dim=4)
+
+
+@pytest.mark.parametrize("text", ["{", '{"files": {}}', "[]", '{"files": {"field": 1}}',
+                                  "\udcff"])
+def test_malformed_world_json_is_integrity_error(world_dir, tmp_path, text):
+    broken = tmp_path / "w"
+    shutil.copytree(world_dir, broken)
+    (broken / "world.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(IntegrityError, match="world.json"):
+        corpus.load_world_dir(broken)
+

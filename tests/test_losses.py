@@ -7,6 +7,7 @@ from _oracles import (
     avg_rep_oracle,
     fd_gradient,
     image_loss_oracle,
+    pixel_loss,
     pixel_loss_anchors_oracle,
     rand_unit,
     relative_error,
@@ -21,7 +22,6 @@ from graft.losses import (
     loss_avg_rep,
     loss_l2,
     loss_sum_prob,
-    pixel_loss,
     pixel_loss_anchors,
 )
 
