@@ -25,7 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from graft import corpus, evaluation, geo  # noqa: E402
-from graft.encoder import encoder_forward  # noqa: E402
+from graft.encoder import embed_images, forward_patch_rows  # noqa: E402
 from graft.frozen import PromptSet, embed_text  # noqa: E402
 from graft.losses import VARIANTS, LossConfig  # noqa: E402
 from graft.train import TrainSchedule, train  # noqa: E402
@@ -54,17 +54,14 @@ def evaluate(world, params, ds_eval):
     class_embs = np.stack(
         [embed_text(world.text_encoder, n, prompts) for n in world.class_names]
     )
-    n = len(ds_eval.tiles)
-    embs = np.empty((n, class_embs.shape[1]))
-    gts = np.empty(n, dtype=int)
-    seg_pred, seg_gt = [], []
-    for i, tile in enumerate(ds_eval.tiles):
-        patch_embs, embs[i] = encoder_forward(params, tile.patch_features)
-        grid = world.field.class_grid(tile.spec)
-        gts[i] = np.bincount(grid.ravel()).argmax()
-        labels, _ = evaluation.segment_patches(patch_embs, class_embs)
-        seg_pred.append(labels.ravel())
-        seg_gt.append(grid.ravel())
+    features = [tile.patch_features for tile in ds_eval.tiles]
+    embs = embed_images(params, features)
+    patch_embs, _ = forward_patch_rows(
+        params, np.concatenate([f.reshape(-1, f.shape[-1]) for f in features])
+    )
+    seg_pred, _ = evaluation.segment_patches(patch_embs, class_embs)
+    seg_gt = [world.field.class_grid(tile.spec).ravel() for tile in ds_eval.tiles]
+    gts = np.array([np.bincount(grid).argmax() for grid in seg_gt])
     acc = float(np.mean(np.argmax(embs @ class_embs.T, axis=1) == gts))
     ids = [t.id for t in ds_eval.tiles]
     gt_of = dict(zip(ids, gts))
@@ -74,7 +71,7 @@ def evaluate(world, params, ds_eval):
         flags = [1 if gt_of[i] == c else 0 for i in ranked.item_ids]
         aps.append(evaluation.average_precision_at_k(flags, 20))
     _, seg_acc = evaluation.per_class_accuracy(
-        np.concatenate(seg_pred)[None, :], np.concatenate(seg_gt)[None, :]
+        seg_pred[None, :], np.concatenate(seg_gt)[None, :]
     )
     return acc, float(np.mean(aps)), seg_acc
 

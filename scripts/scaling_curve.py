@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from graft import corpus, geo  # noqa: E402
-from graft.encoder import encoder_forward  # noqa: E402
+from graft.encoder import embed_images  # noqa: E402
 from graft.frozen import PromptSet, embed_text  # noqa: E402
 from graft.losses import LossConfig  # noqa: E402
 from graft.train import TrainSchedule, train  # noqa: E402
@@ -59,13 +59,8 @@ def main() -> None:
             sub = corpus.subset_tiles(ds_train, range(int(len(ds_train.tiles) * frac)))
             result = train(sub, world.ground_encoder, LossConfig(),
                            TrainSchedule(epochs=args.epochs, seed=seed))
-            preds = np.array(
-                [
-                    np.argmax(class_embs @ encoder_forward(result.params,
-                                                           t.patch_features)[1])
-                    for t in ds_eval.tiles
-                ]
-            )
+            embs = embed_images(result.params, [t.patch_features for t in ds_eval.tiles])
+            preds = np.argmax(embs @ class_embs.T, axis=1)
             acc = float(np.mean(preds == gts))
             accs[frac].append(acc)
             print(f"seed {seed} budget {frac:>5.0%}: {len(sub.tiles):4d} tiles "

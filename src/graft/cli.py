@@ -32,7 +32,7 @@ from .corpus import (
     LoadedWorld,
     ManifestError,
 )
-from .encoder import SatEncoderParams, encoder_forward
+from .encoder import SatEncoderParams, embed_images, encoder_forward
 from .frozen import MissingEmbeddingError, embed_text
 from .train import DivergenceError, load_checkpoint, save_checkpoint, train
 
@@ -257,12 +257,10 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.write_snapshot(out)
 
     if args.task == "classify":
-        preds = np.empty(len(ds.tiles), dtype=int)
-        scores = np.empty((len(ds.tiles), len(world.class_names)))
-        for i, tile in enumerate(ds.tiles):
-            _, img = encoder_forward(params, tile.patch_features)
-            scores[i] = class_embs @ img
-            preds[i] = evaluation.zero_shot_classify(img, class_embs)
+        embs = embed_images(params, [t.patch_features for t in ds.tiles])
+        scores = embs @ class_embs.T
+        preds = np.array([evaluation.zero_shot_classify(img, class_embs) for img in embs],
+                         dtype=int)
         accuracy = float(np.mean(preds == gts))
         onehot = np.zeros_like(scores)
         onehot[np.arange(len(gts)), gts] = 1.0
@@ -278,9 +276,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
 
     if args.task == "retrieve":
-        embs = np.empty((len(ds.tiles), params.embed_dim))
-        for i, tile in enumerate(ds.tiles):
-            _, embs[i] = encoder_forward(params, tile.patch_features)
+        embs = embed_images(params, [t.patch_features for t in ds.tiles])
         ids = [t.id for t in ds.tiles]
         gt_of = dict(zip(ids, gts))
         lines, metric_lines = [], []

@@ -399,23 +399,41 @@ def save_feature_field(fld: VoronoiFeatureField, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+# Keys of a field.json payload and how each is read.
+_FIELD_KEYS = {
+    "class_names": list,
+    "seeds_lat": np.array,
+    "seeds_lon": np.array,
+    "origin": lambda v: GeoPoint(*v),
+    "bounds": tuple,
+    "feature_dim": int,
+    "noise_sigma": float,
+    "noise_key": int,
+}
+
+
 def load_feature_field(path: str | Path) -> VoronoiFeatureField:
+    """Read a field.json; a payload that does not describe a field raises IntegrityError."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IntegrityError(f"feature field {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise IntegrityError(f"feature field {path} is not a JSON object")
     if payload.get("format") != "voronoi-onehot-field":
         raise IntegrityError(f"feature field {path} has unknown format")
-    return VoronoiFeatureField(
-        class_names=list(payload["class_names"]),
-        seeds_lat=np.array(payload["seeds_lat"]),
-        seeds_lon=np.array(payload["seeds_lon"]),
-        origin=GeoPoint(*payload["origin"]),
-        bounds=tuple(payload["bounds"]),
-        feature_dim=int(payload["feature_dim"]),
-        noise_sigma=float(payload["noise_sigma"]),
-        noise_key=int(payload["noise_key"]),
-    )
+    values = {}
+    for key, read in _FIELD_KEYS.items():
+        if key not in payload:
+            raise IntegrityError(f"feature field {path} lacks key {key!r}")
+        try:
+            values[key] = read(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise IntegrityError(f"feature field {path} has a malformed {key!r}: {exc}") from exc
+    try:
+        return VoronoiFeatureField(**values)
+    except ValueError as exc:
+        raise IntegrityError(f"feature field {path}: {exc}") from exc
 
 
 def select_snapshot(candidates: Sequence[int], target: int) -> int:

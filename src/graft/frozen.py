@@ -60,6 +60,16 @@ class PromptSet:
         return [t.format(label=label) for t in self.templates]
 
 
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a (N, D) matrix, one vectorized pass.
+
+    Each norm is the square root of a row's dot product with itself, the same
+    reduction `unit` takes, so a row divided by its norm is bit-identical to
+    `unit(row)`.
+    """
+    return np.sqrt((mat[:, None, :] @ mat[:, :, None])[:, 0, 0])
+
+
 @dataclass
 class FrozenEncoder:
     """Read-only table of unit-norm embeddings keyed by reference string."""
@@ -73,19 +83,30 @@ class FrozenEncoder:
                 raise ValueError(
                     f"entry {key!r} has shape {vec.shape}, expected ({self.dim},)"
                 )
-            if not abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL:
+        if self.table:
+            dev = np.abs(_row_norms(np.array(list(self.table.values()))) - 1.0)
+            bad = ~(dev <= UNIT_NORM_TOL)
+            if bad.any():
+                key = list(self.table)[int(np.argmax(bad))]
                 raise ValueError(f"entry {key!r} is not unit-norm")
 
     @classmethod
     def from_vectors(cls, vectors: dict[str, np.ndarray]) -> "FrozenEncoder":
-        """Build an encoder, normalizing each entry."""
+        """Build an encoder, normalizing each entry; a degenerate entry raises."""
         if not vectors:
             raise ValueError("empty embedding table")
         dims = {v.shape[-1] for v in vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        table = {k: unit(v) for k, v in vectors.items()}
-        return cls(table=table, dim=dims.pop())
+        mat = np.array(list(vectors.values()), dtype=np.float64)
+        norms = _row_norms(mat)
+        bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegenerateEmbeddingError(
+                f"cannot normalize entry {list(vectors)[i]!r} with norm {norms[i]:.3e}"
+            )
+        return cls(table=dict(zip(vectors, mat / norms[:, None])), dim=dims.pop())
 
     def content_hash(self) -> str:
         """SHA-256 over the sorted table; constant across a training run."""
@@ -154,9 +175,9 @@ def load_embeddings(path: str | Path) -> FrozenEncoder:
         if first.setdefault(key, i) != i:
             raise r.fail(f"duplicate key {key!r}", starts[i])
     vecs = np.array(rows, dtype=np.float64)
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = _row_norms(vecs)
     bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise r.fail(f"entry {keys[i]!r} has norm {norms[i]:.3e}", starts[i])
-    return FrozenEncoder.from_vectors(dict(zip(keys, vecs)))
+    return FrozenEncoder(table=dict(zip(keys, vecs / norms[:, None])), dim=dim)

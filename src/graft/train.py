@@ -23,10 +23,12 @@ from .codec import Reader, Writer
 from .corpus import PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
+    DegenerateOutputError,
     SatEncoderParams,
     encoder_backward,
     forward_patch_rows,
-    forward_tile,
+    image_backward,
+    image_forward,
     init_params,
 )
 from .frozen import FrozenEncoder, embed_ground
@@ -41,7 +43,7 @@ ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Loss or gradient became non-finite during training."""
+    """Encoder output, loss, gradient or parameters degenerated during training."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -173,19 +175,23 @@ def batch_ground_groups(batch: PairBatch, ground_embs: np.ndarray) -> list[Groun
     ]
 
 
+def _require_unit_output(embs: np.ndarray) -> None:
+    """A diverged encoder (non-finite or non-unit output) must not reach the loss."""
+    dev = np.abs(np.linalg.norm(embs, axis=1) - 1.0)
+    if not np.all(dev <= losses.UNIT_TOL):
+        raise DegenerateOutputError(
+            f"encoder output is non-finite or not unit-norm (deviation {np.max(dev):.3e})"
+        )
+
+
 def _image_level_backward(
     params: SatEncoderParams,
     batch: PairBatch,
     groups: list[GroundGroup],
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    caches = []
-    sat_embs = np.empty((batch.n_tiles, params.embed_dim))
-    for i, tile in enumerate(batch.tiles):
-        _, image_emb, cache = forward_tile(params, tile.patch_features)
-        sat_embs[i] = image_emb
-        caches.append(cache)
-
+    sat_embs, cache = image_forward(params, [t.patch_features for t in batch.tiles])
+    _require_unit_output(sat_embs)
     if cfg.variant == "image_default":
         value, d_sat = losses.image_loss(sat_embs, groups, cfg.tau)
     elif cfg.variant == "sum_prob":
@@ -196,13 +202,7 @@ def _image_level_backward(
         value, d_sat = losses.loss_l2(sat_embs, groups)
     else:  # pragma: no cover - guarded by LossConfig
         raise ValueError(f"not an image-level variant: {cfg.variant}")
-
-    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
-    for i, cache in enumerate(caches):
-        g = encoder_backward(params, cache, d_patch_embs=None, d_image_emb=d_sat[i])
-        for k in grads:
-            grads[k] += g[k]
-    return value, grads
+    return value, image_backward(params, cache, d_sat)
 
 
 def _pixel_level_backward(
@@ -218,11 +218,12 @@ def _pixel_level_backward(
     tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
     uniq, inverse = np.unique(tile_of_pair * n_patches + batch.patch, return_inverse=True)
     embs, cache = forward_patch_rows(params, features.reshape(-1, features.shape[3])[uniq])
+    _require_unit_output(embs)
     value, d_anchors = losses.pixel_loss_anchors(embs[inverse], groups, cfg.tau)
 
     d_rows = np.zeros((len(uniq), params.embed_dim))
     np.add.at(d_rows, inverse, d_anchors)
-    return value, encoder_backward(params, cache, d_patch_embs=d_rows, d_image_emb=None)
+    return value, encoder_backward(params, cache, d_rows)
 
 
 def loss_and_param_grads(
@@ -255,7 +256,10 @@ def train_step(
     Functional: the input params are untouched. `state` (adaptive moments) is
     updated in place when provided, fresh-zero otherwise.
     """
-    value, grads = loss_and_param_grads(params, batch, ground_embs, cfg)
+    try:
+        value, grads = loss_and_param_grads(params, batch, ground_embs, cfg)
+    except DegenerateOutputError as exc:
+        raise DivergenceError(step, str(exc)) from exc
     if not math.isfinite(value):
         raise DivergenceError(step, f"non-finite loss {value}")
     for name, g in grads.items():

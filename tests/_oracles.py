@@ -179,3 +179,42 @@ def pixel_loss(
     for row, (i, pr, pc) in enumerate(locations):
         grads[i][pr, pc] += danchors[row]
     return value, grads
+
+
+# ---- per-tile image-level pass ----------------------------------------------
+#
+# The image-level train step as first written: one full forward per tile that
+# pools the pre-normalization patch *outputs*, the loss on the stacked image
+# embeddings, then one backward per tile through the pooled normalization and
+# the softmax pooling weights, summed tile by tile. The library pools hidden
+# rows instead and runs blocks of tiles at once; tests check it against this.
+
+
+def image_level_per_tile(params, grids, loss_fn):
+    """`loss_fn(sat_embs)` gives (value, d_sat); returns (value, parameter grads)."""
+    alpha = np.exp(params.pool_logits - np.max(params.pool_logits))
+    alpha /= alpha.sum()
+    passes, sat_embs = [], []
+    for grid in grids:
+        x = np.asarray(grid, dtype=np.float64).reshape(-1, params.feature_dim)
+        h = np.tanh(x @ params.w1.T + params.b1)
+        y = h @ params.w2.T + params.b2
+        y_img = alpha @ y
+        norm = float(np.linalg.norm(y_img))
+        passes.append((x, h, y, norm))
+        sat_embs.append(y_img / norm)
+    sat_embs = np.array(sat_embs)
+    value, d_sat = loss_fn(sat_embs)
+
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    for (x, h, y, norm), emb, d_emb in zip(passes, sat_embs, d_sat):
+        d_y_img = (d_emb - (emb @ d_emb) * emb) / norm
+        d_y = alpha[:, None] * d_y_img
+        d_alpha = y @ d_y_img
+        grads["pool_logits"] += alpha * (d_alpha - alpha @ d_alpha)
+        grads["w2"] += d_y.T @ h
+        grads["b2"] += d_y.sum(axis=0)
+        d_h_pre = (d_y @ params.w2) * (1.0 - h * h)
+        grads["w1"] += d_h_pre.T @ x
+        grads["b1"] += d_h_pre.sum(axis=0)
+    return value, grads

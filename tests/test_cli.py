@@ -326,6 +326,30 @@ def test_train_malformed_world_json_exits_4(pipeline, tmp_path, capsys, text):
     assert "world.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [('{"format": "voronoi-onehot-field"}', "'class_names'"),
+                                         ("[]", "not a JSON object")],
+                         ids=["missing_key", "not_object"])
+def test_train_malformed_field_json_exits_4(pipeline, tmp_path, capsys, text, named):
+    _, world_dir, dataset, _ = pipeline
+    broken = corrupt_copy(world_dir, tmp_path, "field.json", lambda _: text.encode())
+    capsys.readouterr()
+    assert train_on(broken, dataset, tmp_path / "run") == 4
+    err = capsys.readouterr().err
+    assert "field.json" in err and named in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("loss", ["image", "pixel"])
+def test_train_divergence_exits_5(pipeline, tmp_path, capsys, loss):
+    _, world_dir, dataset, _ = pipeline
+    capsys.readouterr()
+    assert main(["train", "--world", str(world_dir), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run"), "--loss", loss,
+                 "--set", "train.peak_lr=1e9"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: step ") and "not unit-norm" in err
+
+
 def test_train_corrupt_container_exits_4(pipeline, tmp_path, capsys):
     _, world_dir, dataset, _ = pipeline
     raw = bytearray(dataset.read_bytes())

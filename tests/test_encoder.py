@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradient_inplace, rand_unit, relative_error
+from graft import encoder
 from graft.encoder import (
+    embed_images,
     encoder_backward,
     encoder_forward,
     forward_patch_rows,
     forward_tile,
+    image_backward,
+    image_forward,
     init_params,
 )
 
@@ -66,8 +70,11 @@ def test_forward_rows_match_full_forward(rng):
 
 
 def test_full_parameter_gradients_match_fd(rng):
-    # tiny instance: F=4, H=4, D=4, 2x2 patches
+    # tiny instance: F=4, H=4, D=4, 2x2 patches; patch and image gradients come
+    # from their own backward passes and add up
     params = init_params(4, 4, 4, 4, seed=6)
+    params.pool_logits[:] = rng.standard_normal(4)
+    params.b2[:] = rng.standard_normal(4)
     features = rng.standard_normal((2, 2, 4))
     d_patch = rand_unit(rng, (4, 4))
     d_image = rand_unit(rng, 4)
@@ -77,10 +84,56 @@ def test_full_parameter_gradients_match_fd(rng):
         return float(np.sum(p.reshape(4, 4) * d_patch) + img @ d_image)
 
     _, _, cache = forward_tile(params, features)
-    grads = encoder_backward(params, cache, d_patch, d_image)
-    for name, grad in grads.items():
+    _, image_cache = image_forward(params, [features])
+    patch_grads = encoder_backward(params, cache, d_patch)
+    image_grads = image_backward(params, image_cache, d_image[None])
+    for name in patch_grads:
+        grad = patch_grads[name] + image_grads[name]
         numeric = fd_gradient_inplace(objective, getattr(params, name), h=1e-6)
         assert relative_error(grad, numeric) <= 1e-3, name
+
+
+def test_image_forward_matches_tile_forward(rng):
+    # 5 tiles of 3x3 patches in blocks of 2 tiles: the last block is partial
+    params = init_params(6, 8, 5, 9, seed=10)
+    params.pool_logits[:] = rng.standard_normal(9)
+    grids = [rng.standard_normal((3, 3, 6)).astype(np.float32) for _ in range(5)]
+    want = np.array([encoder_forward(params, g)[1] for g in grids])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder, "IMAGE_BLOCK_ROWS", 18)
+        embs, cache = image_forward(params, grids)
+        assert [start for start, _, _ in cache.blocks] == [0, 2, 4]
+        np.testing.assert_allclose(embs, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(embed_images(params, grids), embs)
+    # one block of all 5 tiles gives the same bits
+    np.testing.assert_array_equal(embed_images(params, grids), embs)
+
+
+def test_collapsed_patch_output_raises_in_image_path(rng):
+    # one patch's output is exactly zero while the pooled output is not
+    params = init_params(3, 3, 3, 4, seed=11)
+    params.w1[:] = np.eye(3)
+    params.w2[:] = np.eye(3)
+    params.b1[:] = 0.0
+    params.b2[:] = 0.0
+    grid = np.ones((2, 2, 3))
+    grid[0, 0] = 0.0
+    with pytest.raises(ValueError, match="patch output collapsed"):
+        image_forward(params, [np.ones((2, 2, 3)), grid])
+    with pytest.raises(ValueError, match="patch output collapsed"):
+        embed_images(params, [grid])
+    with pytest.raises(ValueError, match="pooled image output collapsed"):
+        image_forward(params, [np.zeros((2, 2, 3)) + [[[1.0, 0, 0]], [[-1.0, 0, 0]]]])
+
+
+def test_image_forward_shape_errors(rng):
+    params = init_params(6, 8, 5, 9, seed=4)
+    with pytest.raises(ValueError, match="feature_dim"):
+        image_forward(params, [rng.standard_normal((3, 3, 7))])
+    with pytest.raises(ValueError, match="patches"):
+        embed_images(params, [rng.standard_normal((2, 2, 6))])
+    with pytest.raises(ValueError, match="grids"):
+        image_forward(params, [rng.standard_normal((9, 6))])
 
 
 def test_backward_patch_only_leaves_pooling_untouched(rng):
@@ -89,8 +142,6 @@ def test_backward_patch_only_leaves_pooling_untouched(rng):
     _, cache = forward_patch_rows(params, features)
     grads = encoder_backward(params, cache, d_patch_embs=rand_unit(rng, (4, 4)))
     np.testing.assert_array_equal(grads["pool_logits"], 0.0)
-    with pytest.raises(ValueError, match="pooling"):
-        encoder_backward(params, cache, d_image_emb=np.ones(4))
 
 
 def test_params_copy_independent():

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient_inplace, relative_error
-from graft import corpus
+from _oracles import fd_gradient_inplace, image_level_per_tile, relative_error
+from graft import corpus, losses
 from graft.encoder import encoder_backward, forward_patch_rows, init_params
 from graft.geo import geotag_to_pixel, pixel_to_patch
 from graft.losses import LossConfig, pixel_loss_anchors
@@ -118,7 +118,8 @@ def test_repeated_batch_reduces_loss(tiny_setup, variant):
     assert value < first
 
 
-@pytest.mark.parametrize("variant", ["image_default", "pixel_default"])
+@pytest.mark.parametrize("variant", ["image_default", "pixel_default", "sum_prob",
+                                     "avg_rep", "l2"])
 def test_full_parameter_gradient_matches_fd(tiny_setup, variant, rng):
     # the train_step gradient (loss wrt encoder weights) on a tiny instance:
     # F=4, H=4, D=4, 2x2 patches
@@ -283,3 +284,53 @@ def test_batched_pixel_backward_matches_per_tile_passes():
     assert abs(value - want_value) <= 1e-12
     for name, grad in grads.items():
         np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+IMAGE_LOSSES = {
+    "image_default": lambda sat, groups: losses.image_loss(sat, groups, 0.07),
+    "sum_prob": lambda sat, groups: losses.loss_sum_prob(sat, groups, 0.07),
+    "avg_rep": lambda sat, groups: losses.loss_avg_rep(sat, groups, 0.07),
+    "l2": losses.loss_l2,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(IMAGE_LOSSES))
+def test_blocked_image_pass_matches_per_tile_loop(variant, rng):
+    # 11 tiles of 196 patches: blocks of 7 tiles, so the second block is partial
+    cfg = corpus.SynthWorldConfig(extent_km=2.0, n_ground=200, center_lat=41.0, center_lon=8.0)
+    world = corpus.synth_world(cfg, seed=8)
+    from graft.geo import GeoPoint, TileSpec
+
+    ds = corpus.build_pairs(
+        world.grounds, world.snapshots, TileSpec(GeoPoint(41.0, 8.0)), seed=8,
+        fields={"field.json": world.field}, embeddings=world.ground_encoder,
+    )
+    batch = corpus.make_batches(ds, 11, seed=4)[0]
+    assert batch.n_tiles == 11
+    params = init_params(16, 6, 16, 196, seed=7)
+    params.pool_logits[:] = rng.standard_normal(196)
+    params.b2[:] = 0.3 * rng.standard_normal(16)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
+    value, grads = loss_and_param_grads(params, batch, ground_embs, LossConfig(variant=variant))
+    groups = batch_ground_groups(batch, ground_embs)
+    want_value, want_grads = image_level_per_tile(
+        params, [t.patch_features for t in batch.tiles],
+        lambda sat: IMAGE_LOSSES[variant](sat, groups),
+    )
+    assert abs(value - want_value) <= 1e-12
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_collapsed_patch_output_is_divergence(tiny_setup):
+    world, ds = tiny_setup
+    batch = corpus.make_batches(ds, 4, seed=2)[0]
+    params = init_params(8, 6, 8, 16, seed=3)
+    params.w2[:] = 0.0
+    params.b2[:] = 0.0
+    sched = TrainSchedule(peak_lr=1e-3, warmup_steps=1, total_steps=10)
+    ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
+    with pytest.raises(ValueError, match="patch output collapsed"):
+        loss_and_param_grads(params, batch, ground_embs, LossConfig())
+    with pytest.raises(DivergenceError, match="step 3: patch output collapsed"):
+        train_step(params, batch, ground_embs, LossConfig(), sched, step=3)
