@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, evaluation, geo
+from . import corpus, encoder, evaluation, geo
 from .config import ConfigError, RunConfig
 from .corpus import (
     DatasetFormatError,
@@ -32,7 +32,7 @@ from .corpus import (
     LoadedWorld,
     ManifestError,
 )
-from .encoder import SatEncoderParams, embed_images, encoder_forward
+from .encoder import SatEncoderParams, embed_images, forward_patch_rows
 from .frozen import MissingEmbeddingError, embed_text
 from .train import DivergenceError, load_checkpoint, save_checkpoint, train
 
@@ -217,7 +217,7 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    loss_cfg, sched, batch_size = cfg.loss_config(), cfg.schedule(), cfg.batch_size()
+    loss_cfg, sched = cfg.loss_config(), cfg.schedule()
     out = _outdir(args)
     world = _load_world(args)
     ds = corpus.load_dataset(args.dataset)
@@ -226,7 +226,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         world.ground_encoder,
         loss_cfg,
         sched,
-        batch_size=batch_size,
+        batch_size=cfg.train_batch_size,
         hidden_dim=cfg.train_hidden_dim,
     )
     ckpt_path = out / "checkpoint.grcp"
@@ -252,7 +252,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
     _check_compatible(params, world, ds)
     class_embs = _class_prompt_embeddings(world, cfg)
-    gt_grids = [world.field.class_grid(t.spec).ravel() for t in ds.tiles]
+    gt_grids = corpus.class_grids(world.field, [t.spec for t in ds.tiles])
+    gt_grids = gt_grids.reshape(len(ds.tiles), -1)
     gts = np.array([int(np.bincount(grid).argmax()) for grid in gt_grids])
     cfg.write_snapshot(out)
 
@@ -302,14 +303,19 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
               f"over {len(world.class_names)} queries")
         return 0
 
-    # segment
-    pred_flat = []
-    for tile in ds.tiles:
-        patch_embs, _ = encoder_forward(params, tile.patch_features)
+    # segment: one patch-level forward per block of whole tiles, the encoder's
+    # block size, so memory stays at one block whatever the tile count
+    pred = np.empty(gt_grids.shape, dtype=np.intp)
+    per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
+    for start in range(0, len(ds.tiles), per_block):
+        tiles = ds.tiles[start : start + per_block]
+        patch_embs, _ = forward_patch_rows(
+            params, np.concatenate([t.patch_features.reshape(-1, t.feature_dim) for t in tiles])
+        )
         labels, _ = evaluation.segment_patches(patch_embs, class_embs)
-        pred_flat.append(labels.ravel())
-    pred = np.concatenate(pred_flat)[None, :]
-    gt = np.concatenate(gt_grids)[None, :]
+        pred[start : start + len(tiles)] = labels.reshape(len(tiles), -1)
+    pred = pred.reshape(1, -1)
+    gt = gt_grids.reshape(1, -1)
     accs, mean_acc = evaluation.per_class_accuracy(pred, gt)
     table = "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)
@@ -334,31 +340,41 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     lat_min, lat_max, lon_min, lon_max = world.field.bounds
     cell_m = cfg.map_cell_px * spec.resolution_m_per_px
+    lon_m_per_degree = geo.METERS_PER_DEGREE * math.cos(math.radians(world.field.origin.lat))
     dlat = cell_m / geo.METERS_PER_DEGREE
-    dlon = cell_m / (
-        geo.METERS_PER_DEGREE * math.cos(math.radians(world.field.origin.lat))
-    )
+    dlon = cell_m / lon_m_per_degree
     lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
     lon_centers = np.arange(lon_min + dlon / 2, lon_max, dlon)
+    if not (len(lat_centers) and len(lon_centers)):
+        raise ConfigError(f"map.cell_px={cfg.map_cell_px} leaves no cell center inside the world's "
+                          f"{(lat_max - lat_min) * geo.METERS_PER_DEGREE:.0f} x "
+                          f"{(lon_max - lon_min) * lon_m_per_degree:.0f} m extent")
     target_ts = int(np.mean([g.timestamp for g in world.grounds])) if world.grounds else 0
     snap_ts = [s.timestamp for s in world.snapshots]
     snapshot = world.snapshots[corpus.select_snapshot(snap_ts, target_ts)]
 
-    scores = np.zeros((len(lat_centers), len(lon_centers)))
-    for r, lat in enumerate(lat_centers):
-        for c, lon in enumerate(lon_centers):
-            cell = geo.TileSpec(geo.GeoPoint(lat, lon), spec.resolution_m_per_px,
-                                spec.size_px, spec.patch_px)
-            features = world.field.materialize(cell, snapshot.timestamp)
-            _, img = encoder_forward(params, features)
-            scores[r, c] = float(img @ query_emb)
+    # cells row-major, materialized and embedded one field block at a time, so
+    # the map never holds every cell's features (7921 cells as float32 would
+    # be 99 MB)
+    rows, cols = len(lat_centers), len(lon_centers)
+    cell_embs = np.empty((rows * cols, params.embed_dim))
+    for start in range(0, rows * cols, corpus.FIELD_BLOCK_TILES):
+        cells = [
+            geo.TileSpec(geo.GeoPoint(lat_centers[k // cols], lon_centers[k % cols]),
+                         spec.resolution_m_per_px, spec.size_px, spec.patch_px)
+            for k in range(start, min(start + corpus.FIELD_BLOCK_TILES, rows * cols))
+        ]
+        features = corpus.materialize_many(world.field, cells, [snapshot.timestamp] * len(cells))
+        cell_embs[start : start + len(cells)] = embed_images(params, features)
 
-    dmap = evaluation.DensityMap(
-        scores=scores,
+    dmap = evaluation.density_map(
+        cell_embs.reshape(rows, cols, -1),
+        query_emb,
         origin=geo.GeoPoint(lat_centers[0], lon_centers[0]),
         cell_m=cell_m,
         query=args.query,
     )
+    scores = dmap.scores
     safe = args.query.replace(" ", "_")
     grid_path = out / f"density_{safe}.grid"
     pgm_path = out / f"density_{safe}.pgm"

@@ -70,9 +70,6 @@ class RunConfig:
     # Density-map cell stride in pixels (cell spacing = stride x resolution).
     map_cell_px: int = 224
 
-    def key_for(self, attr: str) -> str:
-        return _ATTR_TO_KEY[attr]
-
     def set_key(self, key: str, raw: str) -> None:
         attr = _KEY_TO_ATTR.get(key)
         if attr is None:
@@ -87,6 +84,10 @@ class RunConfig:
                 value = raw
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
+        if attr in _DOMAINS:
+            allowed, in_domain = _DOMAINS[attr]
+            if not in_domain(value):
+                raise ConfigError(f"key {key!r}: {raw!r} is out of range, must be {allowed}")
         setattr(self, attr, value)
 
     @classmethod
@@ -168,14 +169,6 @@ class RunConfig:
                 seed=self.seed,
             )
 
-    def batch_size(self) -> int:
-        if self.train_batch_size < 2:
-            raise ConfigError(
-                f"train.batch_size must be >= 2 so every tile has negatives, "
-                f"got {self.train_batch_size}"
-            )
-        return self.train_batch_size
-
     def prompt_set(self) -> PromptSet:
         templates = tuple(t for t in self.prompts.split("|") if t)
         try:
@@ -195,6 +188,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _FIELD_TYPES = {
     name: {"int": int, "float": float, "str": str}[t if isinstance(t, str) else t.__name__]
     for name, t in _FIELD_TYPES.items()
+}
+# Allowed values of a key, checked when the key is set: (description, test).
+# Keys not listed here are checked by the config object that takes them.
+_DOMAINS = {
+    "train_batch_size": (">= 2, so every tile has negatives", lambda v: v >= 2),
+    "map_cell_px": ("> 0", lambda v: v > 0),
 }
 _ATTR_TO_KEY = {f.name: _dotted_key(f.name) for f in fields(RunConfig)}
 _KEY_TO_ATTR = {v: k for k, v in _ATTR_TO_KEY.items()}

@@ -341,46 +341,73 @@ class VoronoiFeatureField:
         d2 = (x[..., None] - sx) ** 2 + (y[..., None] - sy) ** 2
         return np.argmin(d2, axis=-1)
 
-    def class_at(self, p: GeoPoint) -> int:
-        return int(self.class_at_many(np.array([p.lat]), np.array([p.lon]))[0])
-
-    def _patch_center_geos(self, tile: TileSpec) -> tuple[np.ndarray, np.ndarray]:
-        g = tile.grid_px
-        res = tile.resolution_m_per_px
-        centers_px = (np.arange(g) + 0.5) * tile.patch_px
-        north = (tile.size_px / 2 - centers_px) * res
-        east = (centers_px - tile.size_px / 2) * res
-        lat = tile.center.lat + north / geo.METERS_PER_DEGREE
-        lon = tile.center.lon + east / (
-            geo.METERS_PER_DEGREE * math.cos(math.radians(tile.center.lat))
-        )
-        return np.broadcast_to(lat[:, None], (g, g)), np.broadcast_to(lon[None, :], (g, g))
-
     def class_grid(self, tile: TileSpec) -> np.ndarray:
         """(G, G) ground-truth class index at each patch center."""
-        lats, lons = self._patch_center_geos(tile)
-        return self.class_at_many(lats, lons)
+        return class_grids(self, [tile])[0]
 
     def materialize(self, tile: TileSpec, snapshot_ts: int) -> np.ndarray:
         """(G, G, F) float32 raw features for the tile under one snapshot."""
-        g = tile.grid_px
-        labels = self.class_grid(tile)
-        features = np.zeros((g, g, self.feature_dim), dtype=np.float64)
-        gi, gj = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-        features[gi, gj, labels] = 1.0
-        if self.noise_sigma > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    [
-                        self.noise_key,
-                        int(snapshot_ts),
-                        int(round((tile.center.lat + 90.0) * 1e7)),
-                        int(round((tile.center.lon + 180.0) * 1e7)),
-                    ]
-                )
-            )
-            features += self.noise_sigma * rng.standard_normal(features.shape)
-        return features.astype(np.float32)
+        return materialize_many(self, [tile], [snapshot_ts])[0]
+
+
+# Tiles per float64 block of class_grids and materialize_many; only their
+# results span every tile. A block of 64 tiles of 196 patches and 16 features
+# is 1.6 MB of float64.
+FIELD_BLOCK_TILES = 64
+
+
+def class_grids(fld: VoronoiFeatureField, specs: Sequence[TileSpec]) -> np.ndarray:
+    """(N, G, G) ground-truth class index at each patch center of N tiles.
+
+    Each tile's longitude scale is its own scalar `math.cos`, so its classes
+    come from the same patch-center coordinates, bit for bit, as the tile's alone.
+    """
+    g = specs[0].grid_px
+    if any(s.grid_px != g for s in specs):
+        raise ValueError("tiles of one call must share a patch grid size")
+    patch_px, half, res, lat0, lon0, lon_scale = np.array(
+        [(s.patch_px, s.size_px / 2, s.resolution_m_per_px, s.center.lat, s.center.lon,
+          geo.METERS_PER_DEGREE * math.cos(math.radians(s.center.lat))) for s in specs]
+    ).T[..., None]
+    # (N, G) offsets of the patch-center rows; those of the columns are their negation
+    north = (half - (np.arange(g) + 0.5) * patch_px) * res
+    lat = lat0 + north / geo.METERS_PER_DEGREE
+    lon = lon0 - north / lon_scale
+    blocks = []
+    for start in range(0, len(specs), FIELD_BLOCK_TILES):
+        rows, cols = lat[start : start + FIELD_BLOCK_TILES], lon[start : start + FIELD_BLOCK_TILES]
+        shape = (len(rows), g, g)
+        blocks.append(fld.class_at_many(np.broadcast_to(rows[:, :, None], shape),
+                                        np.broadcast_to(cols[:, None, :], shape)))
+    return np.concatenate(blocks)
+
+
+def materialize_many(
+    fld: VoronoiFeatureField, specs: Sequence[TileSpec], timestamps: Sequence[int]
+) -> np.ndarray:
+    """(N, G, G, F) float32 raw features of N tiles, tile i under snapshot `timestamps[i]`.
+
+    Each tile draws its noise from its own stream, keyed by (noise_key,
+    snapshot timestamp, quantized tile center), so its features equal, bit
+    for bit, those of the tile materialized alone.
+    """
+    if len(timestamps) != len(specs):
+        raise ValueError(f"{len(timestamps)} timestamps for {len(specs)} tiles")
+    g = specs[0].grid_px
+    features = np.empty((len(specs), g, g, fld.feature_dim), dtype=np.float32)
+    for start in range(0, len(specs), FIELD_BLOCK_TILES):
+        labels = class_grids(fld, specs[start : start + FIELD_BLOCK_TILES])
+        block = np.zeros(labels.shape + (fld.feature_dim,))
+        np.put_along_axis(block, labels[..., None], 1.0, axis=-1)
+        if fld.noise_sigma > 0:
+            for i in range(start, start + len(block)):
+                c = specs[i].center
+                key = [fld.noise_key, int(timestamps[i]), int(round((c.lat + 90.0) * 1e7)),
+                       int(round((c.lon + 180.0) * 1e7))]
+                rng = np.random.default_rng(np.random.SeedSequence(key))
+                block[i - start] += fld.noise_sigma * rng.standard_normal(block.shape[1:])
+        features[start : start + len(block)] = block
+    return features
 
 
 def save_feature_field(fld: VoronoiFeatureField, path: str | Path) -> None:
@@ -482,7 +509,8 @@ def build_pairs(
     cap_seed = int(np.random.SeedSequence([seed, _SALT_CAP]).generate_state(1)[0])
     assignment = geo.cap_subsample(assignment, cap=cap, seed=cap_seed)
 
-    tiles: list[SatTileRecord] = []
+    kept_specs: list[TileSpec] = []
+    kept_snaps: list[SnapshotRecord] = []
     kept_assignment: list[list[int]] = []
     for tspec, members in zip(tile_specs, assignment):
         if not members:
@@ -494,21 +522,25 @@ def build_pairs(
                 f"({tspec.center.lat:.5f}, {tspec.center.lon:.5f})"
             )
         target = int(round(np.mean([grounds[m].timestamp for m in members])))
-        snap = candidates[select_snapshot([c.timestamp for c in candidates], target)]
-        features = fields[snap.blob_ref].materialize(tspec, snap.timestamp)
-        tiles.append(
-            SatTileRecord(
-                id=f"t{len(tiles):06d}",
-                spec=tspec,
-                timestamp=snap.timestamp,
-                patch_features=features,
-                channels=channels,
-            )
-        )
+        kept_snaps.append(candidates[select_snapshot([c.timestamp for c in candidates], target)])
+        kept_specs.append(tspec)
         kept_assignment.append(list(members))
-
-    if not tiles:
+    if not kept_specs:
         raise EmptyDatasetError("pairing produced no tiles")
+
+    # one blocked materialization per feature field
+    features = [None] * len(kept_specs)
+    for ref in dict.fromkeys(s.blob_ref for s in kept_snaps):
+        idx = [i for i, s in enumerate(kept_snaps) if s.blob_ref == ref]
+        grids = materialize_many(fields[ref], [kept_specs[i] for i in idx],
+                                 [kept_snaps[i].timestamp for i in idx])
+        for i, grid in zip(idx, grids):
+            features[i] = grid
+    tiles = [
+        SatTileRecord(id=f"t{i:06d}", spec=tspec, timestamp=snap.timestamp,
+                      patch_features=grid, channels=channels)
+        for i, (tspec, snap, grid) in enumerate(zip(kept_specs, kept_snaps, features))
+    ]
     provenance = {
         "seed": seed,
         "cap": cap,
@@ -610,13 +642,6 @@ class SynthWorld:
     @property
     def class_names(self) -> list[str]:
         return self.field.class_names
-
-    def class_centroids(self) -> np.ndarray:
-        """(K, D) exact class centroid directions (standard basis vectors)."""
-        k = self.config.n_classes
-        eye = np.zeros((k, self.config.embed_dim))
-        eye[np.arange(k), np.arange(k)] = 1.0
-        return eye
 
     def write(self, outdir: str | Path) -> dict[str, Path]:
         """Write manifests, fixtures, field and summary into a directory."""

@@ -178,20 +178,6 @@ def _check_grid_shape(params: SatEncoderParams, shape: tuple[int, ...]) -> None:
         )
 
 
-def forward_tile(
-    params: SatEncoderParams, patch_features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Full tile forward, also returning the patch-level cache for encoder_backward."""
-    grid = np.asarray(patch_features, dtype=np.float64)
-    if grid.ndim != 3:
-        raise ValueError(f"expected (G, G, F) feature grid, got shape {grid.shape}")
-    _check_grid_shape(params, grid.shape)
-    g0, g1, _ = grid.shape
-    cache = _forward_rows(params, grid.reshape(g0 * g1, -1))
-    image_embs, _ = _pooled_head(params, (_pool_weights(params) @ cache.h)[None])
-    return cache.patch_embs.reshape(g0, g1, -1), image_embs[0], cache
-
-
 def encoder_forward(
     params: SatEncoderParams, tile_or_features
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -199,9 +185,15 @@ def encoder_forward(
 
     Accepts a satellite tile record or its raw (G, G, F) feature grid directly.
     """
-    features = getattr(tile_or_features, "patch_features", tile_or_features)
-    patch_embs, image_emb, _ = forward_tile(params, features)
-    return patch_embs, image_emb
+    grid = np.asarray(getattr(tile_or_features, "patch_features", tile_or_features),
+                      dtype=np.float64)
+    if grid.ndim != 3:
+        raise ValueError(f"expected (G, G, F) feature grid, got shape {grid.shape}")
+    _check_grid_shape(params, grid.shape)
+    g0, g1, _ = grid.shape
+    cache = _forward_rows(params, grid.reshape(g0 * g1, -1))
+    image_embs, _ = _pooled_head(params, (_pool_weights(params) @ cache.h)[None])
+    return cache.patch_embs.reshape(g0, g1, -1), image_embs[0]
 
 
 def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: np.ndarray):

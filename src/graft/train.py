@@ -190,8 +190,10 @@ def _image_level_backward(
     groups: list[GroundGroup],
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    sat_embs, cache = image_forward(params, [t.patch_features for t in batch.tiles])
-    _require_unit_output(sat_embs)
+    # A diverged encoder overflows here: numpy stays silent and the output check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sat_embs, cache = image_forward(params, [t.patch_features for t in batch.tiles])
+        _require_unit_output(sat_embs)
     if cfg.variant == "image_default":
         value, d_sat = losses.image_loss(sat_embs, groups, cfg.tau)
     elif cfg.variant == "sum_prob":
@@ -217,8 +219,9 @@ def _pixel_level_backward(
     n_patches = features.shape[1] * features.shape[2]
     tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
     uniq, inverse = np.unique(tile_of_pair * n_patches + batch.patch, return_inverse=True)
-    embs, cache = forward_patch_rows(params, features.reshape(-1, features.shape[3])[uniq])
-    _require_unit_output(embs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        embs, cache = forward_patch_rows(params, features.reshape(-1, features.shape[3])[uniq])
+        _require_unit_output(embs)
     value, d_anchors = losses.pixel_loss_anchors(embs[inverse], groups, cfg.tau)
 
     d_rows = np.zeros((len(uniq), params.embed_dim))

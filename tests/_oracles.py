@@ -7,8 +7,12 @@ so they stay independent of the library code paths they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from graft import geo
+from graft.encoder import encoder_forward, forward_patch_rows
 from graft.geo import PixelCoord, pixel_to_patch
 from graft.losses import GroundGroup, pixel_loss_anchors
 
@@ -218,3 +222,86 @@ def image_level_per_tile(params, grids, loss_fn):
         grads["w1"] += d_h_pre.T @ x
         grads["b1"] += d_h_pre.sum(axis=0)
     return value, grads
+
+
+def forward_tile(params, patch_features):
+    """One tile's (G, G, D) unit patch embeddings, unit image embedding and the
+    patch-level cache that `encoder_backward` takes."""
+    grid = np.asarray(patch_features, dtype=np.float64)
+    g0, g1, f = grid.shape
+    patch_embs, cache = forward_patch_rows(params, grid.reshape(g0 * g1, f))
+    _, image_emb = encoder_forward(params, grid)
+    return patch_embs.reshape(g0, g1, -1), image_emb, cache
+
+
+# ---- the feature field one tile and one point at a time ---------------------
+#
+# Class lookup, class grids and feature materialization as first written, per
+# tile, and the density map as one materialization and one encoder forward per
+# cell. The library computes blocks of tiles at once; tests check it against
+# these.
+
+
+def class_at(fld, p) -> int:
+    return int(fld.class_at_many(np.array([p.lat]), np.array([p.lon]))[0])
+
+
+def class_centroids(world) -> np.ndarray:
+    """(K, D) exact class centroid directions (standard basis vectors)."""
+    k = world.config.n_classes
+    eye = np.zeros((k, world.config.embed_dim))
+    eye[np.arange(k), np.arange(k)] = 1.0
+    return eye
+
+
+def class_grid_per_tile(fld, tile) -> np.ndarray:
+    g = tile.grid_px
+    res = tile.resolution_m_per_px
+    centers_px = (np.arange(g) + 0.5) * tile.patch_px
+    north = (tile.size_px / 2 - centers_px) * res
+    east = (centers_px - tile.size_px / 2) * res
+    lat = tile.center.lat + north / geo.METERS_PER_DEGREE
+    lon = tile.center.lon + east / (
+        geo.METERS_PER_DEGREE * math.cos(math.radians(tile.center.lat))
+    )
+    return fld.class_at_many(np.broadcast_to(lat[:, None], (g, g)),
+                             np.broadcast_to(lon[None, :], (g, g)))
+
+
+def materialize_per_tile(fld, tile, snapshot_ts: int) -> np.ndarray:
+    g = tile.grid_px
+    labels = class_grid_per_tile(fld, tile)
+    features = np.zeros((g, g, fld.feature_dim), dtype=np.float64)
+    gi, gj = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    features[gi, gj, labels] = 1.0
+    if fld.noise_sigma > 0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                [
+                    fld.noise_key,
+                    int(snapshot_ts),
+                    int(round((tile.center.lat + 90.0) * 1e7)),
+                    int(round((tile.center.lon + 180.0) * 1e7)),
+                ]
+            )
+        )
+        features += fld.noise_sigma * rng.standard_normal(features.shape)
+    return features.astype(np.float32)
+
+
+def density_scores_per_cell(fld, params, query_emb, spec, cell_px: int, snapshot_ts: int):
+    """(rows, cols) cosine scores of the query over the map's cells, cell by cell."""
+    lat_min, lat_max, lon_min, lon_max = fld.bounds
+    cell_m = cell_px * spec.resolution_m_per_px
+    dlat = cell_m / geo.METERS_PER_DEGREE
+    dlon = cell_m / (geo.METERS_PER_DEGREE * math.cos(math.radians(fld.origin.lat)))
+    lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
+    lon_centers = np.arange(lon_min + dlon / 2, lon_max, dlon)
+    scores = np.zeros((len(lat_centers), len(lon_centers)))
+    for r, lat in enumerate(lat_centers):
+        for c, lon in enumerate(lon_centers):
+            cell = geo.TileSpec(geo.GeoPoint(lat, lon), spec.resolution_m_per_px,
+                                spec.size_px, spec.patch_px)
+            _, img = encoder_forward(params, materialize_per_tile(fld, cell, snapshot_ts))
+            scores[r, c] = float(img @ query_emb)
+    return scores

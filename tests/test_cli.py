@@ -3,15 +3,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graft import corpus, evaluation
+import graft
+from _oracles import class_grid_per_tile, density_scores_per_cell
+from graft import corpus, encoder, evaluation
 from graft.cli import main
-from graft.encoder import SatEncoderParams, encoder_forward, init_params
+from graft.config import RunConfig
+from graft.encoder import DegenerateOutputError, SatEncoderParams, encoder_forward, init_params
 from graft.frozen import PromptSet, embed_text
 from graft.train import load_checkpoint, save_checkpoint
 
@@ -214,6 +221,32 @@ def test_eval_retrieve_writes_rankings(pipeline, tmp_path):
     assert mean_ap100 >= 0.95
 
 
+def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypatch):
+    root, world_dir, dataset, _ = pipeline
+    params = init_params(16, 32, 16, 196, seed=4)
+    ckpt = tmp_path / "random.grcp"
+    save_checkpoint(ckpt, params, {})
+    world = corpus.load_world_dir(world_dir)
+    ds = corpus.load_dataset(dataset)
+    block = 7  # tiles per patch-level forward
+    assert len(ds.tiles) > block and len(ds.tiles) % block  # ends in a partial block
+    seen = {}
+    score = evaluation.per_class_accuracy
+    monkeypatch.setattr(evaluation, "per_class_accuracy",
+                        lambda pred, gt: seen.update(pred=pred, gt=gt) or score(pred, gt))
+    monkeypatch.setattr(encoder, "IMAGE_BLOCK_ROWS", block * 196)
+    assert main(["eval", "segment", "--world", str(world_dir), "--dataset", str(dataset),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "seg")]) == 0
+
+    class_embs = np.stack([embed_text(world.text_encoder, n, PromptSet())
+                           for n in world.class_names])
+    want = [evaluation.segment_patches(encoder_forward(params, t)[0], class_embs)[0]
+            for t in ds.tiles]
+    np.testing.assert_array_equal(seen["pred"].ravel(), np.concatenate(want, axis=None))
+    gt = [class_grid_per_tile(world.field, t.spec) for t in ds.tiles]
+    np.testing.assert_array_equal(seen["gt"].ravel(), np.concatenate(gt, axis=None))
+
+
 def test_eval_random_encoder_near_chance(pipeline):
     # a random untrained encoder classifies a balanced 8-class world at chance;
     # averaged over many seeds the accuracy settles near 1/8
@@ -338,7 +371,6 @@ def test_train_malformed_field_json_exits_4(pipeline, tmp_path, capsys, text, na
     assert "field.json" in err and named in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("loss", ["image", "pixel"])
 def test_train_divergence_exits_5(pipeline, tmp_path, capsys, loss):
     _, world_dir, dataset, _ = pipeline
@@ -348,6 +380,22 @@ def test_train_divergence_exits_5(pipeline, tmp_path, capsys, loss):
                  "--set", "train.peak_lr=1e9"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("training diverged: step ") and "not unit-norm" in err
+
+
+def test_train_divergence_stderr_is_one_line(pipeline, tmp_path):
+    # the diverged outputs overflow inside numpy; no RuntimeWarning may reach stderr
+    _, world_dir, dataset, _ = pipeline
+    src = str(Path(graft.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "graft.cli", "train", "--world", str(world_dir), "--dataset",
+         str(dataset), "--out", str(tmp_path / "run"), "--loss", "image",
+         "--set", "train.peak_lr=1e9"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 5
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith("training diverged: step ") and done.stderr.count("\n") == 1
 
 
 def test_train_corrupt_container_exits_4(pipeline, tmp_path, capsys):
@@ -402,6 +450,58 @@ def test_map_deterministic_and_shapes(pipeline, tmp_path):
     # 4 km extent, 224 m cells, first center half a cell inside the bounds
     per_axis = int((4000.0 - 112.0) // 224.0) + 1
     assert dmap.scores.shape == (per_axis, per_axis)
+
+
+def test_map_scores_match_per_cell_oracle(world_dir, small_world, tmp_path, monkeypatch):
+    # a noisy world and a random encoder; 18x18 cells in blocks of 5 end in a
+    # partial block, and a rerun in the default blocks writes the same bytes
+    params = init_params(16, 32, 16, 196, seed=3)
+    ckpt = tmp_path / "random.grcp"
+    save_checkpoint(ckpt, params, {})
+    maps = []
+    density_map = evaluation.density_map
+    monkeypatch.setattr(evaluation, "density_map",
+                        lambda *a, **k: maps.append(density_map(*a, **k)) or maps[-1])
+    outs = [tmp_path / "m5", tmp_path / "m64"]
+    for out, block in zip(outs, (5, corpus.FIELD_BLOCK_TILES)):
+        monkeypatch.setattr(corpus, "FIELD_BLOCK_TILES", block)
+        assert main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+    assert maps[0].scores.shape == (18, 18)
+
+    grounds_ts = int(np.mean([g.timestamp for g in small_world.grounds]))
+    snap_ts = [s.timestamp for s in small_world.snapshots]
+    ts = snap_ts[corpus.select_snapshot(snap_ts, grounds_ts)]
+    query = embed_text(small_world.text_encoder, "water", PromptSet())
+    want = density_scores_per_cell(small_world.field, params, query, RunConfig().tile_spec(),
+                                   224, ts)
+    np.testing.assert_allclose(maps[0].scores, want, rtol=0, atol=1e-12)
+    for name in ("density_water.grid", "density_water.pgm"):
+        assert file_hash(outs[0] / name) == file_hash(outs[1] / name), name
+
+
+def test_map_collapsed_encoder_raises(pipeline, tmp_path):
+    root, world_dir, _, _ = pipeline
+    params = oracle_params(16, 196)
+    params.w2[:] = 0.0  # every patch output is exactly zero
+    ckpt = tmp_path / "collapsed.grcp"
+    save_checkpoint(ckpt, params, {})
+    with pytest.raises(DegenerateOutputError, match="patch output collapsed"):
+        main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
+              "--out", str(tmp_path / "m"), *WORLD_ARGS])
+
+
+@pytest.mark.parametrize("cell_px, message", [("0", "out of range"), ("-1", "out of range"),
+                                              ("100000", "4000 x 4000 m extent")],
+                         ids=["zero", "negative", "wider_than_world"])
+def test_map_cell_px_out_of_domain_exits_2(pipeline, tmp_path, capsys, cell_px, message):
+    root, world_dir, _, ckpt = pipeline
+    capsys.readouterr()
+    assert main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "m"), *WORLD_ARGS,
+                 "--set", f"map.cell_px={cell_px}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_map_unknown_label_exits_6(pipeline, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _oracles import class_at, class_centroids, class_grid_per_tile, materialize_per_tile
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
@@ -267,9 +268,9 @@ def test_make_batches_pixels_in_bounds(small_dataset):
 
 def test_synth_world_noiseless_embeddings_exact(noiseless_world):
     world = noiseless_world
-    centroids = world.class_centroids()
+    centroids = class_centroids(world)
     for g in world.grounds[:10]:
-        label = world.field.class_at(g.geo)
+        label = class_at(world.field, g.geo)
         np.testing.assert_array_equal(
             world.ground_encoder.table[g.embedding_ref], centroids[label]
         )
@@ -294,7 +295,7 @@ def test_synth_world_bit_identical_for_seed():
 def test_synth_world_all_classes_present():
     cfg = SynthWorldConfig(n_classes=8, extent_km=10.0, n_ground=2000)
     world = synth_world(cfg, seed=0)
-    labels = {world.field.class_at(g.geo) for g in world.grounds}
+    labels = {class_at(world.field, g.geo) for g in world.grounds}
     assert labels == set(range(8))
 
 
@@ -329,6 +330,37 @@ def test_feature_field_grid_matches_pointwise(noiseless_world):
         for c in range(4):
             assert features[r, c].argmax() == grid[r, c]
             assert features[r, c].sum() == 1.0
+
+
+@pytest.mark.parametrize("world_name", ["small_world", "noiseless_world"])
+def test_materialize_many_matches_per_tile_oracle(request, monkeypatch, world_name):
+    # 11 tiles in blocks of 4: two full blocks and a partial one, under 3 snapshots
+    fld = request.getfixturevalue(world_name).field
+    lat_min, lat_max, lon_min, lon_max = fld.bounds
+    rng = np.random.default_rng(3)
+    specs = [TileSpec(GeoPoint(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max)),
+                      size_px=64, patch_px=16) for _ in range(11)]
+    timestamps = [1_700_000_000 + 864_000 * (i % 3) for i in range(11)]
+    monkeypatch.setattr(corpus, "FIELD_BLOCK_TILES", 4)
+    got = corpus.materialize_many(fld, specs, timestamps)
+    want = np.stack([materialize_per_tile(fld, s, t) for s, t in zip(specs, timestamps)])
+    assert got.dtype == np.float32 and got.shape == (11, 4, 4, fld.feature_dim)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    np.testing.assert_array_equal(
+        corpus.class_grids(fld, specs), np.stack([class_grid_per_tile(fld, s) for s in specs])
+    )
+    # the one-tile methods are the same computation
+    np.testing.assert_array_equal(fld.materialize(specs[5], timestamps[5]), want[5])
+    np.testing.assert_array_equal(fld.class_grid(specs[5]), class_grid_per_tile(fld, specs[5]))
+
+
+def test_materialize_many_rejects_mismatched_inputs(noiseless_world):
+    fld = noiseless_world.field
+    center = GeoPoint(fld.origin.lat, fld.origin.lon)
+    with pytest.raises(ValueError, match="2 timestamps for 1 tiles"):
+        corpus.materialize_many(fld, [TileSpec(center)], [0, 1])
+    with pytest.raises(ValueError, match="share a patch grid"):
+        corpus.class_grids(fld, [TileSpec(center), TileSpec(center, size_px=64)])
 
 
 def test_feature_field_json_roundtrip(tmp_path, noiseless_world):

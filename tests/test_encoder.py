@@ -3,14 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient_inplace, rand_unit, relative_error
+from _oracles import fd_gradient_inplace, forward_tile, rand_unit, relative_error
 from graft import encoder
 from graft.encoder import (
     embed_images,
     encoder_backward,
     encoder_forward,
     forward_patch_rows,
-    forward_tile,
     image_backward,
     image_forward,
     init_params,
