@@ -8,8 +8,8 @@ environment variable sets log verbosity (debug/info/warning).
 
 Exit codes by failure class: 2 config, 3 I/O, 4 manifest/referential
 integrity or a corrupt container, fixture or world.json, 5 training
-divergence, 6 checkpoint/world mismatch, a corrupt checkpoint or missing
-fixture entries.
+divergence, 6 checkpoint/world mismatch, a corrupt checkpoint, a checkpoint
+whose encoder output collapses to zero norm, or missing fixture entries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .corpus import (
     LoadedWorld,
     ManifestError,
 )
-from .encoder import SatEncoderParams, embed_images, forward_patch_rows
+from .encoder import DegenerateOutputError, SatEncoderParams, embed_images, forward_patch_rows
 from .frozen import MissingEmbeddingError, embed_text
 from .train import DivergenceError, load_checkpoint, save_checkpoint, train
 
@@ -372,7 +372,6 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
         query_emb,
         origin=geo.GeoPoint(lat_centers[0], lon_centers[0]),
         cell_m=cell_m,
-        query=args.query,
     )
     scores = dmap.scores
     safe = args.query.replace(" ", "_")
@@ -420,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 5
-    except (MismatchError, MissingEmbeddingError) as exc:
+    except (MismatchError, MissingEmbeddingError, DegenerateOutputError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 6
     except OSError as exc:

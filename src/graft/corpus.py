@@ -320,10 +320,6 @@ class VoronoiFeatureField:
         if self.feature_dim < len(self.class_names):
             raise ValueError("feature_dim must be >= number of classes")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
     def _project(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = geo.METERS_PER_DEGREE * math.cos(math.radians(self.origin.lat))
         return (
@@ -789,7 +785,6 @@ class LoadedWorld:
     field: VoronoiFeatureField
     ground_encoder: FrozenEncoder
     text_encoder: FrozenEncoder
-    meta: dict
 
     @property
     def class_names(self) -> list[str]:
@@ -814,7 +809,6 @@ def load_world_dir(worlddir: str | Path) -> LoadedWorld:
         field=load_feature_field(files["field"]),
         ground_encoder=load_embeddings(files["ground_embeddings"]),
         text_encoder=load_embeddings(files["text_embeddings"]),
-        meta=meta,
     )
 
 

@@ -43,10 +43,6 @@ class SatEncoderParams:
         return self.w1.shape[1]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def embed_dim(self) -> int:
         return self.w2.shape[0]
 

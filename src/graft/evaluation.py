@@ -203,7 +203,6 @@ class DensityMap:
     scores: np.ndarray  # (rows, cols)
     origin: GeoPoint
     cell_m: float
-    query: str = ""
 
     def save_grid(self, path: str | Path) -> None:
         """Plain-text header (width height lat lon cell_m), then f32 scores."""
@@ -241,11 +240,10 @@ def density_map(
     query_emb: np.ndarray,
     origin: GeoPoint,
     cell_m: float,
-    query: str = "",
 ) -> DensityMap:
     """Score a (rows, cols, D) grid of tile embeddings against one query."""
     cell_embs = np.asarray(cell_embs, dtype=np.float64)
     if cell_embs.ndim != 3:
         raise ValueError(f"expected (rows, cols, D) embeddings, got {cell_embs.shape}")
     scores = cell_embs @ np.asarray(query_emb, dtype=np.float64)
-    return DensityMap(scores=scores, origin=origin, cell_m=cell_m, query=query)
+    return DensityMap(scores=scores, origin=origin, cell_m=cell_m)

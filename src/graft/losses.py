@@ -5,7 +5,12 @@ ground image's geotag) has several positives: every ground image taken inside
 its footprint. The denominator of each softmax term runs over *all* ground
 images of *all* tiles in the batch, so other tiles' grounds act as negatives.
 With one ground per tile everything reduces to the standard one-positive
-contrastive loss.
+contrastive loss. The two multi-positive forms are SupCon's L_out
+(`image_loss`) and L_in (`loss_sum_prob`) of Khosla et al. 2020.
+
+The positives of a batch come as CSR arrays, exactly as `PairBatch` holds
+them: `grounds` (M, D) lists tile 0's ground embeddings, then tile 1's, and
+so on, and `sizes` (N_B,) counts each tile's grounds.
 
 All functions return (value, gradient) pairs. Gradients are ambient-space
 derivatives with respect to the anchor embeddings (normalization of the
@@ -17,8 +22,8 @@ finite and the (anchors x grounds) logit matrix is the only buffer of its size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,35 +41,10 @@ class LossConfig:
     variant: str = "image_default"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (0 < self.tau < math.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}; choose from {VARIANTS}")
-
-
-@dataclass
-class GroundGroup:
-    """The ground-image embeddings paired with one tile, plus their raw mean."""
-
-    embeddings: np.ndarray  # (N_i, D), unit rows
-    mean: np.ndarray  # (D,), arithmetic mean of rows, not normalized
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        if self.embeddings.ndim != 2 or self.embeddings.shape[0] < 1:
-            raise ValueError("GroundGroup needs a (N_i, D) array with N_i >= 1")
-        if np.max(np.abs(self.mean - self.embeddings.mean(axis=0))) > 1e-12:
-            raise ValueError("stored mean differs from the arithmetic mean of members")
-
-    @classmethod
-    def from_embeddings(cls, embeddings: np.ndarray) -> "GroundGroup":
-        embeddings = np.asarray(embeddings, dtype=np.float64)
-        return cls(embeddings=embeddings, mean=embeddings.mean(axis=0))
-
-    @property
-    def size(self) -> int:
-        return self.embeddings.shape[0]
 
 
 def _require_unit(name: str, rows: np.ndarray) -> None:
@@ -74,14 +54,39 @@ def _require_unit(name: str, rows: np.ndarray) -> None:
         raise ValueError(f"{name} must be unit-norm; worst deviation {worst:.3e}")
 
 
-def _flatten(groups: Sequence[GroundGroup]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate group members; returns (grounds (M, D), owner (M,), sizes (N_B,))."""
-    if not groups:
-        raise ValueError("need at least one ground group")
-    sizes = np.array([g.size for g in groups])
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    grounds = np.concatenate([g.embeddings for g in groups], axis=0)
-    return grounds, owner, sizes
+def _positives(
+    anchors: np.ndarray, grounds: np.ndarray, sizes: np.ndarray, validate: bool,
+    per_pair: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Checked float64 (anchors, grounds, sizes) plus owner (M,), each ground's tile.
+
+    There is one anchor per tile, or with `per_pair` one per ground row.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    grounds = np.asarray(grounds, dtype=np.float64)
+    sizes = np.asarray(sizes)
+    if grounds.ndim != 2 or sizes.ndim != 1 or not sizes.size or np.any(sizes < 1) \
+            or sizes.sum() != len(grounds):
+        raise ValueError(f"need (M, D) grounds and N_B >= 1 group sizes >= 1 summing to M; "
+                         f"got grounds {grounds.shape}, sizes {sizes.tolist()}")
+    want = grounds.shape if per_pair else (len(sizes), grounds.shape[1])
+    if anchors.shape != want:
+        raise ValueError(f"anchors shape {anchors.shape} must be {want}")
+    if validate:
+        _require_unit("anchors", anchors)
+        _require_unit("ground embeddings", grounds)
+    return anchors, grounds, sizes, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _group_means(grounds: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(N_B, D) raw means of each tile's grounds, accumulated in pair order.
+
+    np.add.at adds each group's rows one after another, as a per-group
+    `.mean(axis=0)` does, so the means are bit-identical to it.
+    """
+    sums = np.zeros((len(sizes), grounds.shape[1]))
+    np.add.at(sums, owner, grounds)
+    return sums / sizes[:, None]
 
 
 def _softmax_mix(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,64 +107,48 @@ def _softmax_mix(logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
 
 def image_loss(
     sat_embs: np.ndarray,
-    ground_groups: Sequence[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     tau: float,
     validate: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """Image-level multi-positive loss and its gradient wrt the tile embeddings.
+    """Image-level multi-positive loss (SupCon's L_out: the log sits inside the mean).
 
     value = mean over tiles i of mean over that tile's grounds j of
     -log softmax(s_i . g_i^j / tau), softmax taken over every ground in the
     batch. grad[i] = (softmax-weighted ground mean - own-group mean) / (N_B tau).
     """
-    sat_embs = np.asarray(sat_embs, dtype=np.float64)
-    grounds, owner, sizes = _flatten(ground_groups)
-    n_b = sat_embs.shape[0]
-    if n_b != len(ground_groups):
-        raise ValueError("one ground group per satellite embedding required")
-    if validate:
-        _require_unit("sat_embs", sat_embs)
-        _require_unit("ground embeddings", grounds)
-
+    sat_embs, grounds, sizes, owner = _positives(sat_embs, grounds, sizes, validate)
+    n_b = len(sizes)
     scaled = sat_embs / tau
     lse, mix = _softmax_mix(scaled @ grounds.T, grounds)  # over (N_B, M) logits
     own_logit = np.einsum("ij,ij->i", scaled[owner], grounds)  # s_i . g_i^j / tau
     value = float(np.sum((lse[owner] - own_logit) / sizes[owner]) / n_b)
-
-    group_means = np.stack([g.mean for g in ground_groups], axis=0)
-    grad = (mix - group_means) / (n_b * tau)
+    grad = (mix - _group_means(grounds, owner, sizes)) / (n_b * tau)
     return value, grad
 
 
 def pixel_loss_anchors(
     anchors: np.ndarray,
-    ground_groups: Sequence[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     tau: float,
     validate: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Pixel-level loss on pre-gathered anchors, one row per (tile, ground) pair.
 
     Row r of `anchors` is the embedding of the patch containing ground r's
-    geotag, with rows ordered exactly like the flattened ground groups; the
-    positive of row r is ground r, the denominator is every ground in the batch.
-    Returns the gradient wrt each anchor row (duplicates are kept separate; the
-    caller accumulates them onto shared patches).
+    geotag, so anchors and grounds share one row order; the positive of row r
+    is ground r, the denominator is every ground in the batch. Returns the
+    gradient wrt each anchor row (duplicates are kept separate; the caller
+    accumulates them onto shared patches).
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    grounds, owner, sizes = _flatten(ground_groups)
-    if anchors.shape != grounds.shape:
-        raise ValueError(
-            f"anchors shape {anchors.shape} must match flattened grounds {grounds.shape}"
-        )
-    if validate:
-        _require_unit("anchors", anchors)
-        _require_unit("ground embeddings", grounds)
-
-    n_b = len(ground_groups)
+    anchors, grounds, sizes, owner = _positives(anchors, grounds, sizes, validate,
+                                                per_pair=True)
     scaled = anchors / tau
     lse, mix = _softmax_mix(scaled @ grounds.T, grounds)  # the one (M, M) buffer
     own_logit = np.einsum("ij,ij->i", scaled, grounds)  # row r's own pair
-    weight = 1.0 / (n_b * sizes[owner])  # per-pair weight 1/(N_B N_i)
+    weight = 1.0 / (len(sizes) * sizes[owner])  # per-pair weight 1/(N_B N_i)
     value = float(np.sum(weight * (lse - own_logit)))
     grad = weight[:, None] * (mix - grounds) / tau
     return value, grad
@@ -167,24 +156,18 @@ def pixel_loss_anchors(
 
 def loss_sum_prob(
     sat_embs: np.ndarray,
-    ground_groups: Sequence[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     tau: float,
     validate: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """Log-of-mean-probability variant: the log sits outside the inner sum.
+    """Log-of-mean-probability variant (SupCon's L_in: the log sits outside the mean).
 
     value = mean over tiles of -log(mean over own grounds of the batch softmax
     probability). Equal to image_loss whenever every tile has one ground.
     """
-    sat_embs = np.asarray(sat_embs, dtype=np.float64)
-    grounds, owner, sizes = _flatten(ground_groups)
-    n_b = sat_embs.shape[0]
-    if n_b != len(ground_groups):
-        raise ValueError("one ground group per satellite embedding required")
-    if validate:
-        _require_unit("sat_embs", sat_embs)
-        _require_unit("ground embeddings", grounds)
-
+    sat_embs, grounds, sizes, owner = _positives(sat_embs, grounds, sizes, validate)
+    n_b = len(sizes)
     logits = (sat_embs / tau) @ grounds.T
     own_logits = np.where(owner == np.arange(n_b)[:, None], logits, -np.inf)
     lse, mix = _softmax_mix(logits, grounds)
@@ -197,7 +180,8 @@ def loss_sum_prob(
 
 def loss_avg_rep(
     sat_embs: np.ndarray,
-    ground_groups: Sequence[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     tau: float,
     validate: bool = True,
 ) -> tuple[float, np.ndarray]:
@@ -207,16 +191,8 @@ def loss_avg_rep(
     means are the negatives. A group whose members cancel (near-zero mean norm)
     has no direction and raises DegenerateEmbeddingError.
     """
-    sat_embs = np.asarray(sat_embs, dtype=np.float64)
-    n_b = sat_embs.shape[0]
-    if n_b != len(ground_groups):
-        raise ValueError("one ground group per satellite embedding required")
-    if validate:
-        _require_unit("sat_embs", sat_embs)
-        for g in ground_groups:
-            _require_unit("ground embeddings", g.embeddings)
-
-    means = np.stack([g.mean for g in ground_groups], axis=0)
+    sat_embs, grounds, sizes, owner = _positives(sat_embs, grounds, sizes, validate)
+    means = _group_means(grounds, owner, sizes)
     norms = np.linalg.norm(means, axis=1)
     if np.any(norms < 1e-9):
         bad = int(np.argmin(norms))
@@ -228,32 +204,23 @@ def loss_avg_rep(
     scaled = sat_embs / tau
     lse, mix = _softmax_mix(scaled @ z_hat.T, z_hat)  # over (N_B, N_B) logits
     value = float(np.mean(lse - np.einsum("ij,ij->i", scaled, z_hat)))
-    grad = (mix - z_hat) / (n_b * tau)
+    grad = (mix - z_hat) / (len(sizes) * tau)
     return value, grad
 
 
 def loss_l2(
     sat_embs: np.ndarray,
-    ground_groups: Sequence[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     validate: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Pure attraction: mean over tiles of mean squared distance to own grounds.
 
     No temperature and no negatives; nothing pushes different tiles apart.
     """
-    sat_embs = np.asarray(sat_embs, dtype=np.float64)
-    n_b = sat_embs.shape[0]
-    if n_b != len(ground_groups):
-        raise ValueError("one ground group per satellite embedding required")
-    if validate:
-        _require_unit("sat_embs", sat_embs)
-        for g in ground_groups:
-            _require_unit("ground embeddings", g.embeddings)
-
-    value = 0.0
-    grad = np.zeros_like(sat_embs)
-    for i, g in enumerate(ground_groups):
-        diffs = sat_embs[i] - g.embeddings  # (N_i, D)
-        value += float(np.mean(np.sum(diffs * diffs, axis=1)))
-        grad[i] = 2.0 * (sat_embs[i] - g.mean) / n_b
-    return value / n_b, grad
+    sat_embs, grounds, sizes, owner = _positives(sat_embs, grounds, sizes, validate)
+    n_b = len(sizes)
+    diffs = sat_embs[owner] - grounds  # (M, D)
+    value = float(np.sum(np.sum(diffs * diffs, axis=1) / sizes[owner]) / n_b)
+    grad = 2.0 * (sat_embs - _group_means(grounds, owner, sizes)) / n_b
+    return value, grad

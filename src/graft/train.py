@@ -32,7 +32,7 @@ from .encoder import (
     init_params,
 )
 from .frozen import FrozenEncoder, embed_ground
-from .losses import GroundGroup, LossConfig
+from .losses import LossConfig
 
 CHECKPOINT_MAGIC = b"GRCP"
 CHECKPOINT_VERSION = 1
@@ -69,8 +69,10 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.peak_lr < 0 or self.weight_decay < 0 or self.epochs < 0:
-            raise ValueError("peak_lr, weight_decay and epochs must be non-negative")
+        if not (0 <= self.peak_lr < math.inf and 0 <= self.weight_decay < math.inf
+                and self.epochs >= 0):
+            raise ValueError("peak_lr and weight_decay must be finite and non-negative, "
+                             "epochs non-negative")
         if self.total_steps > 0 and not (0 < self.resolved_warmup() <= self.total_steps):
             raise ValueError(
                 f"need 0 < warmup_steps <= total_steps, got "
@@ -162,19 +164,6 @@ def resolve_ground_embeddings(ds: PairedDataset, frozen: FrozenEncoder) -> np.nd
     return embs
 
 
-def batch_ground_groups(batch: PairBatch, ground_embs: np.ndarray) -> list[GroundGroup]:
-    """Frozen embeddings of every ground image in the batch, grouped per tile.
-
-    `ground_embs` comes from resolve_ground_embeddings; each group is a view
-    into one gathered (M, D) array.
-    """
-    grounds = ground_embs[batch.ground]
-    return [
-        GroundGroup.from_embeddings(g)
-        for g in np.split(grounds, np.cumsum(batch.sizes)[:-1])
-    ]
-
-
 def _require_unit_output(embs: np.ndarray) -> None:
     """A diverged encoder (non-finite or non-unit output) must not reach the loss."""
     dev = np.abs(np.linalg.norm(embs, axis=1) - 1.0)
@@ -187,7 +176,7 @@ def _require_unit_output(embs: np.ndarray) -> None:
 def _image_level_backward(
     params: SatEncoderParams,
     batch: PairBatch,
-    groups: list[GroundGroup],
+    grounds: np.ndarray,
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
     # A diverged encoder overflows here: numpy stays silent and the output check reports it.
@@ -195,13 +184,13 @@ def _image_level_backward(
         sat_embs, cache = image_forward(params, [t.patch_features for t in batch.tiles])
         _require_unit_output(sat_embs)
     if cfg.variant == "image_default":
-        value, d_sat = losses.image_loss(sat_embs, groups, cfg.tau)
+        value, d_sat = losses.image_loss(sat_embs, grounds, batch.sizes, cfg.tau)
     elif cfg.variant == "sum_prob":
-        value, d_sat = losses.loss_sum_prob(sat_embs, groups, cfg.tau)
+        value, d_sat = losses.loss_sum_prob(sat_embs, grounds, batch.sizes, cfg.tau)
     elif cfg.variant == "avg_rep":
-        value, d_sat = losses.loss_avg_rep(sat_embs, groups, cfg.tau)
+        value, d_sat = losses.loss_avg_rep(sat_embs, grounds, batch.sizes, cfg.tau)
     elif cfg.variant == "l2":
-        value, d_sat = losses.loss_l2(sat_embs, groups)
+        value, d_sat = losses.loss_l2(sat_embs, grounds, batch.sizes)
     else:  # pragma: no cover - guarded by LossConfig
         raise ValueError(f"not an image-level variant: {cfg.variant}")
     return value, image_backward(params, cache, d_sat)
@@ -210,7 +199,7 @@ def _image_level_backward(
 def _pixel_level_backward(
     params: SatEncoderParams,
     batch: PairBatch,
-    groups: list[GroundGroup],
+    grounds: np.ndarray,
     cfg: LossConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
     # Only patches containing at least one ground image are forwarded, those
@@ -222,7 +211,7 @@ def _pixel_level_backward(
     with np.errstate(over="ignore", invalid="ignore"):
         embs, cache = forward_patch_rows(params, features.reshape(-1, features.shape[3])[uniq])
         _require_unit_output(embs)
-    value, d_anchors = losses.pixel_loss_anchors(embs[inverse], groups, cfg.tau)
+    value, d_anchors = losses.pixel_loss_anchors(embs[inverse], grounds, batch.sizes, cfg.tau)
 
     d_rows = np.zeros((len(uniq), params.embed_dim))
     np.add.at(d_rows, inverse, d_anchors)
@@ -237,12 +226,13 @@ def loss_and_param_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward the batch through the encoder and the configured loss; full grads.
 
-    `ground_embs` is the matrix from resolve_ground_embeddings.
+    `ground_embs` is the matrix from resolve_ground_embeddings; the batch's
+    positives are its rows `ground_embs[batch.ground]`, grouped by `batch.sizes`.
     """
-    groups = batch_ground_groups(batch, ground_embs)
+    grounds = ground_embs[batch.ground]
     if cfg.variant == "pixel_default":
-        return _pixel_level_backward(params, batch, groups, cfg)
-    return _image_level_backward(params, batch, groups, cfg)
+        return _pixel_level_backward(params, batch, grounds, cfg)
+    return _image_level_backward(params, batch, grounds, cfg)
 
 
 def train_step(

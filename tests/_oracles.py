@@ -14,7 +14,7 @@ import numpy as np
 from graft import geo
 from graft.encoder import encoder_forward, forward_patch_rows
 from graft.geo import PixelCoord, pixel_to_patch
-from graft.losses import GroundGroup, pixel_loss_anchors
+from graft.losses import pixel_loss_anchors
 
 
 def rand_unit(rng: np.random.Generator, shape) -> np.ndarray:
@@ -77,8 +77,20 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 #
 # These are the loss definitions as first written: a log-sum-exp followed by
 # a second exp for the softmax, a dense membership mask and the diagonal of
-# the logit matrix. The library computes the same quantities through one
-# in-place kernel; these oracles check it.
+# the logit matrix, with the positives as one (N_i, D) array per tile and each
+# group mean a per-group `.mean(axis=0)`. The library computes the same
+# quantities from the batch's CSR arrays through one in-place kernel; these
+# oracles check it.
+
+
+def pack_groups(groups) -> tuple[np.ndarray, np.ndarray]:
+    """A list of (N_i, D) arrays as the CSR pair (grounds (M, D), sizes (N_B,))."""
+    return np.concatenate(groups, axis=0), np.array([len(g) for g in groups])
+
+
+def split_groups(grounds: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The CSR pair (grounds, sizes) as a list of (N_i, D) arrays."""
+    return np.split(grounds, np.cumsum(sizes)[:-1])
 
 
 def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +101,8 @@ def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flat_groups(groups):
-    sizes = np.array([len(g) for g in groups])
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    return np.concatenate(groups, axis=0), owner, sizes
+    grounds, sizes = pack_groups(groups)
+    return grounds, np.repeat(np.arange(len(groups)), sizes), sizes
 
 
 def image_loss_oracle(sat_embs, groups, tau):
@@ -129,6 +140,17 @@ def avg_rep_oracle(sat_embs, groups, tau):
     return value, (q @ z_hat - z_hat) / (n_b * tau)
 
 
+def l2_oracle(sat_embs, groups):
+    n_b = sat_embs.shape[0]
+    value = 0.0
+    grad = np.zeros_like(sat_embs)
+    for i, g in enumerate(groups):
+        diffs = sat_embs[i] - g  # (N_i, D)
+        value += float(np.mean(np.sum(diffs * diffs, axis=1)))
+        grad[i] = 2.0 * (sat_embs[i] - g.mean(axis=0)) / n_b
+    return value / n_b, grad
+
+
 def pixel_loss_anchors_oracle(anchors, groups, tau):
     grounds, owner, sizes = _flat_groups(groups)
     logits = anchors @ grounds.T / tau
@@ -149,7 +171,8 @@ def pixel_loss_anchors_oracle(anchors, groups, tau):
 def pixel_loss(
     patch_grids: list[np.ndarray],
     pixels: list[list[PixelCoord]],
-    ground_groups: list[GroundGroup],
+    grounds: np.ndarray,
+    sizes: np.ndarray,
     tau: float,
     patch_px: int,
     validate: bool = True,
@@ -160,14 +183,14 @@ def pixel_loss(
     embedding is the anchor for the pair. Gradients are returned as one grid
     per tile and are exactly zero on patches containing no ground image.
     """
-    if not (len(patch_grids) == len(pixels) == len(ground_groups)):
-        raise ValueError("patch_grids, pixels and ground_groups must align")
+    if not (len(patch_grids) == len(pixels) == len(sizes)):
+        raise ValueError("patch_grids, pixels and sizes must align")
     anchors = []
     locations: list[tuple[int, int, int]] = []
-    for i, (grid, tile_pixels, group) in enumerate(zip(patch_grids, pixels, ground_groups)):
+    for i, (grid, tile_pixels, size) in enumerate(zip(patch_grids, pixels, sizes)):
         grid = np.asarray(grid, dtype=np.float64)
-        if len(tile_pixels) != group.size:
-            raise ValueError(f"tile {i}: {len(tile_pixels)} pixels for {group.size} grounds")
+        if len(tile_pixels) != size:
+            raise ValueError(f"tile {i}: {len(tile_pixels)} pixels for {size} grounds")
         for px in tile_pixels:
             patch = pixel_to_patch(px, patch_px)
             if patch.prow >= grid.shape[0] or patch.pcol >= grid.shape[1]:
@@ -177,7 +200,7 @@ def pixel_loss(
             anchors.append(grid[patch.prow, patch.pcol])
             locations.append((i, patch.prow, patch.pcol))
     value, danchors = pixel_loss_anchors(
-        np.asarray(anchors), ground_groups, tau, validate=validate
+        np.asarray(anchors), grounds, sizes, tau, validate=validate
     )
     grads = [np.zeros_like(np.asarray(grid, dtype=np.float64)) for grid in patch_grids]
     for row, (i, pr, pc) in enumerate(locations):

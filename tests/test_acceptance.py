@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from _oracles import ap_at_k_bruteforce, fd_gradient, rand_unit, relative_error
+from _oracles import ap_at_k_bruteforce, fd_gradient, pack_groups, rand_unit, relative_error
 from graft import corpus, evaluation, geo
 from graft.cli import main as cli_main
 from graft.encoder import encoder_forward
 from graft.frozen import PromptSet, embed_text
 from graft.losses import (
-    GroundGroup,
     image_loss,
     loss_avg_rep,
     loss_l2,
@@ -151,13 +150,12 @@ def _retrieval_map_at_20(bundle: Bundle, params) -> float:
 
 
 def _random_loss_instance(rng):
+    """(sat (N_B, D), grounds (M, D), sizes (N_B,)) with 1..3 grounds per tile."""
     n_b = int(rng.integers(2, 5))  # N_B <= 4
     d = int(rng.integers(4, 17))  # D <= 16
-    groups = [
-        GroundGroup.from_embeddings(rand_unit(rng, (int(rng.integers(1, 4)), d)))
-        for _ in range(n_b)
-    ]
-    return rand_unit(rng, (n_b, d)), groups
+    grounds, sizes = pack_groups([rand_unit(rng, (int(rng.integers(1, 4)), d))
+                                  for _ in range(n_b)])
+    return rand_unit(rng, (n_b, d)), grounds, sizes
 
 
 def test_criterion_1_gradient_correctness():
@@ -165,18 +163,18 @@ def test_criterion_1_gradient_correctness():
     started = time.monotonic()
     checked = {}
     cases = {
-        "image": lambda s, g: image_loss(s, g, TAU, validate=False),
-        "sum_prob": lambda s, g: loss_sum_prob(s, g, TAU, validate=False),
-        "avg_rep": lambda s, g: loss_avg_rep(s, g, TAU, validate=False),
-        "l2": lambda s, g: loss_l2(s, g, validate=False),
+        "image": lambda s, g, n: image_loss(s, g, n, TAU, validate=False),
+        "sum_prob": lambda s, g, n: loss_sum_prob(s, g, n, TAU, validate=False),
+        "avg_rep": lambda s, g, n: loss_avg_rep(s, g, n, TAU, validate=False),
+        "l2": lambda s, g, n: loss_l2(s, g, n, validate=False),
     }
     worst = 0.0
     for name, fn in cases.items():
         done = 0
         while done < 100:
-            sat, groups = _random_loss_instance(rng)
-            _, grad = fn(sat, groups)
-            numeric = fd_gradient(lambda x: fn(x, groups)[0], sat, h=1e-5)
+            sat, grounds, sizes = _random_loss_instance(rng)
+            _, grad = fn(sat, grounds, sizes)
+            numeric = fd_gradient(lambda x: fn(x, grounds, sizes)[0], sat, h=1e-5)
             if np.linalg.norm(numeric) < 1e-6:
                 continue  # below the fd noise floor; redraw a measurable instance
             err = relative_error(grad, numeric)
@@ -187,11 +185,11 @@ def test_criterion_1_gradient_correctness():
 
     done = 0
     while done < 100:
-        sat, groups = _random_loss_instance(rng)
-        anchors = rand_unit(rng, (sum(g.size for g in groups), sat.shape[1]))
-        _, grad = pixel_loss_anchors(anchors, groups, TAU, validate=False)
+        sat, grounds, sizes = _random_loss_instance(rng)
+        anchors = rand_unit(rng, grounds.shape)
+        _, grad = pixel_loss_anchors(anchors, grounds, sizes, TAU, validate=False)
         numeric = fd_gradient(
-            lambda x: pixel_loss_anchors(x, groups, TAU, validate=False)[0],
+            lambda x: pixel_loss_anchors(x, grounds, sizes, TAU, validate=False)[0],
             anchors, h=1e-5,
         )
         if np.linalg.norm(numeric) < 1e-6:
@@ -215,11 +213,11 @@ def test_criterion_2_reduction_identity():
     for _ in range(100):
         n_b = int(rng.integers(2, 5))
         d = int(rng.integers(4, 17))
-        groups = [GroundGroup.from_embeddings(rand_unit(rng, (1, d))) for _ in range(n_b)]
+        grounds, sizes = pack_groups([rand_unit(rng, (1, d)) for _ in range(n_b)])
         sat = rand_unit(rng, (n_b, d))
-        v_img, _ = image_loss(sat, groups, TAU)
-        v_sum, _ = loss_sum_prob(sat, groups, TAU)
-        v_avg, _ = loss_avg_rep(sat, groups, TAU)
+        v_img, _ = image_loss(sat, grounds, sizes, TAU)
+        v_sum, _ = loss_sum_prob(sat, grounds, sizes, TAU)
+        v_avg, _ = loss_avg_rep(sat, grounds, sizes, TAU)
         spread = max(abs(v_img - v_sum), abs(v_img - v_avg), abs(v_sum - v_avg))
         worst = max(worst, spread)
         assert spread <= 1e-12
@@ -228,8 +226,7 @@ def test_criterion_2_reduction_identity():
 
 def test_criterion_3_closed_form_spot_value():
     s = np.eye(4)[:2]
-    groups = [GroundGroup.from_embeddings(s[:1]), GroundGroup.from_embeddings(s[1:2])]
-    value, _ = image_loss(s, groups, TAU)
+    value, _ = image_loss(s, *pack_groups([s[:1], s[1:2]]), TAU)
     expected = float(np.log1p(np.exp(-1.0 / TAU)))
     err = abs(value - expected)
     report(3, err <= 1e-10,

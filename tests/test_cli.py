@@ -18,7 +18,7 @@ from _oracles import class_grid_per_tile, density_scores_per_cell
 from graft import corpus, encoder, evaluation
 from graft.cli import main
 from graft.config import RunConfig
-from graft.encoder import DegenerateOutputError, SatEncoderParams, encoder_forward, init_params
+from graft.encoder import SatEncoderParams, encoder_forward, init_params
 from graft.frozen import PromptSet, embed_text
 from graft.train import load_checkpoint, save_checkpoint
 
@@ -94,6 +94,11 @@ def test_unknown_config_key_exits_2():
         ("train", "loss.tau=0"),  # LossConfig
         ("train", "train.peak_lr=-1"),  # TrainSchedule
         ("train", "train.batch_size=1"),  # a one-tile batch has no negatives
+        ("train", "loss.tau=inf"),  # non-finite values are out of every domain
+        ("train", "loss.tau=nan"),
+        ("train", "train.peak_lr=nan"),
+        ("train", "train.peak_lr=inf"),
+        ("train", "train.weight_decay=nan"),
         ("synth", "world.classes=1"),  # SynthWorldConfig
         ("build", "tile.patch_px=15"),  # TileSpec: 224 px is not a multiple
     ],
@@ -480,15 +485,22 @@ def test_map_scores_match_per_cell_oracle(world_dir, small_world, tmp_path, monk
         assert file_hash(outs[0] / name) == file_hash(outs[1] / name), name
 
 
-def test_map_collapsed_encoder_raises(pipeline, tmp_path):
-    root, world_dir, _, _ = pipeline
+@pytest.mark.parametrize("command", [["map", "water"], ["eval", "classify"],
+                                     ["eval", "retrieve"], ["eval", "segment"]],
+                         ids=["map", "classify", "retrieve", "segment"])
+def test_collapsed_encoder_checkpoint_exits_6(pipeline, tmp_path, capsys, command):
+    _, world_dir, dataset, _ = pipeline
     params = oracle_params(16, 196)
     params.w2[:] = 0.0  # every patch output is exactly zero
+    params.b2[:] = 0.0
     ckpt = tmp_path / "collapsed.grcp"
     save_checkpoint(ckpt, params, {})
-    with pytest.raises(DegenerateOutputError, match="patch output collapsed"):
-        main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
-              "--out", str(tmp_path / "m"), *WORLD_ARGS])
+    inputs = [] if command[0] == "map" else ["--dataset", str(dataset)]
+    capsys.readouterr()
+    assert main([*command, "--world", str(world_dir), *inputs, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), *WORLD_ARGS]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "collapsed to zero norm" in err
 
 
 @pytest.mark.parametrize("cell_px, message", [("0", "out of range"), ("-1", "out of range"),

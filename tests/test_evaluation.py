@@ -274,7 +274,7 @@ def test_density_map_scores(rng):
     cells = np.zeros((2, 3, 4))
     cells[0, 0] = query
     cells[1, 2] = np.eye(4)[1]
-    dmap = density_map(cells, query, GeoPoint(40.0, -75.0), 224.0, query="lake")
+    dmap = density_map(cells, query, GeoPoint(40.0, -75.0), 224.0)
     assert dmap.scores[0, 0] == pytest.approx(1.0)
     assert dmap.scores[1, 2] == pytest.approx(0.0)
     embs = rand_unit(rng, (3, 3, 8))
@@ -285,7 +285,7 @@ def test_density_map_scores(rng):
 
 def test_density_grid_roundtrip(tmp_path, rng):
     scores = rng.uniform(-1, 1, size=(4, 6))
-    dmap = DensityMap(scores, GeoPoint(42.5, -71.25), 224.0, query="river")
+    dmap = DensityMap(scores, GeoPoint(42.5, -71.25), 224.0)
     path = tmp_path / "river.grid"
     dmap.save_grid(path)
     loaded = load_density_grid(path)

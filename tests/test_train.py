@@ -13,7 +13,6 @@ from graft.train import (
     DivergenceError,
     TrainSchedule,
     adamw_update,
-    batch_ground_groups,
     load_checkpoint,
     loss_and_param_grads,
     lr_at,
@@ -221,21 +220,11 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_batch_ground_groups_shapes(tiny_setup):
-    world, ds = tiny_setup
-    batch = corpus.make_batches(ds, 4, seed=3)[0]
-    groups = batch_ground_groups(batch, resolve_ground_embeddings(ds, world.ground_encoder))
-    assert len(groups) == batch.n_tiles
-    for n_grounds, group in zip(batch.sizes, groups):
-        assert group.size == n_grounds
-
-
 def per_tile_pixel_grads(params, batch, ds, ground_embs, tau):
     """Pixel-level loss and parameter gradients with one encoder pass per tile.
 
     Patch rows come from the scalar geotag mapping, not from the dataset pack.
     """
-    groups = batch_ground_groups(batch, ground_embs)
     anchors, passes = [], []
     start = 0
     for tile, n in zip(batch.tiles, batch.sizes):
@@ -249,7 +238,8 @@ def per_tile_pixel_grads(params, batch, ds, ground_embs, tau):
         embs, cache = forward_patch_rows(params, tile.patch_features.reshape(grid * grid, -1)[uniq])
         anchors.append(embs[inverse])
         passes.append((cache, inverse, len(uniq)))
-    value, d_anchors = pixel_loss_anchors(np.concatenate(anchors), groups, tau)
+    value, d_anchors = pixel_loss_anchors(np.concatenate(anchors), ground_embs[batch.ground],
+                                          batch.sizes, tau)
 
     grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
     offset = 0
@@ -287,9 +277,9 @@ def test_batched_pixel_backward_matches_per_tile_passes():
 
 
 IMAGE_LOSSES = {
-    "image_default": lambda sat, groups: losses.image_loss(sat, groups, 0.07),
-    "sum_prob": lambda sat, groups: losses.loss_sum_prob(sat, groups, 0.07),
-    "avg_rep": lambda sat, groups: losses.loss_avg_rep(sat, groups, 0.07),
+    "image_default": lambda sat, grounds, sizes: losses.image_loss(sat, grounds, sizes, 0.07),
+    "sum_prob": lambda sat, grounds, sizes: losses.loss_sum_prob(sat, grounds, sizes, 0.07),
+    "avg_rep": lambda sat, grounds, sizes: losses.loss_avg_rep(sat, grounds, sizes, 0.07),
     "l2": losses.loss_l2,
 }
 
@@ -312,10 +302,9 @@ def test_blocked_image_pass_matches_per_tile_loop(variant, rng):
     params.b2[:] = 0.3 * rng.standard_normal(16)
     ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     value, grads = loss_and_param_grads(params, batch, ground_embs, LossConfig(variant=variant))
-    groups = batch_ground_groups(batch, ground_embs)
     want_value, want_grads = image_level_per_tile(
         params, [t.patch_features for t in batch.tiles],
-        lambda sat: IMAGE_LOSSES[variant](sat, groups),
+        lambda sat: IMAGE_LOSSES[variant](sat, ground_embs[batch.ground], batch.sizes),
     )
     assert abs(value - want_value) <= 1e-12
     for name, grad in grads.items():
