@@ -127,14 +127,15 @@ def _class_prompt_embeddings(world: LoadedWorld, cfg: RunConfig) -> np.ndarray:
 
 
 def _check_compatible(params: SatEncoderParams, world: LoadedWorld,
-                      ds: corpus.PairedDataset | None) -> None:
-    if params.embed_dim != world.ground_encoder.dim:
+                      tiles: list[corpus.SatTileRecord] | None) -> None:
+    """Checkpoint dimensions against the text fixture it is scored with and the tiles."""
+    if params.embed_dim != world.text_encoder.dim:
         raise MismatchError(
-            f"checkpoint embeds into {params.embed_dim} dims but world fixtures "
-            f"have {world.ground_encoder.dim}"
+            f"checkpoint embeds into {params.embed_dim} dims but the world's text fixture "
+            f"has {world.text_encoder.dim}"
         )
-    if ds is not None and ds.tiles:
-        tile = ds.tiles[0]
+    if tiles:
+        tile = tiles[0]
         if params.feature_dim != tile.feature_dim:
             raise MismatchError(
                 f"checkpoint expects {params.feature_dim}-dim features but dataset "
@@ -170,18 +171,31 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _min_center_separation_m(tiles: list[corpus.SatTileRecord]) -> float:
-    lats = np.array([t.spec.center.lat for t in tiles])
-    lons = np.array([t.spec.center.lon for t in tiles])
+    """Smallest distance between two tile centers, by a sweep in latitude order.
+
+    Round k pairs each tile with its k-th neighbor to the north. A tile's
+    distance to that neighbor is at least their north offset, which only grows
+    with k, so a tile leaves the sweep once that offset reaches the best
+    distance so far.
+    """
+    order = np.argsort([t.spec.center.lat for t in tiles], kind="stable")
+    lats = np.array([tiles[i].spec.center.lat for i in order])
+    lons = np.array([tiles[i].spec.center.lon for i in order])
     best = math.inf
-    for i in range(len(tiles) - 1):
-        dn = (lats[i] - lats[i + 1 :]) * geo.METERS_PER_DEGREE
+    south = np.arange(len(tiles))
+    for k in range(1, len(tiles)):
+        south = south[south + k < len(tiles)]
+        dn = (lats[south + k] - lats[south]) * geo.METERS_PER_DEGREE
+        south, dn = south[dn < best], dn[dn < best]
+        if not len(south):
+            break
+        north = south + k
         de = (
-            (lons[i] - lons[i + 1 :])
+            (lons[north] - lons[south])
             * geo.METERS_PER_DEGREE
-            * np.cos(np.radians((lats[i] + lats[i + 1 :]) / 2))
+            * np.cos(np.radians((lats[south] + lats[north]) / 2))
         )
-        d = np.sqrt(dn * dn + de * de)
-        best = min(best, float(d.min()))
+        best = min(best, float(np.sqrt(dn * dn + de * de).min()))
     return best
 
 
@@ -248,17 +262,17 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(args)
     world = _load_world(args)
-    ds = corpus.load_dataset(args.dataset)
+    tiles = corpus.load_tiles(args.dataset)
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
-    _check_compatible(params, world, ds)
+    _check_compatible(params, world, tiles)
     class_embs = _class_prompt_embeddings(world, cfg)
-    gt_grids = corpus.class_grids(world.field, [t.spec for t in ds.tiles])
-    gt_grids = gt_grids.reshape(len(ds.tiles), -1)
+    gt_grids = corpus.class_grids(world.field, [t.spec for t in tiles])
+    gt_grids = gt_grids.reshape(len(tiles), -1)
     gts = np.array([int(np.bincount(grid).argmax()) for grid in gt_grids])
     cfg.write_snapshot(out)
 
     if args.task == "classify":
-        embs = embed_images(params, [t.patch_features for t in ds.tiles])
+        embs = embed_images(params, [t.patch_features for t in tiles])
         scores = embs @ class_embs.T
         preds = np.array([evaluation.zero_shot_classify(img, class_embs) for img in embs],
                          dtype=int)
@@ -267,18 +281,18 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         onehot[np.arange(len(gts)), gts] = 1.0
         mean_ap = evaluation.multilabel_map(scores, onehot)
         (out / "classify_results.txt").write_text(
-            "".join(f"{t.id} {p} {g}\n" for t, p, g in zip(ds.tiles, preds, gts))
+            "".join(f"{t.id} {p} {g}\n" for t, p, g in zip(tiles, preds, gts))
         )
         (out / "classify_metrics.txt").write_text(
-            f"n_items {len(ds.tiles)}\naccuracy {accuracy!r}\nmultilabel_map {mean_ap!r}\n"
+            f"n_items {len(tiles)}\naccuracy {accuracy!r}\nmultilabel_map {mean_ap!r}\n"
         )
         print(f"classify: accuracy={accuracy:.4f} multilabel_map={mean_ap:.4f} "
-              f"on {len(ds.tiles)} tiles")
+              f"on {len(tiles)} tiles")
         return 0
 
     if args.task == "retrieve":
-        embs = embed_images(params, [t.patch_features for t in ds.tiles])
-        ids = [t.id for t in ds.tiles]
+        embs = embed_images(params, [t.patch_features for t in tiles])
+        ids = [t.id for t in tiles]
         gt_of = dict(zip(ids, gts))
         lines, metric_lines = [], []
         ap100s, ap20s = [], []
@@ -307,13 +321,13 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     # block size, so memory stays at one block whatever the tile count
     pred = np.empty(gt_grids.shape, dtype=np.intp)
     per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
-    for start in range(0, len(ds.tiles), per_block):
-        tiles = ds.tiles[start : start + per_block]
+    for start in range(0, len(tiles), per_block):
+        block = tiles[start : start + per_block]
         patch_embs, _ = forward_patch_rows(
-            params, np.concatenate([t.patch_features.reshape(-1, t.feature_dim) for t in tiles])
+            params, np.concatenate([t.patch_features.reshape(-1, t.feature_dim) for t in block])
         )
         labels, _ = evaluation.segment_patches(patch_embs, class_embs)
-        pred[start : start + len(tiles)] = labels.reshape(len(tiles), -1)
+        pred[start : start + len(block)] = labels.reshape(len(block), -1)
     pred = pred.reshape(1, -1)
     gt = gt_grids.reshape(1, -1)
     accs, mean_acc = evaluation.per_class_accuracy(pred, gt)

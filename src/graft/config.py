@@ -8,6 +8,7 @@ configuration snapshot next to its outputs.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -192,7 +193,15 @@ _FIELD_TYPES = {
 # Allowed values of a key, checked when the key is set: (description, test).
 # Keys not listed here are checked by the config object that takes them.
 _DOMAINS = {
+    "world_center_lat": ("finite, within [-90, 90]", lambda v: -90 <= v <= 90),
+    "world_extent_km": ("finite, > 0", lambda v: 0 < v < math.inf),
+    "world_noise_sigma": ("finite, >= 0", lambda v: 0 <= v < math.inf),
+    "world_center_lon": ("finite", math.isfinite),
+    "tile_resolution_m": ("finite, > 0", lambda v: 0 < v < math.inf),
+    "pair_cap": (">= 1", lambda v: v >= 1),
+    "pair_min_sep_px": (">= 0", lambda v: v >= 0),
     "train_batch_size": (">= 2, so every tile has negatives", lambda v: v >= 2),
+    "train_hidden_dim": (">= 1", lambda v: v >= 1),
     "map_cell_px": ("> 0", lambda v: v > 0),
 }
 _ATTR_TO_KEY = {f.name: _dotted_key(f.name) for f in fields(RunConfig)}

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import geo
+from . import frozen, geo
 from .codec import FormatError, Reader, Writer
 from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, save_embeddings, unit
@@ -621,6 +622,10 @@ class SynthWorldConfig:
             raise ValueError("embed_dim and feature_dim must be >= n_classes")
         if self.extent_km <= 0:
             raise ValueError(f"degenerate extent {self.extent_km} km")
+        half_deg = self.extent_km * 1000.0 / 2.0 / geo.METERS_PER_DEGREE
+        if not -90.0 <= self.center_lat - half_deg <= self.center_lat + half_deg <= 90.0:
+            raise ValueError(f"a {self.extent_km} km extent at latitude {self.center_lat} "
+                             f"crosses a pole")
         if self.n_ground < 1 or self.n_snapshots < 1:
             raise ValueError("need at least one ground image and one snapshot")
 
@@ -776,15 +781,38 @@ _WORLD_FILES = ("ground_manifest", "snapshot_manifest", "field", "ground_embeddi
                 "text_embeddings")
 
 
-@dataclass
 class LoadedWorld:
-    """A world directory as read back from disk (what the CLI consumes)."""
+    """A world directory as the CLI reads it: each part is read on first use.
 
-    grounds: list[GroundImageRecord]
-    snapshots: list[SnapshotRecord]
-    field: VoronoiFeatureField
-    ground_encoder: FrozenEncoder
-    text_encoder: FrozenEncoder
+    `load_world_dir` checks `world.json` and resolves the five file paths. The
+    ground manifest, snapshot manifest, field and both fixtures are parsed only
+    when a command first reads `grounds`, `snapshots`, `field`,
+    `ground_encoder` or `text_encoder`, so a command never opens, or fails on,
+    a file it does not use.
+    """
+
+    def __init__(self, files: Mapping[str, Path]):
+        self.files = files
+
+    @cached_property
+    def grounds(self) -> list[GroundImageRecord]:
+        return parse_ground_manifest(self.files["ground_manifest"])
+
+    @cached_property
+    def snapshots(self) -> list[SnapshotRecord]:
+        return parse_snapshot_manifest(self.files["snapshot_manifest"])
+
+    @cached_property
+    def field(self) -> VoronoiFeatureField:
+        return load_feature_field(self.files["field"])
+
+    @cached_property
+    def ground_encoder(self) -> FrozenEncoder:
+        return frozen.load_embeddings(self.files["ground_embeddings"])
+
+    @cached_property
+    def text_encoder(self) -> FrozenEncoder:
+        return frozen.load_embeddings(self.files["text_embeddings"])
 
     @property
     def class_names(self) -> list[str]:
@@ -792,8 +820,7 @@ class LoadedWorld:
 
 
 def load_world_dir(worlddir: str | Path) -> LoadedWorld:
-    from .frozen import load_embeddings
-
+    """Check a world directory's `world.json`; its other files load on first use."""
     worlddir = Path(worlddir)
     world_file = worlddir / "world.json"
     if not world_file.exists():
@@ -803,13 +830,7 @@ def load_world_dir(worlddir: str | Path) -> LoadedWorld:
         files = {key: worlddir / meta["files"][key] for key in _WORLD_FILES}
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and UTF-8
         raise IntegrityError(f"{world_file} is not a world summary: {exc!r}") from exc
-    return LoadedWorld(
-        grounds=parse_ground_manifest(files["ground_manifest"]),
-        snapshots=parse_snapshot_manifest(files["snapshot_manifest"]),
-        field=load_feature_field(files["field"]),
-        ground_encoder=load_embeddings(files["ground_embeddings"]),
-        text_encoder=load_embeddings(files["text_embeddings"]),
-    )
+    return LoadedWorld(files)
 
 
 def resolve_fields(
@@ -863,13 +884,17 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     out.save(path)
 
 
-def load_dataset(path: str | Path) -> PairedDataset:
-    """Read a container written by save_dataset; round-trips structurally."""
+def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reader]:
+    """Readers over a container's four sections, after checking magic, version,
+    every section length and that no byte follows the last section."""
     r = Reader(Path(path).read_bytes(), f"container {path}")
     r.header(CONTAINER_MAGIC, CONTAINER_VERSION, DatasetVersionError)
-    tiles_r, grounds_r, assigns_r, prov_r = (r.section() for _ in range(4))
+    sections = tuple(r.section() for _ in range(4))
     r.done()
+    return sections
 
+
+def _read_tiles(tiles_r: Reader) -> list[SatTileRecord]:
     tiles: list[SatTileRecord] = []
     for _ in range(tiles_r.unpack("<I")[0]):
         start = tiles_r.off
@@ -882,6 +907,19 @@ def load_dataset(path: str | Path) -> PairedDataset:
         except ValueError as exc:
             raise tiles_r.fail(f"invalid tile record ({exc})", start) from exc
     tiles_r.done()
+    return tiles
+
+
+def load_tiles(path: str | Path) -> list[SatTileRecord]:
+    """The tiles of a container; its frames are checked as by load_dataset, but
+    only the tile section is decoded."""
+    return _read_tiles(_container_sections(path)[0])
+
+
+def load_dataset(path: str | Path) -> PairedDataset:
+    """Read a container written by save_dataset; round-trips structurally."""
+    tiles_r, grounds_r, assigns_r, prov_r = _container_sections(path)
+    tiles = _read_tiles(tiles_r)
 
     grounds: list[GroundImageRecord] = []
     for _ in range(grounds_r.unpack("<I")[0]):

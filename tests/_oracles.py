@@ -328,3 +328,23 @@ def density_scores_per_cell(fld, params, query_emb, spec, cell_px: int, snapshot
             _, img = encoder_forward(params, materialize_per_tile(fld, cell, snapshot_ts))
             scores[r, c] = float(img @ query_emb)
     return scores
+
+
+# ---- build report -------------------------------------------------------------
+
+
+def min_center_separation_per_tile(tiles) -> float:
+    """Smallest distance between two tile centers, each tile against every later one."""
+    lats = np.array([t.spec.center.lat for t in tiles])
+    lons = np.array([t.spec.center.lon for t in tiles])
+    best = math.inf
+    for i in range(len(tiles) - 1):
+        dn = (lats[i] - lats[i + 1 :]) * geo.METERS_PER_DEGREE
+        de = (
+            (lons[i] - lons[i + 1 :])
+            * geo.METERS_PER_DEGREE
+            * np.cos(np.radians((lats[i] + lats[i + 1 :]) / 2))
+        )
+        d = np.sqrt(dn * dn + de * de)
+        best = min(best, float(d.min()))
+    return best

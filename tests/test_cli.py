@@ -9,17 +9,19 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import graft
-from _oracles import class_grid_per_tile, density_scores_per_cell
+from _oracles import class_grid_per_tile, density_scores_per_cell, min_center_separation_per_tile
 from graft import corpus, encoder, evaluation
-from graft.cli import main
+from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
 from graft.encoder import SatEncoderParams, encoder_forward, init_params
 from graft.frozen import PromptSet, embed_text
+from graft.geo import GeoPoint, TileSpec
 from graft.train import load_checkpoint, save_checkpoint
 
 
@@ -101,6 +103,16 @@ def test_unknown_config_key_exits_2():
         ("train", "train.weight_decay=nan"),
         ("synth", "world.classes=1"),  # SynthWorldConfig
         ("build", "tile.patch_px=15"),  # TileSpec: 224 px is not a multiple
+        ("synth", "world.center_lat=95"),
+        ("synth", "world.center_lat=-90"),  # SynthWorldConfig: the extent crosses the pole
+        ("synth", "world.extent_km=nan"),
+        ("synth", "world.noise_sigma=inf"),
+        ("synth", "world.center_lon=nan"),
+        ("build", "tile.resolution_m=nan"),
+        ("build", "tile.resolution_m=inf"),
+        ("build", "pair.cap=0"),
+        ("build", "pair.min_sep_px=-5"),
+        ("train", "train.hidden_dim=0"),
     ],
 )
 def test_rejected_config_value_exits_2(pipeline, tmp_path, capsys, command, override):
@@ -126,6 +138,27 @@ def test_build_report(pipeline, capsys):
     max_grounds = int(out.split("max grounds/tile:")[1].split()[0])
     assert max_grounds <= 25
     assert "min center separation" in out and "ok" in out
+
+
+@pytest.mark.parametrize("n, lat_steps", [(2, 0), (2, 1), (3, 0), (40, 0), (300, 0),
+                                          (300, 7), (300, 1), (60, 3)])
+def test_min_center_separation_sweep_matches_all_pairs(n, lat_steps):
+    # lat_steps > 0 snaps latitudes to that many values, so many tiles tie in
+    # latitude (one value: every tile on one parallel); duplicated points tie at 0
+    rng = np.random.default_rng(n * 10 + lat_steps)
+    for _ in range(5):
+        lats = rng.uniform(42.9, 43.1, n)
+        if lat_steps:
+            lats = rng.choice(np.linspace(42.9, 43.1, lat_steps), n)
+        lons = rng.uniform(-76.1, -75.9, n)
+        tiles = [SimpleNamespace(spec=TileSpec(GeoPoint(lat, lon)))
+                 for lat, lon in zip(lats, lons)]
+        want = min_center_separation_per_tile(tiles)
+        assert _min_center_separation_m(tiles) == want
+        assert _min_center_separation_m(tiles[::-1]) == want
+        if n > 2:
+            dup = tiles + tiles[n // 2 : n // 2 + 1]
+            assert _min_center_separation_m(dup) == min_center_separation_per_tile(dup) == 0.0
 
 
 def test_build_corrupt_manifest_exits_4(pipeline, tmp_path):
@@ -287,13 +320,15 @@ def test_eval_missing_checkpoint_exits_6(pipeline, tmp_path):
                  "--out", str(tmp_path / "e")]) == 6
 
 
-def test_eval_dimension_mismatch_exits_6(pipeline, tmp_path):
+def test_eval_dimension_mismatch_exits_6(pipeline, tmp_path, capsys):
     root, world_dir, dataset, _ = pipeline
     bad = tmp_path / "bad.grcp"
     save_checkpoint(bad, init_params(8, 4, 8, 196, seed=0), {})
+    capsys.readouterr()
     assert main(["eval", "classify", "--world", str(world_dir), "--dataset",
                  str(dataset), "--checkpoint", str(bad),
                  "--out", str(tmp_path / "e")]) == 6
+    assert "text fixture has 16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cut", [7, 12])
@@ -345,13 +380,38 @@ def _zero_entry(raw):
     return raw
 
 
-@pytest.mark.parametrize("corrupt", [lambda raw: raw[:-3], _flip_key_length, _nan_entry,
-                                     _zero_entry], ids=["cut", "key_length", "nan", "zero"])
+FIXTURE_CORRUPTIONS = pytest.mark.parametrize(
+    "corrupt", [lambda raw: raw[:-3], _flip_key_length, _nan_entry, _zero_entry],
+    ids=["cut", "key_length", "nan", "zero"])
+
+
+def run_reader(command: str, world_dir, pipeline, out) -> int:
+    """Run one command that reads the world's field and text fixture."""
+    _, _, dataset, ckpt = pipeline
+    if command == "map":
+        return main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
+                     "--out", str(out), *WORLD_ARGS])
+    return main(["eval", command, "--world", str(world_dir), "--dataset", str(dataset),
+                 "--checkpoint", str(ckpt), "--out", str(out)])
+
+
+@FIXTURE_CORRUPTIONS
 def test_train_corrupt_fixture_exits_4(pipeline, tmp_path, capsys, corrupt):
+    # train reads the ground fixture and no other world file
     _, world_dir, dataset, _ = pipeline
-    broken = corrupt_copy(world_dir, tmp_path, "text_embeddings.bin", corrupt)
+    broken = corrupt_copy(world_dir, tmp_path, "ground_embeddings.bin", corrupt)
     capsys.readouterr()
     assert train_on(broken, dataset, tmp_path / "run") == 4
+    assert "ground_embeddings.bin" in capsys.readouterr().err
+
+
+@FIXTURE_CORRUPTIONS
+@pytest.mark.parametrize("command", ["classify", "map"])
+def test_corrupt_text_fixture_exits_4(pipeline, tmp_path, capsys, command, corrupt):
+    _, world_dir, _, _ = pipeline
+    broken = corrupt_copy(world_dir, tmp_path, "text_embeddings.bin", corrupt)
+    capsys.readouterr()
+    assert run_reader(command, broken, pipeline, tmp_path / "run") == 4
     assert "text_embeddings.bin" in capsys.readouterr().err
 
 
@@ -367,13 +427,46 @@ def test_train_malformed_world_json_exits_4(pipeline, tmp_path, capsys, text):
 @pytest.mark.parametrize("text, named", [('{"format": "voronoi-onehot-field"}', "'class_names'"),
                                          ("[]", "not a JSON object")],
                          ids=["missing_key", "not_object"])
-def test_train_malformed_field_json_exits_4(pipeline, tmp_path, capsys, text, named):
-    _, world_dir, dataset, _ = pipeline
+@pytest.mark.parametrize("command", ["classify", "map"])
+def test_malformed_field_json_exits_4(pipeline, tmp_path, capsys, command, text, named):
+    _, world_dir, _, _ = pipeline
     broken = corrupt_copy(world_dir, tmp_path, "field.json", lambda _: text.encode())
     capsys.readouterr()
-    assert train_on(broken, dataset, tmp_path / "run") == 4
+    assert run_reader(command, broken, pipeline, tmp_path / "run") == 4
     err = capsys.readouterr().err
     assert "field.json" in err and named in err
+
+
+def pruned_copy(world_dir, tmp_path, *names):
+    """A copy of the world directory without the named files."""
+    pruned = tmp_path / "pruned_world"
+    shutil.copytree(world_dir, pruned)
+    for name in names:
+        (pruned / name).unlink()
+    return pruned
+
+
+@pytest.mark.parametrize("task", ["classify", "retrieve", "segment"])
+def test_eval_reads_no_ground_files(pipeline, tmp_path, task):
+    _, world_dir, _, _ = pipeline
+    pruned = pruned_copy(world_dir, tmp_path, "ground_manifest.txt", "ground_embeddings.bin")
+    outs = [tmp_path / "full", tmp_path / "pruned"]
+    for world, out in zip((world_dir, pruned), outs):
+        assert run_reader(task, world, pipeline, out) == 0
+    written = sorted(p.name for p in outs[0].iterdir())
+    assert written == sorted(p.name for p in outs[1].iterdir())
+    for name in written:
+        assert file_hash(outs[0] / name) == file_hash(outs[1] / name), name
+
+
+def test_train_reads_only_the_ground_fixture(pipeline, tmp_path):
+    _, world_dir, dataset, _ = pipeline
+    pruned = pruned_copy(world_dir, tmp_path, "field.json", "text_embeddings.bin",
+                         "ground_manifest.txt", "snapshot_manifest.txt")
+    outs = [tmp_path / "full", tmp_path / "pruned"]
+    for world, out in zip((world_dir, pruned), outs):
+        assert train_on(world, dataset, out) == 0
+    assert file_hash(outs[0] / "checkpoint.grcp") == file_hash(outs[1] / "checkpoint.grcp")
 
 
 @pytest.mark.parametrize("loss", ["image", "pixel"])

@@ -2,7 +2,8 @@
 
 Small samples of the three binary formats (dataset container, checkpoint,
 embedding fixture) are cut at every length and flipped one byte at a time.
-Each load either returns or raises `FormatError` naming a byte offset.
+The container is read both whole and by its tile section alone. Each load
+either returns or raises `FormatError` naming a byte offset.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def tiny_table() -> dict[str, np.ndarray]:
 
 
 def write_sample(fmt: str, path) -> None:
-    if fmt == "container":
+    if fmt in ("container", "tiles"):
         corpus.save_dataset(tiny_dataset(), path)
     elif fmt == "checkpoint":
         save_checkpoint(path, init_params(3, 4, 2, 4, seed=0), {"seed": 0})
@@ -67,6 +68,7 @@ def write_sample(fmt: str, path) -> None:
 
 LOADERS = {
     "container": corpus.load_dataset,
+    "tiles": corpus.load_tiles,
     "checkpoint": load_checkpoint,
     "fixture": load_embeddings,
 }
