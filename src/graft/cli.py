@@ -186,16 +186,11 @@ def _min_center_separation_m(tiles: list[corpus.SatTileRecord]) -> float:
     for k in range(1, len(tiles)):
         south = south[south + k < len(tiles)]
         dn = (lats[south + k] - lats[south]) * geo.METERS_PER_DEGREE
-        south, dn = south[dn < best], dn[dn < best]
+        south = south[dn < best]
         if not len(south):
             break
-        north = south + k
-        de = (
-            (lons[north] - lons[south])
-            * geo.METERS_PER_DEGREE
-            * np.cos(np.radians((lats[south] + lats[north]) / 2))
-        )
-        best = min(best, float(np.sqrt(dn * dn + de * de).min()))
+        d2 = geo.separation_m2(lats[south + k], lons[south + k], lats[south], lons[south])
+        best = min(best, float(np.sqrt(d2.min())))
     return best
 
 
@@ -268,7 +263,9 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     class_embs = _class_prompt_embeddings(world, cfg)
     gt_grids = corpus.class_grids(world.field, [t.spec for t in tiles])
     gt_grids = gt_grids.reshape(len(tiles), -1)
-    gts = np.array([int(np.bincount(grid).argmax()) for grid in gt_grids])
+    k = len(world.class_names)  # majority class per tile; argmax gives a tie to the lowest
+    gts = np.bincount((np.arange(len(tiles))[:, None] * k + gt_grids).ravel(),
+                      minlength=len(tiles) * k).reshape(-1, k).argmax(axis=1)
     cfg.write_snapshot(out)
 
     if args.task == "classify":

@@ -202,6 +202,7 @@ _DOMAINS = {
     "pair_min_sep_px": (">= 0", lambda v: v >= 0),
     "train_batch_size": (">= 2, so every tile has negatives", lambda v: v >= 2),
     "train_hidden_dim": (">= 1", lambda v: v >= 1),
+    "train_warmup_steps": (">= 0 (0 = derive)", lambda v: v >= 0),
     "map_cell_px": ("> 0", lambda v: v > 0),
 }
 _ATTR_TO_KEY = {f.name: _dotted_key(f.name) for f in fields(RunConfig)}

@@ -58,7 +58,7 @@ class IntegrityError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """Pairing produced no tiles at all."""
+    """Pairing got no ground images to spawn tiles at."""
 
 
 DatasetFormatError = FormatError  # a container failed to parse; names the byte offset
@@ -196,11 +196,10 @@ class PairedDataset:
 def _pack_pairs(ds: PairedDataset) -> PairIndex:
     """Vectorized geotag -> pixel -> patch mapping of every pair, with bounds checks.
 
-    The arithmetic repeats `geo.geotag_to_pixel` operation for operation, with
-    the longitude scale taken per tile through scalar `math.cos`, so pixels are
-    bit-identical to the scalar path. Raises IntegrityError, naming the tile,
-    for an assignment index out of range, a geotag outside the tile footprint
-    or a pixel outside the patch grid.
+    Offsets come from `geo.footprint_offsets` and the pixel floor is
+    `geo.geotag_to_pixel`'s, so pixels are bit-identical to the scalar path.
+    Raises IntegrityError, naming the tile, for an assignment index out of
+    range, a geotag outside the tile footprint or a pixel outside the patch grid.
     """
     counts = np.array([len(a) for a in ds.assignments], dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -218,24 +217,19 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
         k = int(np.argmax(bad))
         fail(k, f"assignment index {ground[k]} out of range")
 
-    def per_pair(values, dtype=np.float64):
-        return np.repeat(np.array(values, dtype=dtype), counts)
+    def by_pair(rows, width, dtype):  # tile rows of `width` fields -> one array per field
+        return np.repeat(np.array(rows, dtype=dtype).reshape(-1, width), counts, axis=0).T
 
     specs = [t.spec for t in ds.tiles]
-    center_lat = per_pair([s.center.lat for s in specs])
-    center_lon = per_pair([s.center.lon for s in specs])
-    lon_scale = per_pair([math.cos(math.radians(s.center.lat)) for s in specs])
-    res = per_pair([s.resolution_m_per_px for s in specs])
-    size = per_pair([s.size_px for s in specs], np.int64)
-    patch_px = per_pair([s.patch_px for s in specs], np.int64)
-    grid = per_pair([s.grid_px for s in specs], np.int64)
-    half = per_pair([s.half_extent_m for s in specs])
+    center_lat, center_lon, lon_scale, res, half = by_pair(
+        [(s.center.lat, s.center.lon, math.cos(math.radians(s.center.lat)),
+          s.resolution_m_per_px, s.half_extent_m) for s in specs], 5, np.float64)
+    size, patch_px, grid = by_pair([(s.size_px, s.patch_px, s.grid_px) for s in specs], 3, np.int64)
     lat = np.array([g.geo.lat for g in ds.grounds])[ground]
     lon = np.array([g.geo.lon for g in ds.grounds])[ground]
 
-    north = (lat - center_lat) * geo.METERS_PER_DEGREE
-    east = (lon - center_lon) * geo.METERS_PER_DEGREE * lon_scale
-    outside = ~((np.abs(north) < half) & (np.abs(east) < half))
+    north, east, inside = geo.footprint_offsets(lat, lon, center_lat, center_lon, lon_scale, half)
+    outside = ~inside
     if outside.any():
         k = int(np.argmax(outside))
         fail(k, f"ground {ground[k]} at ({lat[k]}, {lon[k]}) lies outside the footprint: "
@@ -328,9 +322,9 @@ class VoronoiFeatureField:
             (np.asarray(lats) - self.origin.lat) * geo.METERS_PER_DEGREE,
         )
 
-    def contains(self, p: GeoPoint) -> bool:
+    def contains(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
         lat_min, lat_max, lon_min, lon_max = self.bounds
-        return lat_min <= p.lat <= lat_max and lon_min <= p.lon <= lon_max
+        return (lat_min <= lats) & (lats <= lat_max) & (lon_min <= lons) & (lons <= lon_max)
 
     def class_at_many(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
         x, y = self._project(lats, lons)
@@ -357,7 +351,8 @@ def class_grids(fld: VoronoiFeatureField, specs: Sequence[TileSpec]) -> np.ndarr
     """(N, G, G) ground-truth class index at each patch center of N tiles.
 
     Each tile's longitude scale is its own scalar `math.cos`, so its classes
-    come from the same patch-center coordinates, bit for bit, as the tile's alone.
+    come from the same patch-center coordinates, bit for bit, as the tile's alone;
+    squared seed distances are summed per block from one per patch column and row.
     """
     g = specs[0].grid_px
     if any(s.grid_px != g for s in specs):
@@ -368,15 +363,11 @@ def class_grids(fld: VoronoiFeatureField, specs: Sequence[TileSpec]) -> np.ndarr
     ).T[..., None]
     # (N, G) offsets of the patch-center rows; those of the columns are their negation
     north = (half - (np.arange(g) + 0.5) * patch_px) * res
-    lat = lat0 + north / geo.METERS_PER_DEGREE
-    lon = lon0 - north / lon_scale
-    blocks = []
-    for start in range(0, len(specs), FIELD_BLOCK_TILES):
-        rows, cols = lat[start : start + FIELD_BLOCK_TILES], lon[start : start + FIELD_BLOCK_TILES]
-        shape = (len(rows), g, g)
-        blocks.append(fld.class_at_many(np.broadcast_to(rows[:, :, None], shape),
-                                        np.broadcast_to(cols[:, None, :], shape)))
-    return np.concatenate(blocks)
+    x, y = fld._project(lat0 + north / geo.METERS_PER_DEGREE, lon0 - north / lon_scale)
+    sx, sy = fld._project(fld.seeds_lat, fld.seeds_lon)
+    dx2, dy2 = (x[..., None] - sx) ** 2, (y[..., None] - sy) ** 2  # (N, G, K) columns, rows
+    blocks = (slice(i, i + FIELD_BLOCK_TILES) for i in range(0, len(specs), FIELD_BLOCK_TILES))
+    return np.concatenate([np.argmin(dx2[b, None] + dy2[b, :, None], axis=-1) for b in blocks])
 
 
 def materialize_many(
@@ -460,11 +451,18 @@ def load_feature_field(path: str | Path) -> VoronoiFeatureField:
         raise IntegrityError(f"feature field {path}: {exc}") from exc
 
 
-def select_snapshot(candidates: Sequence[int], target: int) -> int:
-    """Index of the timestamp closest to target; ties go to the earlier snapshot."""
-    if not candidates:
+def select_snapshot(candidates: Sequence[int], target, usable: np.ndarray | None = None):
+    """Index of the timestamp closest to target; ties go to the earlier snapshot,
+    then the lower index. An array of T targets, each among the candidates of
+    its column of the (S, T) mask `usable`, gets one index each."""
+    ts = np.asarray(candidates, dtype=np.int64)
+    if ts.size == 0:
         raise ValueError("no snapshot candidates")
-    return min(range(len(candidates)), key=lambda i: (abs(candidates[i] - target), candidates[i], i))
+    rank = np.argsort(ts, kind="stable")
+    gap = np.abs(np.subtract.outer(ts[rank], target))
+    if usable is not None:
+        gap[~usable[rank]] = np.iinfo(np.int64).max
+    return rank[np.argmin(gap, axis=0)]
 
 
 def build_pairs(
@@ -506,37 +504,30 @@ def build_pairs(
     cap_seed = int(np.random.SeedSequence([seed, _SALT_CAP]).generate_state(1)[0])
     assignment = geo.cap_subsample(assignment, cap=cap, seed=cap_seed)
 
-    kept_specs: list[TileSpec] = []
-    kept_snaps: list[SnapshotRecord] = []
-    kept_assignment: list[list[int]] = []
-    for tspec, members in zip(tile_specs, assignment):
-        if not members:
-            continue
-        candidates = [s for s in snapshots if fields[s.blob_ref].contains(tspec.center)]
-        if not candidates:
-            raise IntegrityError(
-                f"no snapshot region covers tile at "
-                f"({tspec.center.lat:.5f}, {tspec.center.lon:.5f})"
-            )
-        target = int(round(np.mean([grounds[m].timestamp for m in members])))
-        kept_snaps.append(candidates[select_snapshot([c.timestamp for c in candidates], target)])
-        kept_specs.append(tspec)
-        kept_assignment.append(list(members))
-    if not kept_specs:
-        raise EmptyDatasetError("pairing produced no tiles")
+    # no tile is empty: each keeps at least the ground at its center
+    lat, lon = np.array([(s.center.lat, s.center.lon) for s in tile_specs]).T
+    cover = np.array([fields[s.blob_ref].contains(lat, lon) for s in snapshots])  # (S, T)
+    if not cover.any(axis=0).all():
+        c = tile_specs[int(np.argmin(cover.any(axis=0)))].center
+        raise IntegrityError(f"no snapshot region covers tile at ({c.lat:.5f}, {c.lon:.5f})")
+    # mean ground timestamp per tile: sums of <= cap timestamps are exact, as in np.mean
+    sizes = np.array([len(members) for members in assignment])
+    ts = np.array([grounds[m].timestamp for members in assignment for m in members])
+    target = np.rint(np.add.reduceat(ts, np.cumsum(sizes) - sizes) / sizes).astype(np.int64)
+    snaps = [snapshots[k] for k in select_snapshot([s.timestamp for s in snapshots], target, cover)]
 
     # one blocked materialization per feature field
-    features = [None] * len(kept_specs)
-    for ref in dict.fromkeys(s.blob_ref for s in kept_snaps):
-        idx = [i for i, s in enumerate(kept_snaps) if s.blob_ref == ref]
-        grids = materialize_many(fields[ref], [kept_specs[i] for i in idx],
-                                 [kept_snaps[i].timestamp for i in idx])
+    features = [None] * len(tile_specs)
+    for ref in dict.fromkeys(s.blob_ref for s in snaps):
+        idx = [i for i, s in enumerate(snaps) if s.blob_ref == ref]
+        grids = materialize_many(fields[ref], [tile_specs[i] for i in idx],
+                                 [snaps[i].timestamp for i in idx])
         for i, grid in zip(idx, grids):
             features[i] = grid
     tiles = [
         SatTileRecord(id=f"t{i:06d}", spec=tspec, timestamp=snap.timestamp,
                       patch_features=grid, channels=channels)
-        for i, (tspec, snap, grid) in enumerate(zip(kept_specs, kept_snaps, features))
+        for i, (tspec, snap, grid) in enumerate(zip(tile_specs, snaps, features))
     ]
     provenance = {
         "seed": seed,
@@ -549,10 +540,10 @@ def build_pairs(
         },
         "n_tiles": len(tiles),
         "n_grounds": len(grounds),
-        "n_pairs": sum(len(a) for a in kept_assignment),
+        "n_pairs": sum(len(a) for a in assignment),
     }
     return PairedDataset(
-        tiles=tiles, grounds=list(grounds), assignments=kept_assignment, provenance=provenance
+        tiles=tiles, grounds=list(grounds), assignments=assignment, provenance=provenance
     )
 
 

@@ -10,7 +10,7 @@ plain subtraction after normalization into [-180, 180).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +57,8 @@ class TileSpec:
         object.__setattr__(self, "resolution_m_per_px", float(self.resolution_m_per_px))
         object.__setattr__(self, "size_px", int(self.size_px))
         object.__setattr__(self, "patch_px", int(self.patch_px))
-        if self.resolution_m_per_px <= 0:
-            raise ValueError("resolution_m_per_px must be positive")
+        if not 0 < self.resolution_m_per_px < math.inf:
+            raise ValueError("resolution_m_per_px must be positive and finite")
         if self.size_px <= 0 or self.patch_px <= 0:
             raise ValueError("size_px and patch_px must be positive")
         if self.size_px % self.patch_px != 0:
@@ -99,25 +99,40 @@ def meters_per_degree(lat: float) -> tuple[float, float]:
     return METERS_PER_DEGREE, METERS_PER_DEGREE * math.cos(math.radians(lat))
 
 
+def footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half_m):
+    """(north_m, east_m, strictly inside the footprint) of geotags from tile
+    centers, for floats and aligned arrays alike, with the same rounding;
+    `lon_cos` is the scalar `math.cos` of each tile's center latitude."""
+    north = (lat - center_lat) * METERS_PER_DEGREE
+    east = (lon - center_lon) * METERS_PER_DEGREE * lon_cos
+    return north, east, (abs(north) < half_m) & (abs(east) < half_m)
+
+
+def _offsets(origin: GeoPoint, p: GeoPoint, half_m: float):
+    lon_cos = math.cos(math.radians(origin.lat))
+    return footprint_offsets(p.lat, p.lon, origin.lat, origin.lon, lon_cos, half_m)
+
+
 def flat_earth_offset_m(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
     """(north_m, east_m) displacement of `p` from `origin`, cos scale at origin."""
-    north = (p.lat - origin.lat) * METERS_PER_DEGREE
-    east = (p.lon - origin.lon) * METERS_PER_DEGREE * math.cos(math.radians(origin.lat))
-    return north, east
+    return _offsets(origin, p, 0.0)[:2]
+
+
+def separation_m2(lat_a, lon_a, lat_b, lon_b):
+    """Squared flat-earth distance of the separation rule, cos scale at the mean latitude."""
+    dn = (lat_a - lat_b) * METERS_PER_DEGREE
+    de = (lon_a - lon_b) * METERS_PER_DEGREE * np.cos(np.radians((lat_a + lat_b) / 2))
+    return dn * dn + de * de
 
 
 def flat_earth_distance_m(a: GeoPoint, b: GeoPoint) -> float:
     """Symmetric flat-earth distance; longitude scale at the midpoint latitude."""
-    dn = (a.lat - b.lat) * METERS_PER_DEGREE
-    de = (a.lon - b.lon) * METERS_PER_DEGREE * math.cos(math.radians((a.lat + b.lat) / 2))
-    return math.hypot(dn, de)
+    return math.sqrt(separation_m2(a.lat, a.lon, b.lat, b.lon))
 
 
 def tile_contains(tile: TileSpec, p: GeoPoint) -> bool:
     """Strict containment: points exactly on the footprint boundary are outside."""
-    north, east = flat_earth_offset_m(tile.center, p)
-    half = tile.half_extent_m
-    return abs(north) < half and abs(east) < half
+    return _offsets(tile.center, p, tile.half_extent_m)[2]
 
 
 def geotag_to_pixel(tile: TileSpec, p: GeoPoint) -> PixelCoord:
@@ -126,13 +141,12 @@ def geotag_to_pixel(tile: TileSpec, p: GeoPoint) -> PixelCoord:
     Raises OutOfFootprintError for points on or outside the footprint boundary;
     the caller decides whether to drop the point or assign it elsewhere.
     """
-    north, east = flat_earth_offset_m(tile.center, p)
-    half = tile.half_extent_m
-    if not (abs(north) < half and abs(east) < half):
+    north, east, inside = _offsets(tile.center, p, tile.half_extent_m)
+    if not inside:
         raise OutOfFootprintError(
             f"point ({p.lat}, {p.lon}) outside tile at ({tile.center.lat}, "
             f"{tile.center.lon}): offset ({north:.1f} m N, {east:.1f} m E), "
-            f"half extent {half:.1f} m"
+            f"half extent {tile.half_extent_m:.1f} m"
         )
     res = tile.resolution_m_per_px
     row = math.floor(tile.size_px / 2 - north / res)
@@ -163,6 +177,38 @@ def pixel_to_patch(px: PixelCoord, patch_px: int) -> PatchIndex:
     return PatchIndex(px.row // patch_px, px.col // patch_px)
 
 
+# Candidate pairs per step of _neighbour_pairs, bounding its transient arrays.
+PAIR_CHUNK = 1 << 13
+
+
+def _neighbour_pairs(lats: np.ndarray, lons: np.ndarray, reach_m: float, queries: np.ndarray):
+    """Yield (q, p) index arrays: every point p of the 3x3 grid cells around each
+    point queries[q], q ascending, about PAIR_CHUNK pairs at a time. Cells are at
+    least `reach_m` wide, east-west at the largest |lat| of the set, so every
+    pair less than `reach_m` apart on both axes is among them."""
+    # the pad absorbs rounding; at most 2**20 cells a side keeps keys in int64
+    wlat = max(reach_m / METERS_PER_DEGREE * (1 + 1e-6), float(np.ptp(lats)) / 2**20)
+    wlon = max(wlat / math.cos(math.radians(float(np.abs(lats).max()))),
+               float(np.ptp(lons)) / 2**20)
+    col = ((lons - lons.min()) / wlon).astype(np.int64)
+    ncol = int(col.max()) + 2  # a spare column: a row's neighbours never wrap into the next
+    key = ((lats - lats.min()) / wlat).astype(np.int64) * ncol + col
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    near = cells[:, None] + (np.arange(-1, 2)[:, None] * ncol + np.arange(-1, 2)).ravel()
+    at = np.minimum(np.searchsorted(cells, near), len(cells) - 1)  # (cells, 9) neighbours
+    n_near = np.where(cells[at] == near, count[at], 0)
+    query_cell = np.searchsorted(cells, key[queries])
+    per_query = n_near.sum(axis=1)[query_cell]
+    # a step starts at each query whose first pair opens a new PAIR_CHUNK
+    firsts = np.flatnonzero(np.diff((np.cumsum(per_query) - per_query) // PAIR_CHUNK, prepend=-1))
+    for first, stop in zip(firsts, [*firsts[1:], len(queries)]):
+        qc = query_cell[first:stop]
+        n = n_near[qc].ravel()
+        pos = np.arange(n.sum()) + np.repeat(start[at[qc]].ravel() - np.cumsum(n) + n, n)
+        yield np.repeat(np.arange(first, stop), per_query[first:stop]), order[pos]
+
+
 def sample_tiles(
     points: Sequence[GeoPoint], spec: TileSpec, min_sep_px: int
 ) -> tuple[list[TileSpec], list[list[int]]]:
@@ -171,7 +217,8 @@ def sample_tiles(
     A point spawns a tile centered on itself unless an already spawned tile
     center lies strictly within min_sep_px * resolution meters. Every point is
     then assigned to every tile whose footprint strictly contains it, so one
-    ground image can belong to several overlapping tiles.
+    ground image can belong to several overlapping tiles. Both rules are tested
+    on the pairs of neighbouring grid cells only, so time is linear in the points.
 
     Returns the tiles and, per tile, the ascending indices of assigned points.
     """
@@ -184,46 +231,30 @@ def sample_tiles(
     lats = np.array([p.lat for p in points], dtype=np.float64)
     lons = np.array([p.lon for p in points], dtype=np.float64)
 
-    center_lat = np.empty(len(points))
-    center_lon = np.empty(len(points))
-    n_tiles = 0
-    tiles: list[TileSpec] = []
-    for i in range(len(points)):
-        if n_tiles > 0 and min_sep_m > 0:
-            clat = center_lat[:n_tiles]
-            clon = center_lon[:n_tiles]
-            dn = (lats[i] - clat) * METERS_PER_DEGREE
-            de = (
-                (lons[i] - clon)
-                * METERS_PER_DEGREE
-                * np.cos(np.radians((lats[i] + clat) / 2))
-            )
-            if bool(np.any(dn * dn + de * de < min_sep_m * min_sep_m)):
-                continue
-        center_lat[n_tiles] = lats[i]
-        center_lon[n_tiles] = lons[i]
-        n_tiles += 1
-        tiles.append(
-            TileSpec(
-                center=points[i],
-                resolution_m_per_px=spec.resolution_m_per_px,
-                size_px=spec.size_px,
-                patch_px=spec.patch_px,
-            )
-        )
+    spawn = np.ones(len(points), dtype=bool)
+    for i, j in _neighbour_pairs(lats, lons, min_sep_m, np.arange(lats.size)) if min_sep_m else ():
+        first = i[0]  # every point is its own candidate
+        i, j = i[j < i], j[j < i]
+        near = separation_m2(lats[i], lons[i], lats[j], lons[j]) < min_sep_m * min_sep_m
+        i, j, settled = i[near], j[near], j[near] < first
+        spawn[i[settled & spawn[j]]] = False
+        # pairs within the step, i ascending: j's fate is known when i's comes
+        for a, b in zip(i[~settled].tolist(), j[~settled].tolist()):
+            spawn[a] &= not spawn[b]
+    centers = np.flatnonzero(spawn)
+    tiles = [replace(spec, center=points[c]) for c in centers]
 
     half = spec.half_extent_m
-    assignment: list[list[int]] = []
-    for t in tiles:
-        dn = (lats - t.center.lat) * METERS_PER_DEGREE
-        de = (
-            (lons - t.center.lon)
-            * METERS_PER_DEGREE
-            * math.cos(math.radians(t.center.lat))
-        )
-        inside = (np.abs(dn) < half) & (np.abs(de) < half)
-        assignment.append(np.nonzero(inside)[0].tolist())
-    return tiles, assignment
+    lon_cos = np.array([math.cos(math.radians(t.center.lat)) for t in tiles])
+    found = []
+    for t, p in _neighbour_pairs(lats, lons, half, centers):
+        c = centers[t]
+        inside = footprint_offsets(lats[p], lons[p], lats[c], lons[c], lon_cos[t], half)[2]
+        found.append((t[inside], p[inside]))
+    t, p = map(np.concatenate, zip(*found))
+    members = p[np.lexsort((p, t))].tolist()
+    ends = np.cumsum(np.bincount(t, minlength=len(tiles))).tolist()
+    return tiles, [members[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def cap_subsample(

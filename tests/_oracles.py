@@ -291,6 +291,27 @@ def class_grid_per_tile(fld, tile) -> np.ndarray:
                              np.broadcast_to(lon[None, :], (g, g)))
 
 
+def class_grids_broadcast(fld, specs) -> np.ndarray:
+    """(N, G, G) classes of N tiles, each block's patch-center coordinates
+    broadcast to (n, G, G) and passed through `class_at_many`."""
+    g = specs[0].grid_px
+    patch_px, half, res, lat0, lon0, lon_scale = np.array(
+        [(s.patch_px, s.size_px / 2, s.resolution_m_per_px, s.center.lat, s.center.lon,
+          geo.METERS_PER_DEGREE * math.cos(math.radians(s.center.lat))) for s in specs]
+    ).T[..., None]
+    north = (half - (np.arange(g) + 0.5) * patch_px) * res
+    lat = lat0 + north / geo.METERS_PER_DEGREE
+    lon = lon0 - north / lon_scale
+    shape = (len(specs), g, g)
+    return fld.class_at_many(np.broadcast_to(lat[:, :, None], shape),
+                             np.broadcast_to(lon[:, None, :], shape))
+
+
+def majority_class_per_tile(grids) -> np.ndarray:
+    """Each tile's most frequent class, the lowest one on a tie, one bincount per tile."""
+    return np.array([int(np.bincount(grid.ravel()).argmax()) for grid in grids])
+
+
 def materialize_per_tile(fld, tile, snapshot_ts: int) -> np.ndarray:
     g = tile.grid_px
     labels = class_grid_per_tile(fld, tile)
@@ -348,3 +369,53 @@ def min_center_separation_per_tile(tiles) -> float:
         d = np.sqrt(dn * dn + de * de)
         best = min(best, float(d.min()))
     return best
+
+
+# ---- pairing ------------------------------------------------------------------
+
+
+def sample_tiles_scan(points, spec, min_sep_px):
+    """Greedy tile sampling as first written: each point against every spawned
+    center, then each tile against every point."""
+    min_sep_m = min_sep_px * spec.resolution_m_per_px
+    lats = np.array([p.lat for p in points], dtype=np.float64)
+    lons = np.array([p.lon for p in points], dtype=np.float64)
+    center_lat = np.empty(len(points))
+    center_lon = np.empty(len(points))
+    n_tiles = 0
+    tiles = []
+    for i in range(len(points)):
+        if n_tiles > 0 and min_sep_m > 0:
+            clat = center_lat[:n_tiles]
+            clon = center_lon[:n_tiles]
+            dn = (lats[i] - clat) * geo.METERS_PER_DEGREE
+            de = (
+                (lons[i] - clon)
+                * geo.METERS_PER_DEGREE
+                * np.cos(np.radians((lats[i] + clat) / 2))
+            )
+            if bool(np.any(dn * dn + de * de < min_sep_m * min_sep_m)):
+                continue
+        center_lat[n_tiles] = lats[i]
+        center_lon[n_tiles] = lons[i]
+        n_tiles += 1
+        tiles.append(geo.TileSpec(center=points[i], resolution_m_per_px=spec.resolution_m_per_px,
+                                  size_px=spec.size_px, patch_px=spec.patch_px))
+    half = spec.half_extent_m
+    assignment = []
+    for t in tiles:
+        dn = (lats - t.center.lat) * geo.METERS_PER_DEGREE
+        de = (
+            (lons - t.center.lon)
+            * geo.METERS_PER_DEGREE
+            * math.cos(math.radians(t.center.lat))
+        )
+        inside = (np.abs(dn) < half) & (np.abs(de) < half)
+        assignment.append(np.nonzero(inside)[0].tolist())
+    return tiles, assignment
+
+
+def select_snapshot_scan(candidates, target: int) -> int:
+    """Index of the timestamp closest to target; ties go to the earlier snapshot."""
+    return min(range(len(candidates)),
+               key=lambda i: (abs(candidates[i] - target), candidates[i], i))

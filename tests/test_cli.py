@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import graft
-from _oracles import class_grid_per_tile, density_scores_per_cell, min_center_separation_per_tile
+from _oracles import (class_grid_per_tile, density_scores_per_cell, majority_class_per_tile,
+                      min_center_separation_per_tile)
 from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
@@ -113,6 +114,7 @@ def test_unknown_config_key_exits_2():
         ("build", "pair.cap=0"),
         ("build", "pair.min_sep_px=-5"),
         ("train", "train.hidden_dim=0"),
+        ("train", "train.warmup_steps=-1"),  # not "derive": only 0 is
     ],
 )
 def test_rejected_config_value_exits_2(pipeline, tmp_path, capsys, command, override):
@@ -283,6 +285,28 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
     np.testing.assert_array_equal(seen["pred"].ravel(), np.concatenate(want, axis=None))
     gt = [class_grid_per_tile(world.field, t.spec) for t in ds.tiles]
     np.testing.assert_array_equal(seen["gt"].ravel(), np.concatenate(gt, axis=None))
+
+
+def test_eval_ground_truth_is_each_tiles_majority_class(pipeline, tmp_path, monkeypatch):
+    # half the tiles split two classes 98/98, so ties are common: the lower
+    # class wins, as in one bincount per tile
+    _, world_dir, dataset, ckpt = pipeline
+    rng = np.random.default_rng(4)
+    grids = []
+
+    def class_grids(fld, specs):
+        labels = rng.integers(0, len(fld.class_names), (len(specs), 196))
+        pairs = rng.integers(0, len(fld.class_names), (len(specs) // 2, 2))
+        labels[: len(pairs)] = np.repeat(pairs, 98, axis=1)
+        grids.append(labels.reshape(-1, 14, 14))
+        return grids[-1]
+
+    monkeypatch.setattr(corpus, "class_grids", class_grids)
+    out = tmp_path / "eval"
+    assert main(["eval", "classify", "--world", str(world_dir), "--dataset", str(dataset),
+                 "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    gts = [int(line.split()[2]) for line in (out / "classify_results.txt").read_text().splitlines()]
+    assert gts == majority_class_per_tile(grids[0]).tolist()
 
 
 def test_eval_random_encoder_near_chance(pipeline):

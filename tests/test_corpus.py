@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import class_at, class_centroids, class_grid_per_tile, materialize_per_tile
+from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_broadcast,
+                      materialize_per_tile, select_snapshot_scan)
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
@@ -14,6 +19,7 @@ from graft.corpus import (
     ManifestError,
     SnapshotRecord,
     SynthWorldConfig,
+    VoronoiFeatureField,
     build_pairs,
     load_dataset,
     load_feature_field,
@@ -28,6 +34,13 @@ from graft.corpus import (
     validate_dataset,
 )
 from graft.geo import GeoPoint, TileSpec
+
+
+def test_pair_index_of_a_dataset_without_tiles():
+    ds = corpus.PairedDataset(tiles=[], grounds=[], assignments=[], provenance={})
+    pairs = ds.pair_index()
+    assert pairs.offsets.tolist() == [0] and pairs.pixel.shape == (0, 2)
+    assert make_batches(ds, 4) == []
 
 
 def test_select_snapshot_singleton():
@@ -46,6 +59,24 @@ def test_select_snapshot_tie_prefers_earlier():
 def test_select_snapshot_empty():
     with pytest.raises(ValueError):
         select_snapshot([], 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ts=st.lists(st.integers(0, 20), min_size=1, max_size=8),
+    targets=st.lists(st.integers(-5, 25), min_size=1, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_snapshot_many_matches_scan(ts, targets, seed):
+    # few distinct timestamps, so equal gaps and equal timestamps tie often
+    rng = np.random.default_rng(seed)
+    usable = rng.random((len(ts), len(targets))) < 0.5
+    usable[rng.integers(len(ts), size=len(targets)), np.arange(len(targets))] = True
+    got = select_snapshot(ts, np.array(targets), usable)
+    for t, target in enumerate(targets):
+        idx = np.flatnonzero(usable[:, t])
+        assert got[t] == idx[select_snapshot_scan([ts[i] for i in idx], target)]
+        assert select_snapshot(ts, target) == select_snapshot_scan(ts, target)
 
 
 def test_ground_manifest_roundtrip(tmp_path):
@@ -352,6 +383,36 @@ def test_materialize_many_matches_per_tile_oracle(request, monkeypatch, world_na
     # the one-tile methods are the same computation
     np.testing.assert_array_equal(fld.materialize(specs[5], timestamps[5]), want[5])
     np.testing.assert_array_equal(fld.class_grid(specs[5]), class_grid_per_tile(fld, specs[5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 12),
+    lat=st.floats(-80.0, 80.0),
+    n=st.integers(1, 150),
+    grid=st.sampled_from([(224, 16, 1.0), (64, 16, 10.0), (96, 8, 1.0)]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_grids_match_broadcast_oracle(k, lat, n, grid, tied, seed):
+    # up to three blocks of tiles; a repeated seed ties two classes everywhere
+    rng = np.random.default_rng(seed)
+    dlat = 3000.0 / geo.METERS_PER_DEGREE
+    dlon = dlat / math.cos(math.radians(lat))
+    seeds_lat, seeds_lon = lat + rng.uniform(-dlat, dlat, k), 10.0 + rng.uniform(-dlon, dlon, k)
+    if tied:
+        seeds_lat[-1], seeds_lon[-1] = seeds_lat[0], seeds_lon[0]
+    bounds = (lat - dlat, lat + dlat, 10.0 - dlon, 10.0 + dlon)
+    fld = VoronoiFeatureField([f"c{i}" for i in range(k)], seeds_lat, seeds_lon,
+                              GeoPoint(lat, 10.0), bounds, feature_dim=k, noise_sigma=0.0,
+                              noise_key=0)
+    size, patch, res = grid
+    specs = [TileSpec(GeoPoint(a, b), res, size, patch)
+             for a, b in zip(lat + rng.uniform(-dlat, dlat, n), 10.0 + rng.uniform(-dlon, dlon, n))]
+    got = corpus.class_grids(fld, specs)
+    np.testing.assert_array_equal(got, class_grids_broadcast(fld, specs))
+    if tied:
+        assert not np.any(got == k - 1)
 
 
 def test_materialize_many_rejects_mismatched_inputs(noiseless_world):

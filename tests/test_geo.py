@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import sample_tiles_scan
 from graft import geo
 from graft.geo import (
     GeoPoint,
@@ -53,6 +54,13 @@ def test_geopoint_lon_normalization():
         GeoPoint(91.0, 0.0)
     with pytest.raises(ValueError):
         GeoPoint(0.0, math.inf)
+
+
+@pytest.mark.parametrize("res", [0.0, -1.0, math.nan, math.inf])
+def test_tilespec_rejects_resolution_outside_domain(res):
+    # a finite positive resolution keeps every tile's spawning ground inside it
+    with pytest.raises(ValueError, match="positive and finite"):
+        TileSpec(GeoPoint(0, 0), resolution_m_per_px=res)
 
 
 def test_tilespec_divisibility():
@@ -203,6 +211,128 @@ def test_sample_tiles_invariants_random():
             patch = pixel_to_patch(px, tile.patch_px)
             assert 0 <= patch.prow < tile.grid_px
             assert 0 <= patch.pcol < tile.grid_px
+
+
+# ---- grid-bucketed sample_tiles against the all-pairs scan ----------------------
+
+M = geo.METERS_PER_DEGREE
+# On a lattice of 2**-12 degree steps at M * 2**-16 m/px, a 64 px separation is
+# exactly 4 latitude steps and a 224 px tile's half extent exactly 7, so pairs
+# fall exactly at the separation and points exactly on footprint edges.
+LATTICE_DEG = 2.0**-12
+LATTICE_RES = M * 2.0**-16
+
+
+def assert_same_as_scan(points, spec, min_sep_px):
+    tiles, assignment = sample_tiles(points, spec, min_sep_px)
+    want_tiles, want_assignment = sample_tiles_scan(points, spec, min_sep_px)
+    assert tiles == want_tiles
+    assert assignment == want_assignment
+    return tiles, assignment
+
+
+def test_lattice_hits_separation_and_edges_exactly():
+    a = GeoPoint(44.0, 7.0)
+    b, c = GeoPoint(44.0 + 4 * LATTICE_DEG, 7.0), GeoPoint(44.0 + 7 * LATTICE_DEG, 7.0)
+    tile = TileSpec(a, resolution_m_per_px=LATTICE_RES)
+    assert geo.flat_earth_offset_m(a, b)[0] == 64 * LATTICE_RES
+    assert geo.flat_earth_offset_m(a, c)[0] == tile.half_extent_m
+    assert not tile_contains(tile, c)
+    # at exactly the separation a point still spawns: the test is strict
+    tiles, assignment = assert_same_as_scan([a, b, c], tile, 64)
+    assert [t.center for t in tiles] == [a, b]
+    assert assignment == [[0, 1], [0, 1, 2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1,
+                   max_size=60),
+    min_sep_px=st.sampled_from([0, 1, 64, 65, 128]),
+)
+def test_sample_tiles_matches_scan_on_lattice(cells, min_sep_px):
+    # repeated cells are duplicate points
+    points = [GeoPoint(44.0 + i * LATTICE_DEG, 7.0 + j * LATTICE_DEG) for i, j in cells]
+    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0), resolution_m_per_px=LATTICE_RES),
+                        min_sep_px)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lat=st.floats(-80.0, 80.0),
+    lon=st.floats(-180.0, 179.0),
+    n_clusters=st.integers(1, 4),
+    spread_m=st.sampled_from([0.0, 5.0, 60.0, 400.0, 3000.0]),
+    n=st.integers(1, 80),
+    n_dup=st.integers(0, 20),
+    min_sep_px=st.sampled_from([0, 1, 56, 112, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_tiles_matches_scan_clustered(lat, lon, n_clusters, spread_m, n, n_dup,
+                                             min_sep_px, seed):
+    rng = np.random.default_rng(seed)
+    scale = np.array([1.0, 1.0 / math.cos(math.radians(lat))]) / M
+    centers = np.array([lat, lon]) + rng.uniform(-1, 1, (n_clusters, 2)) * 2000.0 * scale
+    pts = centers[rng.integers(n_clusters, size=n)] + rng.normal(size=(n, 2)) * spread_m * scale
+    pts = np.concatenate([pts, pts[rng.integers(n, size=n_dup)]])
+    points = [GeoPoint(a, b) for a, b in pts]
+    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), min_sep_px)
+
+
+@pytest.mark.parametrize("bearing", ["north", "east"])
+def test_sample_tiles_matches_scan_on_chain_just_inside_separation(bearing):
+    # consecutive points 0.9995 separations apart, so some pairs that conflict
+    # straddle a cell boundary just short of two cells
+    step = 0.9995 * 112 / M
+    k = np.arange(3000)
+    lats, lons = (44.0 + k * step, np.full(3000, 7.0)) if bearing == "north" else (
+        np.full(3000, 44.0), 7.0 + k * step / math.cos(math.radians(44.0)))
+    points = [GeoPoint(a, b) for a, b in zip(lats, lons)]
+    tiles, _ = assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    assert len(tiles) == 1500
+
+
+@pytest.mark.parametrize("lat", [80.0, -80.0, 89.999])
+def test_sample_tiles_matches_scan_at_high_latitude(lat):
+    # a degree of longitude is ~19 km at 80 degrees and ~200 m at 89.999
+    rng = np.random.default_rng(int(abs(lat)))
+    lats = lat + rng.uniform(-1, 1, 400) * 1500.0 / M
+    lons = 20.0 + rng.uniform(-1, 1, 400) * 0.05
+    points = [GeoPoint(a, b) for a, b in zip(np.clip(lats, -90, 90), lons)]
+    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+
+
+def test_sample_tiles_matches_scan_across_antimeridian():
+    # plain longitude subtraction puts 179.9995 and -179.9995 ~100 km apart at
+    # 45 degrees, so neither phase pairs points across +-180
+    rng = np.random.default_rng(1)
+    lons = np.concatenate([180.0 - rng.uniform(0, 0.002, 100), -180.0 + rng.uniform(0, 0.002, 100)])
+    points = [GeoPoint(45.0 + rng.uniform(-1, 1) * 0.001, lon) for lon in lons]
+    tiles, assignment = assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    east = {i for i, p in enumerate(points) if p.lon > 0}
+    assert all(set(a) <= east or not set(a) & east for a in assignment)
+
+
+@pytest.mark.parametrize("min_sep_px", [0, 112])
+def test_sample_tiles_single_point_matches_scan(min_sep_px):
+    assert_same_as_scan([GeoPoint(-33.9, 151.2)], TileSpec(GeoPoint(0, 0)), min_sep_px)
+
+
+def test_sample_tiles_one_cell_memory_stays_chunked():
+    # 2000 points within a metre share one grid cell in both phases: 4M
+    # candidate pairs per phase, 32 MB per int64 array if made at once
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    points = [GeoPoint(50.0 + a / M, 8.0 + b / M) for a, b in rng.uniform(0, 1, (2000, 2))]
+    tracemalloc.start()
+    try:
+        tiles, assignment = sample_tiles(points, TileSpec(GeoPoint(0, 0)), 112)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert (tiles, assignment) == sample_tiles_scan(points, TileSpec(GeoPoint(0, 0)), 112)
 
 
 def test_cap_subsample_under_cap_unchanged():
