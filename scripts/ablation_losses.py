@@ -9,8 +9,8 @@ A desk-scale caveat worth knowing before reading the numbers: on gaussian
 Voronoi worlds the pure-attraction (l2) variant is a strong baseline - its
 optimum is the posterior-mean embedding, which ranks well against the fixed
 class anchors - so the large-scale advantage of the temperature-sharpened
-contrastive variants does not reproduce here (see the decisions notes in the
-repository root README).
+contrastive variants does not reproduce here (see "Known desk-scale result"
+in the repository's README).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from graft import corpus, evaluation, geo  # noqa: E402
-from graft.encoder import embed_images, forward_patch_rows  # noqa: E402
-from graft.frozen import PromptSet, embed_text  # noqa: E402
+from graft.encoder import embed_images  # noqa: E402
+from graft.frozen import PromptSet  # noqa: E402
 from graft.losses import VARIANTS, LossConfig  # noqa: E402
 from graft.train import TrainSchedule, train  # noqa: E402
 
@@ -50,30 +50,18 @@ def build(seed: int, noise: float, n_ground: int, extent_km: float):
 
 
 def evaluate(world, params, ds_eval):
-    prompts = PromptSet()
-    class_embs = np.stack(
-        [embed_text(world.text_encoder, n, prompts) for n in world.class_names]
-    )
-    features = [tile.patch_features for tile in ds_eval.tiles]
-    embs = embed_images(params, features)
-    patch_embs, _ = forward_patch_rows(
-        params, np.concatenate([f.reshape(-1, f.shape[-1]) for f in features])
-    )
-    seg_pred, _ = evaluation.segment_patches(patch_embs, class_embs)
-    seg_gt = [world.field.class_grid(tile.spec).ravel() for tile in ds_eval.tiles]
-    gts = np.array([np.bincount(grid).argmax() for grid in seg_gt])
-    acc = float(np.mean(np.argmax(embs @ class_embs.T, axis=1) == gts))
-    ids = [t.id for t in ds_eval.tiles]
-    gt_of = dict(zip(ids, gts))
-    aps = []
-    for c in range(class_embs.shape[0]):
-        ranked = evaluation.retrieve(class_embs[c], ids, embs, query_id=str(c))
-        flags = [1 if gt_of[i] == c else 0 for i in ranked.item_ids]
-        aps.append(evaluation.average_precision_at_k(flags, 20))
-    _, seg_acc = evaluation.per_class_accuracy(
-        seg_pred[None, :], np.concatenate(seg_gt)[None, :]
-    )
-    return acc, float(np.mean(aps)), seg_acc
+    class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
+                                             PromptSet())
+    grids = [tile.patch_features for tile in ds_eval.tiles]
+    seg_gt = corpus.class_grids(world.field, [tile.spec for tile in ds_eval.tiles])
+    gts = evaluation.majority_labels(seg_gt, len(world.class_names))
+    embs = embed_images(params, grids)
+    preds, _ = evaluation.classify(embs, class_embs)
+    _, (ap20s,) = evaluation.retrieval_ap(class_embs, [t.id for t in ds_eval.tiles], embs,
+                                          gts, (20,))
+    seg_pred = evaluation.segment_tiles(params, grids, class_embs)
+    _, seg_acc = evaluation.per_class_accuracy(seg_pred.reshape(1, -1), seg_gt.reshape(1, -1))
+    return float(np.mean(preds == gts)), float(np.mean(ap20s)), seg_acc
 
 
 def main() -> None:

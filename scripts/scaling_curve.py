@@ -15,9 +15,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from graft import corpus, geo  # noqa: E402
+from graft import corpus, evaluation, geo  # noqa: E402
 from graft.encoder import embed_images  # noqa: E402
-from graft.frozen import PromptSet, embed_text  # noqa: E402
+from graft.frozen import PromptSet  # noqa: E402
 from graft.losses import LossConfig  # noqa: E402
 from graft.train import TrainSchedule, train  # noqa: E402
 
@@ -47,20 +47,18 @@ def main() -> None:
         ds_train = corpus.subset_tiles(ds, order[: len(ds.tiles) - n_eval])
         ds_eval = corpus.subset_tiles(ds, order[len(ds.tiles) - n_eval :])
 
-        prompts = PromptSet()
-        class_embs = np.stack(
-            [embed_text(world.text_encoder, n, prompts) for n in world.class_names]
-        )
-        gts = np.array(
-            [np.bincount(world.field.class_grid(t.spec).ravel()).argmax()
-             for t in ds_eval.tiles]
+        class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
+                                                 PromptSet())
+        gts = evaluation.majority_labels(
+            corpus.class_grids(world.field, [t.spec for t in ds_eval.tiles]),
+            len(world.class_names),
         )
         for frac in args.fractions:
             sub = corpus.subset_tiles(ds_train, range(int(len(ds_train.tiles) * frac)))
             result = train(sub, world.ground_encoder, LossConfig(),
                            TrainSchedule(epochs=args.epochs, seed=seed))
             embs = embed_images(result.params, [t.patch_features for t in ds_eval.tiles])
-            preds = np.argmax(embs @ class_embs.T, axis=1)
+            preds, _ = evaluation.classify(embs, class_embs)
             acc = float(np.mean(preds == gts))
             accs[frac].append(acc)
             print(f"seed {seed} budget {frac:>5.0%}: {len(sub.tiles):4d} tiles "

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, encoder, evaluation, geo
+from . import corpus, evaluation, geo
 from .config import ConfigError, RunConfig
 from .corpus import (
     DatasetFormatError,
@@ -32,7 +32,7 @@ from .corpus import (
     LoadedWorld,
     ManifestError,
 )
-from .encoder import DegenerateOutputError, SatEncoderParams, embed_images, forward_patch_rows
+from .encoder import DegenerateOutputError, SatEncoderParams, embed_images
 from .frozen import MissingEmbeddingError, embed_text
 from .train import DivergenceError, load_checkpoint, save_checkpoint, train
 
@@ -119,33 +119,24 @@ def _load_world(args: argparse.Namespace) -> LoadedWorld:
     return corpus.load_world_dir(args.world)
 
 
-def _class_prompt_embeddings(world: LoadedWorld, cfg: RunConfig) -> np.ndarray:
-    prompts = cfg.prompt_set()
-    return np.stack(
-        [embed_text(world.text_encoder, name, prompts) for name in world.class_names]
-    )
-
-
 def _check_compatible(params: SatEncoderParams, world: LoadedWorld,
-                      tiles: list[corpus.SatTileRecord] | None) -> None:
-    """Checkpoint dimensions against the text fixture it is scored with and the tiles."""
+                      feature_dim: int, n_patches: int) -> None:
+    """Checkpoint dimensions against the text fixture it is scored with and the
+    feature dimension and patch count of the tiles it embeds."""
     if params.embed_dim != world.text_encoder.dim:
         raise MismatchError(
             f"checkpoint embeds into {params.embed_dim} dims but the world's text fixture "
             f"has {world.text_encoder.dim}"
         )
-    if tiles:
-        tile = tiles[0]
-        if params.feature_dim != tile.feature_dim:
-            raise MismatchError(
-                f"checkpoint expects {params.feature_dim}-dim features but dataset "
-                f"tiles carry {tile.feature_dim}"
-            )
-        if params.n_patches != tile.spec.grid_px ** 2:
-            raise MismatchError(
-                f"checkpoint pools {params.n_patches} patches but tiles have "
-                f"{tile.spec.grid_px ** 2}"
-            )
+    if params.feature_dim != feature_dim:
+        raise MismatchError(
+            f"checkpoint expects {params.feature_dim}-dim features but the tiles carry "
+            f"{feature_dim}"
+        )
+    if params.n_patches != n_patches:
+        raise MismatchError(
+            f"checkpoint pools {params.n_patches} patches but tiles have {n_patches}"
+        )
 
 
 def _load_checkpoint_or_mismatch(path: str) -> tuple[SatEncoderParams, dict]:
@@ -258,21 +249,19 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(args)
     world = _load_world(args)
     tiles = corpus.load_tiles(args.dataset)
+    if not tiles:
+        raise EmptyDatasetError(f"dataset {args.dataset} holds no tiles")
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
-    _check_compatible(params, world, tiles)
-    class_embs = _class_prompt_embeddings(world, cfg)
+    _check_compatible(params, world, tiles[0].feature_dim, tiles[0].spec.grid_px ** 2)
+    class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
+                                             cfg.prompt_set())
     gt_grids = corpus.class_grids(world.field, [t.spec for t in tiles])
-    gt_grids = gt_grids.reshape(len(tiles), -1)
-    k = len(world.class_names)  # majority class per tile; argmax gives a tie to the lowest
-    gts = np.bincount((np.arange(len(tiles))[:, None] * k + gt_grids).ravel(),
-                      minlength=len(tiles) * k).reshape(-1, k).argmax(axis=1)
+    gts = evaluation.majority_labels(gt_grids, len(world.class_names))
     cfg.write_snapshot(out)
+    grids = [t.patch_features for t in tiles]
 
     if args.task == "classify":
-        embs = embed_images(params, [t.patch_features for t in tiles])
-        scores = embs @ class_embs.T
-        preds = np.array([evaluation.zero_shot_classify(img, class_embs) for img in embs],
-                         dtype=int)
+        preds, scores = evaluation.classify(embed_images(params, grids), class_embs)
         accuracy = float(np.mean(preds == gts))
         onehot = np.zeros_like(scores)
         onehot[np.arange(len(gts)), gts] = 1.0
@@ -288,23 +277,15 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
 
     if args.task == "retrieve":
-        embs = embed_images(params, [t.patch_features for t in tiles])
-        ids = [t.id for t in tiles]
-        gt_of = dict(zip(ids, gts))
-        lines, metric_lines = [], []
-        ap100s, ap20s = [], []
-        for c, name in enumerate(world.class_names):
-            ranked = evaluation.retrieve(class_embs[c], ids, embs, query_id=name)
-            flags = [1 if gt_of[i] == c else 0 for i in ranked.item_ids]
-            ap100 = evaluation.average_precision_at_k(flags, 100)
-            ap20 = evaluation.average_precision_at_k(flags, 20)
-            ap100s.append(ap100)
-            ap20s.append(ap20)
-            lines.append(
-                f"{name}\t{','.join(ranked.item_ids)}\t"
-                + ",".join(f"{s:.6f}" for s in ranked.scores)
-            )
-            metric_lines.append(f"{name} {ap100!r} {ap20!r}")
+        rankings, (ap100s, ap20s) = evaluation.retrieval_ap(
+            class_embs, [t.id for t in tiles], embed_images(params, grids), gts, (100, 20)
+        )
+        lines = [
+            f"{name}\t{','.join(ranked.item_ids)}\t" + ",".join(f"{s:.6f}" for s in ranked.scores)
+            for name, ranked in zip(world.class_names, rankings)
+        ]
+        metric_lines = [f"{name} {float(a100)!r} {float(a20)!r}"
+                        for name, a100, a20 in zip(world.class_names, ap100s, ap20s)]
         (out / "retrieval_results.txt").write_text("\n".join(lines) + "\n")
         (out / "retrieval_metrics.txt").write_text(
             "\n".join(metric_lines)
@@ -314,20 +295,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
               f"over {len(world.class_names)} queries")
         return 0
 
-    # segment: one patch-level forward per block of whole tiles, the encoder's
-    # block size, so memory stays at one block whatever the tile count
-    pred = np.empty(gt_grids.shape, dtype=np.intp)
-    per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
-    for start in range(0, len(tiles), per_block):
-        block = tiles[start : start + per_block]
-        patch_embs, _ = forward_patch_rows(
-            params, np.concatenate([t.patch_features.reshape(-1, t.feature_dim) for t in block])
-        )
-        labels, _ = evaluation.segment_patches(patch_embs, class_embs)
-        pred[start : start + len(block)] = labels.reshape(len(block), -1)
-    pred = pred.reshape(1, -1)
-    gt = gt_grids.reshape(1, -1)
-    accs, mean_acc = evaluation.per_class_accuracy(pred, gt)
+    pred = evaluation.segment_tiles(params, grids, class_embs)
+    accs, mean_acc = evaluation.per_class_accuracy(pred.reshape(1, -1), gt_grids.reshape(1, -1))
     table = "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)
     )
@@ -343,11 +312,9 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(args)
     world = _load_world(args)
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
-    _check_compatible(params, world, None)
-    query_emb = embed_text(world.text_encoder, args.query, cfg.prompt_set())
     spec = cfg.tile_spec()
-    if params.n_patches != spec.grid_px ** 2 or params.feature_dim != world.field.feature_dim:
-        raise MismatchError("checkpoint does not match the tile/field configuration")
+    _check_compatible(params, world, world.field.feature_dim, spec.grid_px ** 2)
+    query_emb = embed_text(world.text_encoder, args.query, cfg.prompt_set())
 
     lat_min, lat_max, lon_min, lon_max = world.field.bounds
     cell_m = cfg.map_cell_px * spec.resolution_m_per_px
@@ -362,6 +329,8 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
                           f"{(lon_max - lon_min) * lon_m_per_degree:.0f} m extent")
     target_ts = int(np.mean([g.timestamp for g in world.grounds])) if world.grounds else 0
     snap_ts = [s.timestamp for s in world.snapshots]
+    if not snap_ts:
+        raise IntegrityError("snapshot manifest is empty")
     snapshot = world.snapshots[corpus.select_snapshot(snap_ts, target_ts)]
 
     # cells row-major, materialized and embedded one field block at a time, so

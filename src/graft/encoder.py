@@ -161,37 +161,6 @@ def forward_patch_rows(
     return cache.patch_embs, cache
 
 
-def _check_grid_shape(params: SatEncoderParams, shape: tuple[int, ...]) -> None:
-    """A (G, G, F) feature grid must match the encoder's patches and features."""
-    g0, g1, f = shape
-    if f != params.feature_dim:
-        raise ValueError(
-            f"features shape {shape} incompatible with feature_dim {params.feature_dim}"
-        )
-    if g0 * g1 != params.n_patches:
-        raise ValueError(
-            f"grid has {g0 * g1} patches but params pool over {params.n_patches}"
-        )
-
-
-def encoder_forward(
-    params: SatEncoderParams, tile_or_features
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embed one tile: (G, G, D) grid of unit patch embeddings, unit image embedding.
-
-    Accepts a satellite tile record or its raw (G, G, F) feature grid directly.
-    """
-    grid = np.asarray(getattr(tile_or_features, "patch_features", tile_or_features),
-                      dtype=np.float64)
-    if grid.ndim != 3:
-        raise ValueError(f"expected (G, G, F) feature grid, got shape {grid.shape}")
-    _check_grid_shape(params, grid.shape)
-    g0, g1, _ = grid.shape
-    cache = _forward_rows(params, grid.reshape(g0 * g1, -1))
-    image_embs, _ = _pooled_head(params, (_pool_weights(params) @ cache.h)[None])
-    return cache.patch_embs.reshape(g0, g1, -1), image_embs[0]
-
-
 def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: np.ndarray):
     """Layer 1 over whole tiles, IMAGE_BLOCK_ROWS patch rows at a time.
 
@@ -204,7 +173,14 @@ def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: 
         block = np.array(grids[start : start + per_block], dtype=np.float64)
         if block.ndim != 4:
             raise ValueError(f"expected (G, G, F) feature grids, got shape {block.shape[1:]}")
-        _check_grid_shape(params, block.shape[1:])
+        g0, g1, f = block.shape[1:]
+        if f != params.feature_dim:
+            raise ValueError(
+                f"features shape {block.shape[1:]} incompatible with feature_dim "
+                f"{params.feature_dim}"
+            )
+        if g0 * g1 != params.n_patches:
+            raise ValueError(f"grid has {g0 * g1} patches but params pool over {params.n_patches}")
         x = block.reshape(-1, params.feature_dim)
         h, y = _layers(params, x)
         if _norms(y).min() < _NORM_FLOOR:

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import encoder
+from .frozen import FrozenEncoder, PromptSet, embed_text
 from .geo import GeoPoint
 
 log = logging.getLogger(__name__)
@@ -28,7 +30,6 @@ IGNORE_LABEL = -1
 class RankedResult:
     """A query's ranking: item ids ordered by non-increasing cosine score."""
 
-    query_id: str
     item_ids: list[str]
     scores: np.ndarray
 
@@ -42,12 +43,24 @@ class RankedResult:
             raise ValueError("scores must be non-increasing")
 
 
-def zero_shot_classify(image_emb: np.ndarray, class_embs: np.ndarray) -> int:
-    """Argmax cosine class; exact ties go to the lowest class index."""
-    class_embs = np.asarray(class_embs)
-    if class_embs.shape[0] < 2:
-        raise ValueError("need at least 2 classes")
-    return int(np.argmax(class_embs @ np.asarray(image_emb)))
+def class_embeddings(text_encoder: FrozenEncoder, class_names: Sequence[str],
+                     prompts: PromptSet) -> np.ndarray:
+    """(K, D) prompt-averaged text embedding of each class name."""
+    return np.stack([embed_text(text_encoder, name, prompts) for name in class_names])
+
+
+def majority_labels(grids: np.ndarray, n_classes: int) -> np.ndarray:
+    """Most frequent class of each of N (N, G, G) class grids, the lowest on a tie."""
+    keys = np.arange(len(grids))[:, None] * n_classes + np.reshape(grids, (len(grids), -1))
+    counts = np.bincount(keys.ravel(), minlength=len(grids) * n_classes)
+    return counts.reshape(-1, n_classes).argmax(axis=1)
+
+
+def classify(image_embs: np.ndarray, class_embs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax class of each image embedding (exact ties to the lowest class
+    index) and the (N, K) cosine score matrix it is taken from."""
+    scores = np.asarray(image_embs, dtype=np.float64) @ np.asarray(class_embs, dtype=np.float64).T
+    return np.argmax(scores, axis=1), scores
 
 
 def average_precision_at_k(relevance: Sequence[int], k: int) -> float:
@@ -101,7 +114,6 @@ def retrieve(
     query_emb: np.ndarray,
     item_ids: Sequence[str],
     item_embs: np.ndarray,
-    query_id: str = "query",
 ) -> RankedResult:
     """Rank items by cosine against the query; ties break by ascending id."""
     item_embs = np.asarray(item_embs, dtype=np.float64)
@@ -109,11 +121,23 @@ def retrieve(
         raise ValueError("item_ids and item_embs must align")
     scores = item_embs @ np.asarray(query_emb, dtype=np.float64)
     order = sorted(range(len(item_ids)), key=lambda i: (-scores[i], item_ids[i]))
-    return RankedResult(
-        query_id=query_id,
-        item_ids=[item_ids[i] for i in order],
-        scores=scores[order],
-    )
+    return RankedResult(item_ids=[item_ids[i] for i in order], scores=scores[order])
+
+
+def retrieval_ap(
+    class_embs: np.ndarray,
+    item_ids: Sequence[str],
+    item_embs: np.ndarray,
+    labels: np.ndarray,
+    ks: Sequence[int],
+) -> tuple[list[RankedResult], np.ndarray]:
+    """Each class embedding's ranking of the items, and the (len(ks), K) AP@k
+    of each class at each k; an item is relevant to class c if its label is c."""
+    position = {item: i for i, item in enumerate(item_ids)}
+    rankings = [retrieve(query, item_ids, item_embs) for query in class_embs]
+    relevant = [np.asarray(labels)[[position[i] for i in ranked.item_ids]] == c
+                for c, ranked in enumerate(rankings)]
+    return rankings, np.array([[average_precision_at_k(rel, k) for rel in relevant] for k in ks])
 
 
 def segment_patches(
@@ -125,6 +149,21 @@ def segment_patches(
     logits = patch_embs @ class_embs.T  # (..., K)
     labels = np.argmax(logits, axis=-1)
     return labels, logits
+
+
+def segment_tiles(params: encoder.SatEncoderParams, grids: Sequence[np.ndarray],
+                  class_embs: np.ndarray) -> np.ndarray:
+    """(N, P) patch labels of N tiles' (G, G, F) feature grids, from one
+    patch-level forward and one `segment_patches` call per block of whole tiles
+    (`encoder.IMAGE_BLOCK_ROWS` patch rows), so memory stays at one block."""
+    labels = np.empty((len(grids), params.n_patches), dtype=np.intp)
+    per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
+    for start in range(0, len(grids), per_block):
+        block = grids[start : start + per_block]
+        rows = np.concatenate([g.reshape(-1, g.shape[-1]) for g in block])
+        patch_labels, _ = segment_patches(encoder.forward_patch_rows(params, rows)[0], class_embs)
+        labels[start : start + len(block)] = patch_labels.reshape(len(block), -1)
+    return labels
 
 
 def _catmull_rom_matrix(n_in: int, factor: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from graft import geo
-from graft.encoder import encoder_forward, forward_patch_rows
+from graft.encoder import forward_patch_rows
 from graft.geo import PixelCoord, pixel_to_patch
 from graft.losses import pixel_loss_anchors
 
@@ -249,12 +249,20 @@ def image_level_per_tile(params, grids, loss_fn):
 
 def forward_tile(params, patch_features):
     """One tile's (G, G, D) unit patch embeddings, unit image embedding and the
-    patch-level cache that `encoder_backward` takes."""
+    patch-level cache that `encoder_backward` takes; the tile is pooled on its
+    own, hidden rows first."""
     grid = np.asarray(patch_features, dtype=np.float64)
     g0, g1, f = grid.shape
     patch_embs, cache = forward_patch_rows(params, grid.reshape(g0 * g1, f))
-    _, image_emb = encoder_forward(params, grid)
-    return patch_embs.reshape(g0, g1, -1), image_emb, cache
+    alpha = np.exp(params.pool_logits - np.max(params.pool_logits))
+    y_img = ((alpha / alpha.sum()) @ cache.h) @ params.w2.T + params.b2
+    return patch_embs.reshape(g0, g1, -1), y_img / np.linalg.norm(y_img), cache
+
+
+def encoder_forward(params, patch_features):
+    """One tile's (G, G, D) unit patch embeddings and unit image embedding: the
+    per-tile reference for `embed_images` and `evaluation.segment_tiles`."""
+    return forward_tile(params, patch_features)[:2]
 
 
 # ---- the feature field one tile and one point at a time ---------------------

@@ -19,8 +19,8 @@ from scipy.spatial import cKDTree
 from _oracles import ap_at_k_bruteforce, fd_gradient, pack_groups, rand_unit, relative_error
 from graft import corpus, evaluation, geo
 from graft.cli import main as cli_main
-from graft.encoder import encoder_forward
-from graft.frozen import PromptSet, embed_text
+from graft.encoder import embed_images
+from graft.frozen import PromptSet
 from graft.losses import (
     image_loss,
     loss_avg_rep,
@@ -50,6 +50,7 @@ class Bundle:
     ds_train: corpus.PairedDataset
     ds_eval: corpus.PairedDataset
     class_embs: np.ndarray
+    eval_grids: np.ndarray
     eval_gt: np.ndarray
     eval_ids: list[str]
     build_seconds: float = 0.0
@@ -72,22 +73,15 @@ def _make_bundle(seed: int) -> Bundle:
     order = np.random.default_rng(seed + 777).permutation(len(ds.tiles))
     ds_train = corpus.subset_tiles(ds, order[:N_TRAIN])
     ds_eval = corpus.subset_tiles(ds, order[N_TRAIN : N_TRAIN + N_EVAL])
-    prompts = PromptSet()
-    class_embs = np.stack(
-        [embed_text(world.text_encoder, n, prompts) for n in world.class_names]
-    )
-    eval_gt = np.array(
-        [
-            np.bincount(world.field.class_grid(t.spec).ravel()).argmax()
-            for t in ds_eval.tiles
-        ]
-    )
+    eval_grids = corpus.class_grids(world.field, [t.spec for t in ds_eval.tiles])
     return Bundle(
         world=world,
         ds_train=ds_train,
         ds_eval=ds_eval,
-        class_embs=class_embs,
-        eval_gt=eval_gt,
+        class_embs=evaluation.class_embeddings(world.text_encoder, world.class_names,
+                                               PromptSet()),
+        eval_grids=eval_grids,
+        eval_gt=evaluation.majority_labels(eval_grids, cfg.n_classes),
         eval_ids=[t.id for t in ds_eval.tiles],
         build_seconds=time.monotonic() - t0,
     )
@@ -120,29 +114,23 @@ def image_models(bundles):
             for seed in SEEDS5}
 
 
-def _image_embeddings(params, tiles) -> np.ndarray:
-    embs = np.empty((len(tiles), params.embed_dim))
-    for i, tile in enumerate(tiles):
-        _, embs[i] = encoder_forward(params, tile.patch_features)
-    return embs
+# Criteria 4, 5, 6 and 10 score through the functions `graft eval` runs.
+
+
+def _eval_grids(bundle: Bundle) -> list[np.ndarray]:
+    return [t.patch_features for t in bundle.ds_eval.tiles]
 
 
 def _classification_accuracy(bundle: Bundle, params) -> float:
-    embs = _image_embeddings(params, bundle.ds_eval.tiles)
-    preds = np.argmax(embs @ bundle.class_embs.T, axis=1)
+    preds, _ = evaluation.classify(embed_images(params, _eval_grids(bundle)), bundle.class_embs)
     return float(np.mean(preds == bundle.eval_gt))
 
 
 def _retrieval_map_at_20(bundle: Bundle, params) -> float:
-    embs = _image_embeddings(params, bundle.ds_eval.tiles)
-    gt_of = dict(zip(bundle.eval_ids, bundle.eval_gt))
-    aps = []
-    for c in range(bundle.class_embs.shape[0]):
-        ranked = evaluation.retrieve(bundle.class_embs[c], bundle.eval_ids, embs,
-                                     query_id=str(c))
-        flags = [1 if gt_of[i] == c else 0 for i in ranked.item_ids]
-        aps.append(evaluation.average_precision_at_k(flags, 20))
-    return float(np.mean(aps))
+    embs = embed_images(params, _eval_grids(bundle))
+    _, (ap20s,) = evaluation.retrieval_ap(bundle.class_embs, bundle.eval_ids, embs,
+                                          bundle.eval_gt, (20,))
+    return float(np.mean(ap20s))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +250,9 @@ def test_criterion_5_pixel_level_alignment(bundles):
         bundle = bundles[seed]
         t0 = time.monotonic()
         result = _train_variant(bundle, "pixel_default", seed)
-        pred_parts, gt_parts = [], []
-        for tile in bundle.ds_eval.tiles:
-            patch_embs, _ = encoder_forward(result.params, tile.patch_features)
-            labels, _ = evaluation.segment_patches(patch_embs, bundle.class_embs)
-            pred_parts.append(labels.ravel())
-            gt_parts.append(bundle.world.field.class_grid(tile.spec).ravel())
-        pred = np.concatenate(pred_parts)[None, :]
-        gt = np.concatenate(gt_parts)[None, :]
-        _, mean_acc = evaluation.per_class_accuracy(pred, gt)
+        pred = evaluation.segment_tiles(result.params, _eval_grids(bundle), bundle.class_embs)
+        _, mean_acc = evaluation.per_class_accuracy(pred.reshape(1, -1),
+                                                    bundle.eval_grids.reshape(1, -1))
         means.append(mean_acc)
         elapsed += (time.monotonic() - t0) + bundle.build_seconds
     mean3 = float(np.mean(means))

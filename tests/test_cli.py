@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import graft
-from _oracles import (class_grid_per_tile, density_scores_per_cell, majority_class_per_tile,
-                      min_center_separation_per_tile)
+from _oracles import (class_grid_per_tile, density_scores_per_cell, encoder_forward,
+                      majority_class_per_tile, min_center_separation_per_tile)
 from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
-from graft.encoder import SatEncoderParams, encoder_forward, init_params
+from graft.encoder import SatEncoderParams, embed_images, init_params
 from graft.frozen import PromptSet, embed_text
 from graft.geo import GeoPoint, TileSpec
 from graft.train import load_checkpoint, save_checkpoint
@@ -186,6 +186,17 @@ def test_train_out_of_range_assignment_exits_4(pipeline, tmp_path, capsys):
     assert f"tile {ds.tiles[1].id}" in err and "1000000 out of range" in err
 
 
+def test_eval_empty_container_exits_4(pipeline, tmp_path, capsys):
+    _, world_dir, dataset, ckpt = pipeline
+    empty = tmp_path / "empty.grft"
+    corpus.save_dataset(corpus.subset_tiles(corpus.load_dataset(dataset), []), empty)
+    capsys.readouterr()
+    assert main(["eval", "classify", "--world", str(world_dir), "--dataset", str(empty),
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "holds no tiles" in err
+
+
 def test_train_zero_epochs_equals_init(pipeline, tmp_path):
     root, world_dir, dataset, _ = pipeline
     out = tmp_path / "run0"
@@ -278,9 +289,8 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
     assert main(["eval", "segment", "--world", str(world_dir), "--dataset", str(dataset),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "seg")]) == 0
 
-    class_embs = np.stack([embed_text(world.text_encoder, n, PromptSet())
-                           for n in world.class_names])
-    want = [evaluation.segment_patches(encoder_forward(params, t)[0], class_embs)[0]
+    class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names, PromptSet())
+    want = [evaluation.segment_patches(encoder_forward(params, t.patch_features)[0], class_embs)[0]
             for t in ds.tiles]
     np.testing.assert_array_equal(seen["pred"].ravel(), np.concatenate(want, axis=None))
     gt = [class_grid_per_tile(world.field, t.spec) for t in ds.tiles]
@@ -314,25 +324,15 @@ def test_eval_random_encoder_near_chance(pipeline):
     # averaged over many seeds the accuracy settles near 1/8
     root, world_dir, dataset, _ = pipeline
     world = corpus.load_world_dir(world_dir)
-    ds = corpus.load_dataset(dataset)
-    prompts = PromptSet()
-    class_embs = np.stack(
-        [embed_text(world.text_encoder, n, prompts) for n in world.class_names]
-    )
-    gts = np.array(
-        [np.bincount(world.field.class_grid(t.spec).ravel()).argmax() for t in ds.tiles]
-    )
+    tiles = corpus.load_tiles(dataset)
+    class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names, PromptSet())
+    gts = evaluation.majority_labels(corpus.class_grids(world.field, [t.spec for t in tiles]),
+                                     len(world.class_names))
     accs = []
     for seed in range(24):
         params = init_params(16, 32, 16, 196, seed=1000 + seed)
-        preds = np.array(
-            [
-                evaluation.zero_shot_classify(
-                    encoder_forward(params, t.patch_features)[1], class_embs
-                )
-                for t in ds.tiles
-            ]
-        )
+        preds, _ = evaluation.classify(embed_images(params, [t.patch_features for t in tiles]),
+                                       class_embs)
         accs.append(float(np.mean(preds == gts)))
     assert abs(np.mean(accs) - 0.125) <= 0.05
 
@@ -353,6 +353,18 @@ def test_eval_dimension_mismatch_exits_6(pipeline, tmp_path, capsys):
                  str(dataset), "--checkpoint", str(bad),
                  "--out", str(tmp_path / "e")]) == 6
     assert "text fixture has 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["map", "classify"])
+def test_patch_count_mismatch_exits_6(pipeline, tmp_path, capsys, command):
+    # map and eval share one compatibility check and its messages
+    root, world_dir, dataset, _ = pipeline
+    bad = tmp_path / "bad.grcp"
+    save_checkpoint(bad, init_params(16, 32, 16, 100, seed=0), {})
+    capsys.readouterr()
+    assert run_reader(command, world_dir, (root, world_dir, dataset, bad), tmp_path / "o") == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "pools 100 patches but tiles have 196" in err
 
 
 @pytest.mark.parametrize("cut", [7, 12])
@@ -631,6 +643,20 @@ def test_map_cell_px_out_of_domain_exits_2(pipeline, tmp_path, capsys, cell_px, 
                  "--set", f"map.cell_px={cell_px}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+def test_empty_snapshot_manifest_exits_4(pipeline, tmp_path, capsys, command):
+    world_dir = tmp_path / "world"
+    sixty = ["--set", "world.n_ground=60"]
+    assert main(["synth", "--out", str(world_dir), *sixty]) == 0
+    (world_dir / "snapshot_manifest.txt").write_text("")
+    capsys.readouterr()
+    inputs = ["water", "--checkpoint", str(pipeline[3])] if command == "map" else []
+    assert main([command, *inputs, "--world", str(world_dir), "--out", str(tmp_path / "o"),
+                 *sixty]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "snapshot manifest is empty" in err
 
 
 def test_map_unknown_label_exits_6(pipeline, tmp_path):

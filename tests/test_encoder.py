@@ -3,12 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient_inplace, forward_tile, rand_unit, relative_error
-from graft import encoder
+from _oracles import encoder_forward, fd_gradient_inplace, forward_tile, rand_unit, relative_error
+from graft import encoder, evaluation
 from graft.encoder import (
     embed_images,
     encoder_backward,
-    encoder_forward,
     forward_patch_rows,
     image_backward,
     image_forward,
@@ -21,42 +20,43 @@ def test_zero_hidden_weights_constant_patches(rng):
     params.w1[:] = 0.0
     params.b1[:] = rng.standard_normal(3)
     params.b2[:] = 0.0
-    features = rng.standard_normal((2, 2, 5))
-    patch_embs, _ = encoder_forward(params, features)
+    features = rng.standard_normal((4, 5))
+    patch_embs, _ = forward_patch_rows(params, features)
     expected = params.w2 @ np.tanh(params.b1)
     expected /= np.linalg.norm(expected)
-    for r in range(2):
-        for c in range(2):
-            np.testing.assert_allclose(patch_embs[r, c], expected, atol=1e-12)
+    for row in patch_embs:
+        np.testing.assert_allclose(row, expected, atol=1e-12)
 
 
 def test_outputs_unit_norm(rng):
     params = init_params(6, 8, 5, 9, seed=2)
     features = rng.standard_normal((3, 3, 6))
-    patch_embs, image_emb = encoder_forward(params, features)
+    patch_embs, _ = forward_patch_rows(params, features.reshape(9, 6))
+    image_embs = embed_images(params, [features])
     np.testing.assert_allclose(np.linalg.norm(patch_embs, axis=-1), 1.0, atol=1e-9)
-    assert np.linalg.norm(image_emb) == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(image_embs, axis=-1), 1.0, atol=1e-9)
 
 
 def test_patch_permutation_symmetry(rng):
     params = init_params(6, 8, 5, 9, seed=3)  # pool_logits start uniform
-    features = rng.standard_normal((3, 3, 6))
-    patch_embs, image_emb = encoder_forward(params, features)
+    features = rng.standard_normal((9, 6))
     perm = rng.permutation(9)
-    shuffled = features.reshape(9, 6)[perm].reshape(3, 3, 6)
-    patch_embs_p, image_emb_p = encoder_forward(params, shuffled)
-    np.testing.assert_allclose(
-        patch_embs_p.reshape(9, -1), patch_embs.reshape(9, -1)[perm], atol=1e-12
-    )
-    np.testing.assert_allclose(image_emb_p, image_emb, atol=1e-12)
+    patch_embs, _ = forward_patch_rows(params, features)
+    patch_embs_p, _ = forward_patch_rows(params, features[perm])
+    np.testing.assert_allclose(patch_embs_p, patch_embs[perm], atol=1e-12)
+    image_embs = embed_images(params, [features.reshape(3, 3, 6),
+                                       features[perm].reshape(3, 3, 6)])
+    np.testing.assert_allclose(image_embs[1], image_embs[0], atol=1e-12)
 
 
 def test_dimension_mismatch_errors(rng):
     params = init_params(6, 8, 5, 9, seed=4)
     with pytest.raises(ValueError, match="feature_dim"):
-        encoder_forward(params, rng.standard_normal((3, 3, 7)))
+        forward_patch_rows(params, rng.standard_normal((9, 7)))
+    with pytest.raises(ValueError, match="feature_dim"):
+        embed_images(params, [rng.standard_normal((3, 3, 7))])
     with pytest.raises(ValueError, match="patches"):
-        encoder_forward(params, rng.standard_normal((2, 2, 6)))
+        embed_images(params, [rng.standard_normal((2, 2, 6))])
 
 
 def test_forward_rows_match_full_forward(rng):
@@ -98,12 +98,17 @@ def test_image_forward_matches_tile_forward(rng):
     params.pool_logits[:] = rng.standard_normal(9)
     grids = [rng.standard_normal((3, 3, 6)).astype(np.float32) for _ in range(5)]
     want = np.array([encoder_forward(params, g)[1] for g in grids])
+    class_embs = rand_unit(rng, (4, 5))
+    want_labels = [evaluation.segment_patches(encoder_forward(params, g)[0], class_embs)[0]
+                   for g in grids]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(encoder, "IMAGE_BLOCK_ROWS", 18)
         embs, cache = image_forward(params, grids)
         assert [start for start, _, _ in cache.blocks] == [0, 2, 4]
         np.testing.assert_allclose(embs, want, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(embed_images(params, grids), embs)
+        np.testing.assert_array_equal(evaluation.segment_tiles(params, grids, class_embs),
+                                      np.reshape(want_labels, (5, 9)))
     # one block of all 5 tiles gives the same bits
     np.testing.assert_array_equal(embed_images(params, grids), embs)
 

@@ -5,46 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ap_at_k_bruteforce, rand_unit
+from _oracles import ap_at_k_bruteforce, majority_class_per_tile, rand_unit
 from graft.evaluation import (
     IGNORE_LABEL,
     DensityMap,
     RankedResult,
     average_precision_at_k,
+    classify,
     density_map,
     load_density_grid,
+    majority_labels,
     multilabel_map,
     per_class_accuracy,
+    retrieval_ap,
     retrieve,
     segment_patches,
     upsample_logits,
-    zero_shot_classify,
 )
 from graft.geo import GeoPoint
 
 
-def test_zero_shot_exact_match():
-    classes = np.eye(5)
-    assert zero_shot_classify(classes[3], classes) == 3
-
-
-def test_zero_shot_tie_lowest_index():
+def test_classify_tie_lowest_index():
     classes = np.stack([np.eye(3)[0], np.eye(3)[1], np.eye(3)[0], np.eye(3)[2]])
     query = (np.eye(3)[0] + np.eye(3)[1]) / np.sqrt(2)
-    assert zero_shot_classify(query, classes) == 0  # ties with class 1 and 2
+    labels, scores = classify(np.stack([query, classes[3]]), classes)
+    assert labels.tolist() == [0, 3]  # the query ties with classes 1 and 2
+    np.testing.assert_array_equal(scores, np.stack([query, classes[3]]) @ classes.T)
 
 
-def test_zero_shot_scale_invariance(rng):
-    classes = rand_unit(rng, (6, 10))
-    img = rand_unit(rng, 10)
-    base = zero_shot_classify(img, classes)
-    for scale in (0.5, 3.0, 1e6):
-        assert zero_shot_classify(img * scale, classes) == base
-
-
-def test_zero_shot_needs_two_classes():
-    with pytest.raises(ValueError):
-        zero_shot_classify(np.ones(3), np.ones((1, 3)))
+def test_majority_labels_match_per_tile_bincount(rng):
+    # half the tiles split two classes 98/98, so ties are common: the lower
+    # class wins, as in one bincount per tile
+    labels = rng.integers(0, 8, (40, 196))
+    labels[:20] = np.repeat(rng.integers(0, 8, (20, 2)), 98, axis=1)
+    grids = labels.reshape(-1, 14, 14)
+    np.testing.assert_array_equal(majority_labels(grids, 8), majority_class_per_tile(grids))
 
 
 def test_ap_perfect_ranking():
@@ -147,11 +142,29 @@ def test_retrieve_input_order_invariance(rng):
     np.testing.assert_allclose(fwd.scores, rev.scores)
 
 
+def test_retrieval_ap_matches_bruteforce(rng):
+    # class 5 labels no item, so its AP is 0 at every k
+    embs = rand_unit(rng, (60, 8))
+    class_embs = rand_unit(rng, (6, 8))
+    labels = rng.integers(0, 5, 60)
+    ids = [f"t{i:03d}" for i in rng.permutation(60)]
+    ks = (100, 20, 3)
+    rankings, aps = retrieval_ap(class_embs, ids, embs, labels, ks)
+    assert aps.shape == (3, 6)
+    label_of = dict(zip(ids, labels))
+    for c, ranked in enumerate(rankings):
+        assert ranked.item_ids == retrieve(class_embs[c], ids, embs).item_ids
+        flags = [int(label_of[i] == c) for i in ranked.item_ids]
+        for j, k in enumerate(ks):
+            assert aps[j, c] == pytest.approx(ap_at_k_bruteforce(flags, k), abs=1e-12)
+    np.testing.assert_array_equal(aps[:, 5], 0.0)
+
+
 def test_ranked_result_validation():
     with pytest.raises(ValueError, match="unique"):
-        RankedResult("q", ["a", "a"], np.array([1.0, 0.5]))
+        RankedResult(["a", "a"], np.array([1.0, 0.5]))
     with pytest.raises(ValueError, match="non-increasing"):
-        RankedResult("q", ["a", "b"], np.array([0.5, 1.0]))
+        RankedResult(["a", "b"], np.array([0.5, 1.0]))
 
 
 def test_segment_uniform_grid():

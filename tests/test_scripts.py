@@ -20,3 +20,24 @@ def test_script_help_exits_0(script):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+
+# first line of each experiment script's TSV output
+TSV_HEADERS = {
+    "ablation_losses.py": "variant\taccuracy\tmap20\tseg_accuracy\tseconds",
+    "scaling_curve.py": "fraction\tmean_accuracy\tseed0",
+}
+
+
+@pytest.mark.parametrize("script", sorted(TSV_HEADERS))
+def test_script_runs_end_to_end(script, tmp_path):
+    # a small world and one epoch: the scripts score through graft.evaluation
+    out = tmp_path / "out.tsv"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / script), "--seeds", "0", "--n-ground", "500",
+         "--extent-km", "8", "--epochs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().splitlines()[0] == TSV_HEADERS[script]
