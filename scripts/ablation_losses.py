@@ -35,7 +35,7 @@ def build(seed: int, noise: float, n_ground: int, extent_km: float):
     cfg = corpus.SynthWorldConfig(extent_km=extent_km, n_ground=n_ground,
                                   noise_sigma=noise)
     world = corpus.synth_world(cfg, seed=seed)
-    spec = geo.TileSpec(geo.GeoPoint(cfg.center_lat, cfg.center_lon))
+    spec = geo.TileSpec()
     ds = corpus.build_pairs(
         world.grounds, world.snapshots, spec, seed=seed,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -52,13 +52,13 @@ def build(seed: int, noise: float, n_ground: int, extent_km: float):
 def evaluate(world, params, ds_eval):
     class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
                                              PromptSet())
-    grids = [tile.patch_features for tile in ds_eval.tiles]
-    seg_gt = corpus.class_grids(world.field, [tile.spec for tile in ds_eval.tiles])
+    tiles = ds_eval.tiles
+    grids = tiles.features
+    seg_gt = corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon)
     gts = evaluation.majority_labels(seg_gt, len(world.class_names))
     embs = embed_images(params, grids)
     preds, _ = evaluation.classify(embs, class_embs)
-    _, (ap20s,) = evaluation.retrieval_ap(class_embs, [t.id for t in ds_eval.tiles], embs,
-                                          gts, (20,))
+    _, (ap20s,) = evaluation.retrieval_ap(class_embs, tiles.ids, embs, gts, (20,))
     seg_pred = evaluation.segment_tiles(params, grids, class_embs)
     _, seg_acc = evaluation.per_class_accuracy(seg_pred.reshape(1, -1), seg_gt.reshape(1, -1))
     return float(np.mean(preds == gts)), float(np.mean(ap20s)), seg_acc

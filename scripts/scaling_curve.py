@@ -37,7 +37,7 @@ def main() -> None:
     for seed in args.seeds:
         cfg = corpus.SynthWorldConfig(extent_km=args.extent_km, n_ground=args.n_ground)
         world = corpus.synth_world(cfg, seed=seed)
-        spec = geo.TileSpec(geo.GeoPoint(cfg.center_lat, cfg.center_lon))
+        spec = geo.TileSpec()
         ds = corpus.build_pairs(
             world.grounds, world.snapshots, spec, seed=seed,
             fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -49,15 +49,16 @@ def main() -> None:
 
         class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
                                                  PromptSet())
+        tiles = ds_eval.tiles
         gts = evaluation.majority_labels(
-            corpus.class_grids(world.field, [t.spec for t in ds_eval.tiles]),
+            corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon),
             len(world.class_names),
         )
         for frac in args.fractions:
             sub = corpus.subset_tiles(ds_train, range(int(len(ds_train.tiles) * frac)))
             result = train(sub, world.ground_encoder, LossConfig(),
                            TrainSchedule(epochs=args.epochs, seed=seed))
-            embs = embed_images(result.params, [t.patch_features for t in ds_eval.tiles])
+            embs = embed_images(result.params, tiles.features)
             preds, _ = evaluation.classify(embs, class_embs)
             acc = float(np.mean(preds == gts))
             accs[frac].append(acc)

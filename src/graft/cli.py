@@ -101,7 +101,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg.apply_overrides(args.overrides)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.set_key("seed", str(args.seed))
     if getattr(args, "loss", None):
         cfg.loss_variant = _LOSS_FLAG[args.loss]
     if getattr(args, "epochs", None) is not None:
@@ -161,7 +161,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _min_center_separation_m(tiles: list[corpus.SatTileRecord]) -> float:
+def _min_center_separation_m(lat: np.ndarray, lon: np.ndarray) -> float:
     """Smallest distance between two tile centers, by a sweep in latitude order.
 
     Round k pairs each tile with its k-th neighbor to the north. A tile's
@@ -169,13 +169,12 @@ def _min_center_separation_m(tiles: list[corpus.SatTileRecord]) -> float:
     with k, so a tile leaves the sweep once that offset reaches the best
     distance so far.
     """
-    order = np.argsort([t.spec.center.lat for t in tiles], kind="stable")
-    lats = np.array([tiles[i].spec.center.lat for i in order])
-    lons = np.array([tiles[i].spec.center.lon for i in order])
+    order = np.argsort(lat, kind="stable")
+    lats, lons = lat[order], lon[order]
     best = math.inf
-    south = np.arange(len(tiles))
-    for k in range(1, len(tiles)):
-        south = south[south + k < len(tiles)]
+    south = np.arange(len(lats))
+    for k in range(1, len(lats)):
+        south = south[south + k < len(lats)]
         dn = (lats[south + k] - lats[south]) * geo.METERS_PER_DEGREE
         south = south[dn < best]
         if not len(south):
@@ -198,9 +197,8 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
         seed=cfg.seed,
         fields=corpus.resolve_fields(world.snapshots, args.world),
         embeddings=world.ground_encoder,
-        channels=cfg.world_channels,
     )
-    corpus.validate_dataset(ds)
+    ds.pair_index()
     dataset_path = out / "dataset.grft"
     corpus.save_dataset(ds, dataset_path)
     cfg.write_snapshot(out)
@@ -210,7 +208,7 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"  tiles: {len(ds.tiles)}  pairs: {ds.n_pairs}  max grounds/tile: {max_grounds}")
     required = cfg.pair_min_sep_px * spec.resolution_m_per_px
     if len(ds.tiles) > 1:
-        min_sep = _min_center_separation_m(ds.tiles)
+        min_sep = _min_center_separation_m(ds.tiles.lat, ds.tiles.lon)
         status = "ok" if min_sep >= required else "VIOLATED"
         print(f"  min center separation: {min_sep:.1f} m (required >= {required:.1f} m) {status}")
     return 0
@@ -252,22 +250,21 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not tiles:
         raise EmptyDatasetError(f"dataset {args.dataset} holds no tiles")
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
-    _check_compatible(params, world, tiles[0].feature_dim, tiles[0].spec.grid_px ** 2)
+    _check_compatible(params, world, tiles.features.shape[-1], tiles.spec.grid_px ** 2)
     class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
                                              cfg.prompt_set())
-    gt_grids = corpus.class_grids(world.field, [t.spec for t in tiles])
+    gt_grids = corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon)
     gts = evaluation.majority_labels(gt_grids, len(world.class_names))
     cfg.write_snapshot(out)
-    grids = [t.patch_features for t in tiles]
 
     if args.task == "classify":
-        preds, scores = evaluation.classify(embed_images(params, grids), class_embs)
+        preds, scores = evaluation.classify(embed_images(params, tiles.features), class_embs)
         accuracy = float(np.mean(preds == gts))
         onehot = np.zeros_like(scores)
         onehot[np.arange(len(gts)), gts] = 1.0
         mean_ap = evaluation.multilabel_map(scores, onehot)
         (out / "classify_results.txt").write_text(
-            "".join(f"{t.id} {p} {g}\n" for t, p, g in zip(tiles, preds, gts))
+            "".join(f"{t} {p} {g}\n" for t, p, g in zip(tiles.ids, preds, gts))
         )
         (out / "classify_metrics.txt").write_text(
             f"n_items {len(tiles)}\naccuracy {accuracy!r}\nmultilabel_map {mean_ap!r}\n"
@@ -278,7 +275,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     if args.task == "retrieve":
         rankings, (ap100s, ap20s) = evaluation.retrieval_ap(
-            class_embs, [t.id for t in tiles], embed_images(params, grids), gts, (100, 20)
+            class_embs, tiles.ids, embed_images(params, tiles.features), gts, (100, 20)
         )
         lines = [
             f"{name}\t{','.join(ranked.item_ids)}\t" + ",".join(f"{s:.6f}" for s in ranked.scores)
@@ -295,7 +292,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
               f"over {len(world.class_names)} queries")
         return 0
 
-    pred = evaluation.segment_tiles(params, grids, class_embs)
+    pred = evaluation.segment_tiles(params, tiles.features, class_embs)
     accs, mean_acc = evaluation.per_class_accuracy(pred.reshape(1, -1), gt_grids.reshape(1, -1))
     table = "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)
@@ -313,12 +310,18 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     world = _load_world(args)
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
     spec = cfg.tile_spec()
-    _check_compatible(params, world, world.field.feature_dim, spec.grid_px ** 2)
+    target_ts = int(np.mean([g.timestamp for g in world.grounds])) if world.grounds else 0
+    snap_ts = [s.timestamp for s in world.snapshots]
+    if not snap_ts:
+        raise IntegrityError("snapshot manifest is empty")
+    snapshot = world.snapshots[corpus.select_snapshot(snap_ts, target_ts)]
+    fld = corpus.resolve_fields([snapshot], args.world)[snapshot.blob_ref]
+    _check_compatible(params, world, fld.feature_dim, spec.grid_px ** 2)
     query_emb = embed_text(world.text_encoder, args.query, cfg.prompt_set())
 
-    lat_min, lat_max, lon_min, lon_max = world.field.bounds
+    lat_min, lat_max, lon_min, lon_max = fld.bounds
     cell_m = cfg.map_cell_px * spec.resolution_m_per_px
-    lon_m_per_degree = geo.METERS_PER_DEGREE * math.cos(math.radians(world.field.origin.lat))
+    lon_m_per_degree = geo.METERS_PER_DEGREE * math.cos(math.radians(fld.origin.lat))
     dlat = cell_m / geo.METERS_PER_DEGREE
     dlon = cell_m / lon_m_per_degree
     lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
@@ -327,25 +330,19 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"map.cell_px={cfg.map_cell_px} leaves no cell center inside the world's "
                           f"{(lat_max - lat_min) * geo.METERS_PER_DEGREE:.0f} x "
                           f"{(lon_max - lon_min) * lon_m_per_degree:.0f} m extent")
-    target_ts = int(np.mean([g.timestamp for g in world.grounds])) if world.grounds else 0
-    snap_ts = [s.timestamp for s in world.snapshots]
-    if not snap_ts:
-        raise IntegrityError("snapshot manifest is empty")
-    snapshot = world.snapshots[corpus.select_snapshot(snap_ts, target_ts)]
 
     # cells row-major, materialized and embedded one field block at a time, so
     # the map never holds every cell's features (7921 cells as float32 would
     # be 99 MB)
     rows, cols = len(lat_centers), len(lon_centers)
+    cell_lat = np.repeat(lat_centers, cols)
+    cell_lon = geo.wrap_lon(np.tile(lon_centers, rows))
     cell_embs = np.empty((rows * cols, params.embed_dim))
     for start in range(0, rows * cols, corpus.FIELD_BLOCK_TILES):
-        cells = [
-            geo.TileSpec(geo.GeoPoint(lat_centers[k // cols], lon_centers[k % cols]),
-                         spec.resolution_m_per_px, spec.size_px, spec.patch_px)
-            for k in range(start, min(start + corpus.FIELD_BLOCK_TILES, rows * cols))
-        ]
-        features = corpus.materialize_many(world.field, cells, [snapshot.timestamp] * len(cells))
-        cell_embs[start : start + len(cells)] = embed_images(params, features)
+        cells = slice(start, start + corpus.FIELD_BLOCK_TILES)
+        lat, lon = cell_lat[cells], cell_lon[cells]
+        features = corpus.materialize_many(fld, spec, lat, lon, [snapshot.timestamp] * len(lat))
+        cell_embs[cells] = embed_images(params, features)
 
     dmap = evaluation.density_map(
         cell_embs.reshape(rows, cols, -1),

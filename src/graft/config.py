@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import SynthWorldConfig
 from .frozen import DEFAULT_PROMPTS, PromptSet
-from .geo import GeoPoint, TileSpec
+from .geo import TileSpec
 from .losses import LossConfig
 from .train import TrainSchedule
 
@@ -44,7 +44,6 @@ class RunConfig:
     world_n_ground: int = 2000
     world_noise_sigma: float = 0.1
     world_snapshots: int = 3
-    world_channels: int = 3
     world_center_lat: float = 43.0
     world_center_lon: float = -76.0
 
@@ -141,7 +140,6 @@ class RunConfig:
                 n_ground=self.world_n_ground,
                 noise_sigma=self.world_noise_sigma,
                 n_snapshots=self.world_snapshots,
-                channels=self.world_channels,
                 center_lat=self.world_center_lat,
                 center_lon=self.world_center_lon,
                 prompts=prompts,
@@ -149,12 +147,7 @@ class RunConfig:
 
     def tile_spec(self) -> TileSpec:
         with _rejected_as_config_error("tile"):
-            return TileSpec(
-                center=GeoPoint(self.world_center_lat, self.world_center_lon),
-                resolution_m_per_px=self.tile_resolution_m,
-                size_px=self.tile_size_px,
-                patch_px=self.tile_patch_px,
-            )
+            return TileSpec(self.tile_resolution_m, self.tile_size_px, self.tile_patch_px)
 
     def loss_config(self) -> LossConfig:
         with _rejected_as_config_error("loss"):
@@ -193,6 +186,7 @@ _FIELD_TYPES = {
 # Allowed values of a key, checked when the key is set: (description, test).
 # Keys not listed here are checked by the config object that takes them.
 _DOMAINS = {
+    "seed": (">= 0", lambda v: v >= 0),
     "world_center_lat": ("finite, within [-90, 90]", lambda v: -90 <= v <= 90),
     "world_extent_km": ("finite, > 0", lambda v: 0 < v < math.inf),
     "world_noise_sigma": ("finite, >= 0", lambda v: 0 <= v < math.inf),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 from pathlib import Path
@@ -84,60 +85,57 @@ class SnapshotRecord:
 
 
 @dataclass(eq=False)
-class SatTileRecord:
-    id: str
+class TileTable:
+    """N satellite tiles as columns; every tile has the one raster geometry `spec`.
+
+    Tile i is `ids[i]`, centered on (`lat[i]`, `lon[i]`) and taken from the
+    snapshot at `timestamp[i]`; `features[i]` is its (G, G, F) grid of raw
+    patch features, G = spec.grid_px.
+    """
+
     spec: TileSpec
-    timestamp: int
-    patch_features: np.ndarray  # (G, G, F) float32
-    channels: int = 3
+    ids: list[str]
+    lat: np.ndarray  # (N,) float64
+    lon: np.ndarray  # (N,) float64, in [-180, 180)
+    timestamp: np.ndarray  # (N,) int64
+    features: np.ndarray  # (N, G, G, F) float32
 
-    def __post_init__(self):
-        g = self.spec.grid_px
-        if self.patch_features.shape[:2] != (g, g):
-            raise ValueError(
-                f"tile {self.id}: feature grid {self.patch_features.shape} does not "
-                f"match {g}x{g} patch layout"
-            )
-        if not np.all(np.isfinite(self.patch_features)):
-            raise ValueError(f"tile {self.id}: non-finite patch features")
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.patch_features.shape[2]
+    def take(self, indices) -> TileTable:
+        """The tiles at `indices`, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return TileTable(self.spec, [self.ids[i] for i in idx.tolist()], self.lat[idx],
+                         self.lon[idx], self.timestamp[idx], self.features[idx])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SatTileRecord):
+        if not isinstance(other, TileTable):
             return NotImplemented
-        return (
-            self.id == other.id
-            and self.spec == other.spec
-            and self.timestamp == other.timestamp
-            and self.channels == other.channels
-            and np.array_equal(self.patch_features, other.patch_features)
-        )
+        return (self.spec == other.spec and self.ids == other.ids
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("lat", "lon", "timestamp", "features")))
 
 
 @dataclass
 class PairBatch:
     """One training batch: tiles plus their (tile, ground) pairs, tile-major.
 
-    Tile i owns `sizes[i]` consecutive entries of the pair arrays.
+    Batch tile i is the dataset's tile `tiles[i]` and owns `sizes[i]`
+    consecutive entries of the pair arrays.
     """
 
-    tiles: list[SatTileRecord]
-    sizes: np.ndarray  # (B,) grounds per tile
+    tiles: np.ndarray  # (B,) index into the dataset's tiles
+    sizes: np.ndarray  # (B,) grounds per tile, each >= 1
     ground: np.ndarray  # (M,) index into the dataset's grounds
     patch: np.ndarray  # (M,) flat patch index (prow * grid_px + pcol) under the geotag
+    all_features: np.ndarray = field(repr=False)  # the dataset's (N, G, G, F) features
 
-    def __post_init__(self):
-        if len(self.tiles) < 1:
-            raise ValueError("a batch needs at least one tile")
-        if len(self.sizes) != len(self.tiles):
-            raise ValueError("one pair count per tile required")
-        if np.any(self.sizes < 1):
-            raise ValueError(f"tile {int(np.argmin(self.sizes))} has no grounds in batch")
-        if not (len(self.ground) == len(self.patch) == int(self.sizes.sum())):
-            raise ValueError("ground and patch indices must list every pair once")
+    @property
+    def features(self) -> np.ndarray:
+        """(B, G, G, F) float32 features of the batch's tiles, gathered on each
+        access, so an epoch of batches holds no copy of the dataset's features."""
+        return self.all_features[self.tiles]
 
     @property
     def n_tiles(self) -> int:
@@ -159,7 +157,7 @@ class PairIndex:
 
 @dataclass(eq=False)
 class PairedDataset:
-    tiles: list[SatTileRecord]
+    tiles: TileTable
     grounds: list[GroundImageRecord]
     assignments: list[list[int]]  # per tile, indices into `grounds`
     provenance: dict
@@ -196,19 +194,23 @@ class PairedDataset:
 def _pack_pairs(ds: PairedDataset) -> PairIndex:
     """Vectorized geotag -> pixel -> patch mapping of every pair, with bounds checks.
 
-    Offsets come from `geo.footprint_offsets` and the pixel floor is
-    `geo.geotag_to_pixel`'s, so pixels are bit-identical to the scalar path.
-    Raises IntegrityError, naming the tile, for an assignment index out of
-    range, a geotag outside the tile footprint or a pixel outside the patch grid.
+    Offsets come from `geo.footprint_offsets` and the pixel is the floor of
+    the offset from the tile's top-left corner, as one geotag at a time.
+    Raises IntegrityError, naming the tile, for a tile without grounds, an
+    assignment index out of range, a geotag outside the tile footprint or a
+    pixel outside the patch grid.
     """
+    tiles, spec = ds.tiles, ds.tiles.spec
     counts = np.array([len(a) for a in ds.assignments], dtype=np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
     def fail(pair: int, what: str):
-        tile = ds.tiles[int(np.searchsorted(offsets, pair, side="right")) - 1]
-        raise IntegrityError(f"tile {tile.id}: {what}")
+        tile = int(np.searchsorted(offsets, pair, side="right")) - 1
+        raise IntegrityError(f"tile {tiles.ids[tile]}: {what}")
 
+    if not counts.all():  # every tile contrasts at least one ground
+        raise IntegrityError(f"tile {tiles.ids[int(np.argmin(counts))]}: no grounds")
     ground = np.fromiter(
         (m for members in ds.assignments for m in members), dtype=np.int64, count=offsets[-1]
     )
@@ -217,52 +219,65 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
         k = int(np.argmax(bad))
         fail(k, f"assignment index {ground[k]} out of range")
 
-    def by_pair(rows, width, dtype):  # tile rows of `width` fields -> one array per field
-        return np.repeat(np.array(rows, dtype=dtype).reshape(-1, width), counts, axis=0).T
-
-    specs = [t.spec for t in ds.tiles]
-    center_lat, center_lon, lon_scale, res, half = by_pair(
-        [(s.center.lat, s.center.lon, math.cos(math.radians(s.center.lat)),
-          s.resolution_m_per_px, s.half_extent_m) for s in specs], 5, np.float64)
-    size, patch_px, grid = by_pair([(s.size_px, s.patch_px, s.grid_px) for s in specs], 3, np.int64)
+    lon_cos = np.array([math.cos(math.radians(lat)) for lat in tiles.lat.tolist()])
+    center_lat, center_lon, lon_cos = (np.repeat(a, counts) for a in (tiles.lat, tiles.lon,
+                                                                        lon_cos))
     lat = np.array([g.geo.lat for g in ds.grounds])[ground]
     lon = np.array([g.geo.lon for g in ds.grounds])[ground]
 
-    north, east, inside = geo.footprint_offsets(lat, lon, center_lat, center_lon, lon_scale, half)
+    half, res = spec.half_extent_m, spec.resolution_m_per_px
+    north, east, inside = geo.footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half)
     outside = ~inside
     if outside.any():
         k = int(np.argmax(outside))
         fail(k, f"ground {ground[k]} at ({lat[k]}, {lon[k]}) lies outside the footprint: "
-                f"offset ({north[k]:.1f} m N, {east[k]:.1f} m E), half extent {half[k]:.1f} m")
-    row = np.floor(size / 2 - north / res).astype(np.int64)
-    col = np.floor(size / 2 + east / res).astype(np.int64)
-    prow, pcol = row // patch_px, col // patch_px
-    off_grid = (row < 0) | (col < 0) | (prow >= grid) | (pcol >= grid)
+                f"offset ({north[k]:.1f} m N, {east[k]:.1f} m E), half extent {half:.1f} m")
+    row = np.floor(spec.size_px / 2 - north / res).astype(np.int64)
+    col = np.floor(spec.size_px / 2 + east / res).astype(np.int64)
+    prow, pcol = row // spec.patch_px, col // spec.patch_px
+    off_grid = (row < 0) | (col < 0) | (prow >= spec.grid_px) | (pcol >= spec.grid_px)
     if off_grid.any():
         k = int(np.argmax(off_grid))
         fail(k, f"pixel ({row[k]}, {col[k]}) maps outside patch grid")
     return PairIndex(offsets=offsets, ground=ground, pixel=np.stack([row, col], axis=1),
-                     patch=prow * grid + pcol)
+                     patch=prow * spec.grid_px + pcol)
+
+
+def _manifest_lines(path: str | Path, n_fields: int, ts_field: int):
+    """(line number, fields) of each manifest line that is neither blank nor a
+    comment; field `ts_field` is parsed as an int64 timestamp."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ManifestError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != n_fields:
+            raise ManifestError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        try:
+            parts[ts_field] = int(parts[ts_field])
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        if not -(2**63) <= parts[ts_field] < 2**63:
+            raise ManifestError(f"{path}:{lineno}: timestamp {parts[ts_field]} outside int64")
+        yield lineno, parts
 
 
 def parse_ground_manifest(path: str | Path) -> list[GroundImageRecord]:
     """Parse `id lat lon timestamp embedding_ref` lines; ids must be unique."""
     records: list[GroundImageRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ManifestError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        rid, lat_s, lon_s, ts_s, ref = parts
+    for lineno, (rid, lat_s, lon_s, ts, ref) in _manifest_lines(path, 5, 3):
         if rid in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate ground id {rid!r}")
         seen.add(rid)
         try:
             point = GeoPoint(float(lat_s), float(lon_s))
-            ts = int(ts_s)
         except ValueError as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from exc
         records.append(GroundImageRecord(rid, point, ts, ref))
@@ -271,21 +286,7 @@ def parse_ground_manifest(path: str | Path) -> list[GroundImageRecord]:
 
 def parse_snapshot_manifest(path: str | Path) -> list[SnapshotRecord]:
     """Parse `region_id timestamp blob_ref` lines."""
-    records: list[SnapshotRecord] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ManifestError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-        region, ts_s, ref = parts
-        try:
-            ts = int(ts_s)
-        except ValueError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-        records.append(SnapshotRecord(region, ts, ref))
-    return records
+    return [SnapshotRecord(*parts) for _, parts in _manifest_lines(path, 3, 1)]
 
 
 @dataclass
@@ -314,6 +315,10 @@ class VoronoiFeatureField:
             raise ValueError("one seed point per class required")
         if self.feature_dim < len(self.class_names):
             raise ValueError("feature_dim must be >= number of classes")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and >= 0")
+        if not (np.isfinite(self.seeds_lat).all() and np.isfinite(self.seeds_lon).all()):
+            raise ValueError("class seed coordinates must be finite")
 
     def _project(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = geo.METERS_PER_DEGREE * math.cos(math.radians(self.origin.lat))
@@ -332,13 +337,13 @@ class VoronoiFeatureField:
         d2 = (x[..., None] - sx) ** 2 + (y[..., None] - sy) ** 2
         return np.argmin(d2, axis=-1)
 
-    def class_grid(self, tile: TileSpec) -> np.ndarray:
-        """(G, G) ground-truth class index at each patch center."""
-        return class_grids(self, [tile])[0]
+    def class_grid(self, tile: TileSpec, center: GeoPoint) -> np.ndarray:
+        """(G, G) ground-truth class index at each patch center of one tile."""
+        return class_grids(self, tile, [center.lat], [center.lon])[0]
 
-    def materialize(self, tile: TileSpec, snapshot_ts: int) -> np.ndarray:
-        """(G, G, F) float32 raw features for the tile under one snapshot."""
-        return materialize_many(self, [tile], [snapshot_ts])[0]
+    def materialize(self, tile: TileSpec, center: GeoPoint, snapshot_ts: int) -> np.ndarray:
+        """(G, G, F) float32 raw features of one tile under one snapshot."""
+        return materialize_many(self, tile, [center.lat], [center.lon], [snapshot_ts])[0]
 
 
 # Tiles per float64 block of class_grids and materialize_many; only their
@@ -347,54 +352,56 @@ class VoronoiFeatureField:
 FIELD_BLOCK_TILES = 64
 
 
-def class_grids(fld: VoronoiFeatureField, specs: Sequence[TileSpec]) -> np.ndarray:
-    """(N, G, G) ground-truth class index at each patch center of N tiles.
+def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarray:
+    """(N, G, G) ground-truth class index at each patch center of the N tiles
+    of geometry `spec` centered on (lat[i], lon[i]).
 
     Each tile's longitude scale is its own scalar `math.cos`, so its classes
     come from the same patch-center coordinates, bit for bit, as the tile's alone;
     squared seed distances are summed per block from one per patch column and row.
     """
-    g = specs[0].grid_px
-    if any(s.grid_px != g for s in specs):
-        raise ValueError("tiles of one call must share a patch grid size")
-    patch_px, half, res, lat0, lon0, lon_scale = np.array(
-        [(s.patch_px, s.size_px / 2, s.resolution_m_per_px, s.center.lat, s.center.lon,
-          geo.METERS_PER_DEGREE * math.cos(math.radians(s.center.lat))) for s in specs]
-    ).T[..., None]
-    # (N, G) offsets of the patch-center rows; those of the columns are their negation
-    north = (half - (np.arange(g) + 0.5) * patch_px) * res
+    lat0 = np.asarray(lat, dtype=np.float64)[:, None]
+    lon0 = np.asarray(lon, dtype=np.float64)[:, None]
+    lon_scale = np.array([geo.METERS_PER_DEGREE * math.cos(math.radians(v))
+                          for v in lat0[:, 0].tolist()]).reshape(-1, 1)
+    # (G,) offsets of the patch-center rows; those of the columns are their negation
+    north = (spec.size_px / 2 - (np.arange(spec.grid_px) + 0.5) * spec.patch_px) \
+        * spec.resolution_m_per_px
     x, y = fld._project(lat0 + north / geo.METERS_PER_DEGREE, lon0 - north / lon_scale)
     sx, sy = fld._project(fld.seeds_lat, fld.seeds_lon)
     dx2, dy2 = (x[..., None] - sx) ** 2, (y[..., None] - sy) ** 2  # (N, G, K) columns, rows
-    blocks = (slice(i, i + FIELD_BLOCK_TILES) for i in range(0, len(specs), FIELD_BLOCK_TILES))
+    blocks = (slice(i, i + FIELD_BLOCK_TILES) for i in range(0, len(lat0), FIELD_BLOCK_TILES))
     return np.concatenate([np.argmin(dx2[b, None] + dy2[b, :, None], axis=-1) for b in blocks])
 
 
 def materialize_many(
-    fld: VoronoiFeatureField, specs: Sequence[TileSpec], timestamps: Sequence[int]
+    fld: VoronoiFeatureField, spec: TileSpec, lat, lon, timestamps
 ) -> np.ndarray:
-    """(N, G, G, F) float32 raw features of N tiles, tile i under snapshot `timestamps[i]`.
+    """(N, G, G, F) float32 raw features of the N tiles of geometry `spec`
+    centered on (lat[i], lon[i]), tile i under snapshot `timestamps[i]`.
 
     Each tile draws its noise from its own stream, keyed by (noise_key,
     snapshot timestamp, quantized tile center), so its features equal, bit
     for bit, those of the tile materialized alone.
     """
-    if len(timestamps) != len(specs):
-        raise ValueError(f"{len(timestamps)} timestamps for {len(specs)} tiles")
-    g = specs[0].grid_px
-    features = np.empty((len(specs), g, g, fld.feature_dim), dtype=np.float32)
-    for start in range(0, len(specs), FIELD_BLOCK_TILES):
-        labels = class_grids(fld, specs[start : start + FIELD_BLOCK_TILES])
+    lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+    if not len(timestamps) == len(lat) == len(lon):
+        raise ValueError(f"{len(timestamps)} timestamps for {len(lat)} tiles")
+    g = spec.grid_px
+    features = np.empty((len(lat), g, g, fld.feature_dim), dtype=np.float32)
+    for start in range(0, len(lat), FIELD_BLOCK_TILES):
+        rows = slice(start, start + FIELD_BLOCK_TILES)
+        labels = class_grids(fld, spec, lat[rows], lon[rows])
         block = np.zeros(labels.shape + (fld.feature_dim,))
         np.put_along_axis(block, labels[..., None], 1.0, axis=-1)
         if fld.noise_sigma > 0:
-            for i in range(start, start + len(block)):
-                c = specs[i].center
-                key = [fld.noise_key, int(timestamps[i]), int(round((c.lat + 90.0) * 1e7)),
-                       int(round((c.lon + 180.0) * 1e7))]
+            centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
+            for i, (c_lat, c_lon, ts) in enumerate(centers):
+                key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
+                       int(round((c_lon + 180.0) * 1e7))]
                 rng = np.random.default_rng(np.random.SeedSequence(key))
-                block[i - start] += fld.noise_sigma * rng.standard_normal(block.shape[1:])
-        features[start : start + len(block)] = block
+                block[i] += fld.noise_sigma * rng.standard_normal(block.shape[1:])
+        features[rows] = block
     return features
 
 
@@ -475,9 +482,8 @@ def build_pairs(
     *,
     fields: Mapping[str, VoronoiFeatureField],
     embeddings: FrozenEncoder | None = None,
-    channels: int = 3,
 ) -> PairedDataset:
-    """Pair ground images with freshly sampled satellite tiles.
+    """Pair ground images with freshly sampled satellite tiles of geometry `spec`.
 
     Tiles spawn at ground geotags under the minimum-separation rule, each keeps
     at most `cap` grounds (seeded uniform subsample), and each picks the
@@ -499,36 +505,40 @@ def build_pairs(
                 f"{bad[:10]}{'...' if len(bad) > 10 else ''}"
             )
 
-    points = [g.geo for g in grounds]
-    tile_specs, assignment = geo.sample_tiles(points, spec, min_sep_px)
+    lat = np.array([g.geo.lat for g in grounds])
+    lon = np.array([g.geo.lon for g in grounds])
+    centers, assignment = geo.sample_tiles(lat, lon, spec, min_sep_px)
     cap_seed = int(np.random.SeedSequence([seed, _SALT_CAP]).generate_state(1)[0])
     assignment = geo.cap_subsample(assignment, cap=cap, seed=cap_seed)
+    lat, lon = lat[centers], lon[centers]
 
     # no tile is empty: each keeps at least the ground at its center
-    lat, lon = np.array([(s.center.lat, s.center.lon) for s in tile_specs]).T
     cover = np.array([fields[s.blob_ref].contains(lat, lon) for s in snapshots])  # (S, T)
     if not cover.any(axis=0).all():
-        c = tile_specs[int(np.argmin(cover.any(axis=0)))].center
-        raise IntegrityError(f"no snapshot region covers tile at ({c.lat:.5f}, {c.lon:.5f})")
+        k = int(np.argmin(cover.any(axis=0)))
+        raise IntegrityError(f"no snapshot region covers tile at ({lat[k]:.5f}, {lon[k]:.5f})")
     # mean ground timestamp per tile: sums of <= cap timestamps are exact, as in np.mean
     sizes = np.array([len(members) for members in assignment])
     ts = np.array([grounds[m].timestamp for members in assignment for m in members])
     target = np.rint(np.add.reduceat(ts, np.cumsum(sizes) - sizes) / sizes).astype(np.int64)
-    snaps = [snapshots[k] for k in select_snapshot([s.timestamp for s in snapshots], target, cover)]
+    snap = select_snapshot([s.timestamp for s in snapshots], target, cover)
+    timestamp = np.array([s.timestamp for s in snapshots], dtype=np.int64)[snap]
+    blob = np.array([s.blob_ref for s in snapshots])[snap]
 
-    # one blocked materialization per feature field
-    features = [None] * len(tile_specs)
-    for ref in dict.fromkeys(s.blob_ref for s in snaps):
-        idx = [i for i, s in enumerate(snaps) if s.blob_ref == ref]
-        grids = materialize_many(fields[ref], [tile_specs[i] for i in idx],
-                                 [snaps[i].timestamp for i in idx])
-        for i, grid in zip(idx, grids):
-            features[i] = grid
-    tiles = [
-        SatTileRecord(id=f"t{i:06d}", spec=tspec, timestamp=snap.timestamp,
-                      patch_features=grid, channels=channels)
-        for i, (tspec, snap, grid) in enumerate(zip(tile_specs, snaps, features))
-    ]
+    # one blocked materialization per feature field; with one field, as in every
+    # synth world, its result is the feature array itself, never copied
+    tiles_of = {ref: np.flatnonzero(blob == ref) for ref in dict.fromkeys(blob.tolist())}
+    dims = sorted({fields[ref].feature_dim for ref in tiles_of})
+    if len(dims) > 1:
+        raise IntegrityError(f"the feature fields of one dataset differ in feature_dim: {dims}")
+    grids = [materialize_many(fields[ref], spec, lat[idx], lon[idx], timestamp[idx])
+             for ref, idx in tiles_of.items()]
+    features = grids[0]
+    if len(grids) > 1:
+        features = np.empty((len(lat), *features.shape[1:]), dtype=np.float32)
+        for idx, part in zip(tiles_of.values(), grids):
+            features[idx] = part
+    tiles = TileTable(spec, [f"t{i:06d}" for i in range(len(lat))], lat, lon, timestamp, features)
     provenance = {
         "seed": seed,
         "cap": cap,
@@ -547,14 +557,9 @@ def build_pairs(
     )
 
 
-def validate_dataset(ds: PairedDataset) -> None:
-    """Referential integrity plus in-bounds pixel mapping for every pair."""
-    ds.pair_index()
-
-
 def subset_tiles(ds: PairedDataset, indices: Sequence[int]) -> PairedDataset:
     """A dataset restricted to the given tile indices (ground list is shared)."""
-    tiles = [ds.tiles[i] for i in indices]
+    tiles = ds.tiles.take(indices)
     assignments = [list(ds.assignments[i]) for i in indices]
     provenance = dict(ds.provenance)
     provenance["subset_of"] = provenance.get("n_tiles", len(ds.tiles))
@@ -587,8 +592,8 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
         rows = np.arange(sizes.sum()) + np.repeat(
             pairs.offsets[chunk] - (np.cumsum(sizes) - sizes), sizes
         )
-        batches.append(PairBatch(tiles=[ds.tiles[i] for i in chunk], sizes=sizes,
-                                 ground=pairs.ground[rows], patch=pairs.patch[rows]))
+        batches.append(PairBatch(tiles=chunk, sizes=sizes, ground=pairs.ground[rows],
+                                 patch=pairs.patch[rows], all_features=ds.tiles.features))
     return batches
 
 
@@ -601,7 +606,6 @@ class SynthWorldConfig:
     n_ground: int = 2000
     noise_sigma: float = 0.1
     n_snapshots: int = 3
-    channels: int = 3
     center_lat: float = 43.0
     center_lon: float = -76.0
     prompts: tuple[str, ...] = DEFAULT_PROMPTS
@@ -839,19 +843,22 @@ def resolve_fields(
     return fields
 
 
-_TILE_HEADER = "<dddIIqIIII"  # lat, lon, m/px, size_px, patch_px, timestamp, channels, G, G, F
+# lat, lon, m/px, size_px, patch_px, timestamp, 3, G, G, F; the constant u32
+# once held a channel count that nothing read
+_TILE_HEADER = "<dddIIqIIII"
 
 
 def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     """Write the versioned binary container: magic, version, four sections."""
+    t, spec = ds.tiles, ds.tiles.spec
     tiles = Writer()
-    tiles.pack("<I", len(ds.tiles))
-    for t in ds.tiles:
-        spec = t.spec
-        tiles.string(t.id)
-        tiles.pack(_TILE_HEADER, spec.center.lat, spec.center.lon, spec.resolution_m_per_px,
-                   spec.size_px, spec.patch_px, t.timestamp, t.channels, *t.patch_features.shape)
-        tiles.array(t.patch_features, "<f4")
+    tiles.pack("<I", len(t))
+    for tid, lat, lon, ts, grid in zip(t.ids, t.lat.tolist(), t.lon.tolist(),
+                                       t.timestamp.tolist(), t.features):
+        tiles.string(tid)
+        tiles.pack(_TILE_HEADER, lat, lon, spec.resolution_m_per_px, spec.size_px,
+                   spec.patch_px, ts, 3, *grid.shape)
+        tiles.array(grid, "<f4")
 
     grounds = Writer()
     grounds.pack("<I", len(ds.grounds))
@@ -885,23 +892,57 @@ def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reade
     return sections
 
 
-def _read_tiles(tiles_r: Reader) -> list[SatTileRecord]:
-    tiles: list[SatTileRecord] = []
-    for _ in range(tiles_r.unpack("<I")[0]):
-        start = tiles_r.off
-        tid = tiles_r.string()
-        lat, lon, res, size_px, patch_px, ts, channels, *grid = tiles_r.unpack(_TILE_HEADER)
-        features = tiles_r.array("<f4", tuple(grid))
-        try:
-            spec = TileSpec(GeoPoint(lat, lon), res, size_px, patch_px)
-            tiles.append(SatTileRecord(tid, spec, ts, features, channels))
-        except ValueError as exc:
-            raise tiles_r.fail(f"invalid tile record ({exc})", start) from exc
-    tiles_r.done()
-    return tiles
+def _read_tiles(r: Reader) -> TileTable:
+    """The tile section decoded into preallocated columns.
+
+    Every tile must have tile 0's geometry and feature grid, so the declared
+    count is checked against the section's size before anything is allocated.
+    An empty section reads as a table of the default geometry.
+    """
+    (n,) = r.unpack("<I")
+    at, left = r.off - 4, r.end - r.off
+
+    def fits(record: int) -> None:  # every tile record takes at least `record` bytes
+        if n * record > left:
+            raise r.fail(f"{n} tiles of at least {record} bytes overrun the {left} bytes left", at)
+
+    head = 2 + struct.calcsize(_TILE_HEADER)  # id length and header
+    fits(head)
+    spec = TileSpec()
+    ids, starts = [], np.empty(n, dtype=np.int64)
+    lat, lon, timestamp = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+    features = np.empty((0, spec.grid_px, spec.grid_px, 0), dtype=np.float32)
+    for i in range(n):
+        starts[i] = r.off
+        ids.append(r.string())
+        lat[i], lon[i], res, size_px, patch_px, timestamp[i], _, *grid = r.unpack(_TILE_HEADER)
+        if i == 0:
+            try:
+                spec = TileSpec(res, size_px, patch_px)
+            except ValueError as exc:
+                raise r.fail(f"invalid tile geometry ({exc})", starts[0]) from exc
+            if grid[:2] != [spec.grid_px] * 2 or not grid[2]:
+                raise r.fail(f"feature grid {tuple(grid)} does not fill the "
+                             f"{spec.grid_px}x{spec.grid_px} patch layout", starts[0])
+            fits(head + 4 * math.prod(grid))
+            features = np.empty((n, *grid), dtype=np.float32)
+        elif (res, size_px, patch_px, *grid) != (spec.resolution_m_per_px, spec.size_px,
+                                                  spec.patch_px, *features.shape[1:]):
+            raise r.fail("tile geometry or feature grid differs from tile 0's", starts[i])
+        features[i] = r.array("<f4", tuple(grid))
+    r.done()
+    # a float64 sum of finite float32 values cannot overflow: it is finite
+    # exactly when every feature of the tile is, and needs no (N, G, G, F) mask
+    finite = np.isfinite(features.sum(axis=(1, 2, 3), dtype=np.float64))
+    for bad, what in ((~((np.abs(lat) <= 90) & np.isfinite(lon)), "center off the globe"),
+                      (~finite, "non-finite patch features")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise r.fail(f"tile {ids[k]!r}: {what}", starts[k])
+    return TileTable(spec, ids, lat, geo.wrap_lon(lon), timestamp, features)
 
 
-def load_tiles(path: str | Path) -> list[SatTileRecord]:
+def load_tiles(path: str | Path) -> TileTable:
     """The tiles of a container; its frames are checked as by load_dataset, but
     only the tile section is decoded."""
     return _read_tiles(_container_sections(path)[0])

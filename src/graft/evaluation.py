@@ -151,16 +151,16 @@ def segment_patches(
     return labels, logits
 
 
-def segment_tiles(params: encoder.SatEncoderParams, grids: Sequence[np.ndarray],
+def segment_tiles(params: encoder.SatEncoderParams, features: np.ndarray,
                   class_embs: np.ndarray) -> np.ndarray:
-    """(N, P) patch labels of N tiles' (G, G, F) feature grids, from one
+    """(N, P) patch labels of N tiles' (N, G, G, F) feature grids, from one
     patch-level forward and one `segment_patches` call per block of whole tiles
     (`encoder.IMAGE_BLOCK_ROWS` patch rows), so memory stays at one block."""
-    labels = np.empty((len(grids), params.n_patches), dtype=np.intp)
+    labels = np.empty((len(features), params.n_patches), dtype=np.intp)
     per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
-    for start in range(0, len(grids), per_block):
-        block = grids[start : start + per_block]
-        rows = np.concatenate([g.reshape(-1, g.shape[-1]) for g in block])
+    for start in range(0, len(features), per_block):
+        block = features[start : start + per_block]
+        rows = block.reshape(-1, block.shape[-1])
         patch_labels, _ = segment_patches(encoder.forward_patch_rows(params, rows)[0], class_embs)
         labels[start : start + len(block)] = patch_labels.reshape(len(block), -1)
     return labels

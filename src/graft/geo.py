@@ -1,4 +1,4 @@
-"""Flat-earth tile geometry: geotag->pixel mapping and minimum-separation tile sampling.
+"""Flat-earth tile geometry: footprint offsets and minimum-separation tile sampling.
 
 Tiles are small (at most a few km across), so geodesy is a local equirectangular
 model: one degree of latitude is a fixed 111320 m and one degree of longitude is
@@ -10,7 +10,7 @@ plain subtraction after normalization into [-180, 180).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +18,9 @@ import numpy as np
 METERS_PER_DEGREE = 111_320.0
 
 
-class OutOfFootprintError(ValueError):
-    """A geotag was mapped against a tile whose footprint does not contain it."""
+def wrap_lon(lon):
+    """Longitude normalized into [-180, 180), for floats and arrays with the same bits."""
+    return ((lon + 180.0) % 360.0) - 180.0
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,17 @@ class GeoPoint:
         if not math.isfinite(lon):
             raise ValueError(f"longitude {lon} is not finite")
         object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", ((lon + 180.0) % 360.0) - 180.0)
+        object.__setattr__(self, "lon", wrap_lon(lon))
 
 
 @dataclass(frozen=True)
 class TileSpec:
-    """A square satellite tile raster centered on a geotag.
+    """The geometry of a square satellite tile raster; tiles are centered on geotags.
 
     Defaults give a 224 px tile of 16 px patches; at 1 m/px each patch covers
     16 m of ground, at 10 m/px it covers 160 m.
     """
 
-    center: GeoPoint
     resolution_m_per_px: float = 1.0
     size_px: int = 224
     patch_px: int = 16
@@ -75,29 +75,6 @@ class TileSpec:
     def half_extent_m(self) -> float:
         return self.size_px * self.resolution_m_per_px / 2.0
 
-    @property
-    def patch_extent_m(self) -> float:
-        return self.patch_px * self.resolution_m_per_px
-
-
-@dataclass(frozen=True)
-class PixelCoord:
-    row: int
-    col: int
-
-
-@dataclass(frozen=True)
-class PatchIndex:
-    prow: int
-    pcol: int
-
-
-def meters_per_degree(lat: float) -> tuple[float, float]:
-    """Local meters per degree of latitude and longitude at the given latitude."""
-    if not (-90.0 <= lat <= 90.0):
-        raise ValueError(f"latitude {lat} outside [-90, 90]")
-    return METERS_PER_DEGREE, METERS_PER_DEGREE * math.cos(math.radians(lat))
-
 
 def footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half_m):
     """(north_m, east_m, strictly inside the footprint) of geotags from tile
@@ -108,73 +85,11 @@ def footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half_m):
     return north, east, (abs(north) < half_m) & (abs(east) < half_m)
 
 
-def _offsets(origin: GeoPoint, p: GeoPoint, half_m: float):
-    lon_cos = math.cos(math.radians(origin.lat))
-    return footprint_offsets(p.lat, p.lon, origin.lat, origin.lon, lon_cos, half_m)
-
-
-def flat_earth_offset_m(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
-    """(north_m, east_m) displacement of `p` from `origin`, cos scale at origin."""
-    return _offsets(origin, p, 0.0)[:2]
-
-
 def separation_m2(lat_a, lon_a, lat_b, lon_b):
     """Squared flat-earth distance of the separation rule, cos scale at the mean latitude."""
     dn = (lat_a - lat_b) * METERS_PER_DEGREE
     de = (lon_a - lon_b) * METERS_PER_DEGREE * np.cos(np.radians((lat_a + lat_b) / 2))
     return dn * dn + de * de
-
-
-def flat_earth_distance_m(a: GeoPoint, b: GeoPoint) -> float:
-    """Symmetric flat-earth distance; longitude scale at the midpoint latitude."""
-    return math.sqrt(separation_m2(a.lat, a.lon, b.lat, b.lon))
-
-
-def tile_contains(tile: TileSpec, p: GeoPoint) -> bool:
-    """Strict containment: points exactly on the footprint boundary are outside."""
-    return _offsets(tile.center, p, tile.half_extent_m)[2]
-
-
-def geotag_to_pixel(tile: TileSpec, p: GeoPoint) -> PixelCoord:
-    """Map a geotag inside the tile footprint to its raster pixel.
-
-    Raises OutOfFootprintError for points on or outside the footprint boundary;
-    the caller decides whether to drop the point or assign it elsewhere.
-    """
-    north, east, inside = _offsets(tile.center, p, tile.half_extent_m)
-    if not inside:
-        raise OutOfFootprintError(
-            f"point ({p.lat}, {p.lon}) outside tile at ({tile.center.lat}, "
-            f"{tile.center.lon}): offset ({north:.1f} m N, {east:.1f} m E), "
-            f"half extent {tile.half_extent_m:.1f} m"
-        )
-    res = tile.resolution_m_per_px
-    row = math.floor(tile.size_px / 2 - north / res)
-    col = math.floor(tile.size_px / 2 + east / res)
-    return PixelCoord(int(row), int(col))
-
-
-def pixel_to_geotag(tile: TileSpec, px: PixelCoord) -> GeoPoint:
-    """Geotag of a pixel's center; inverse of geotag_to_pixel up to half a pixel."""
-    if not (0 <= px.row < tile.size_px and 0 <= px.col < tile.size_px):
-        raise ValueError(f"pixel {px} out of bounds for size_px {tile.size_px}")
-    res = tile.resolution_m_per_px
-    north = (tile.size_px / 2 - (px.row + 0.5)) * res
-    east = ((px.col + 0.5) - tile.size_px / 2) * res
-    lat = tile.center.lat + north / METERS_PER_DEGREE
-    lon = tile.center.lon + east / (
-        METERS_PER_DEGREE * math.cos(math.radians(tile.center.lat))
-    )
-    return GeoPoint(lat, lon)
-
-
-def pixel_to_patch(px: PixelCoord, patch_px: int) -> PatchIndex:
-    """Index of the non-overlapping patch containing the pixel."""
-    if patch_px <= 0:
-        raise ValueError("patch_px must be positive")
-    if px.row < 0 or px.col < 0:
-        raise ValueError(f"pixel {px} has negative coordinates")
-    return PatchIndex(px.row // patch_px, px.col // patch_px)
 
 
 # Candidate pairs per step of _neighbour_pairs, bounding its transient arrays.
@@ -210,8 +125,8 @@ def _neighbour_pairs(lats: np.ndarray, lons: np.ndarray, reach_m: float, queries
 
 
 def sample_tiles(
-    points: Sequence[GeoPoint], spec: TileSpec, min_sep_px: int
-) -> tuple[list[TileSpec], list[list[int]]]:
+    lats: np.ndarray, lons: np.ndarray, spec: TileSpec, min_sep_px: int
+) -> tuple[np.ndarray, list[list[int]]]:
     """Greedy minimum-separation tile sampling over geotags, in input order.
 
     A point spawns a tile centered on itself unless an already spawned tile
@@ -220,18 +135,18 @@ def sample_tiles(
     ground image can belong to several overlapping tiles. Both rules are tested
     on the pairs of neighbouring grid cells only, so time is linear in the points.
 
-    Returns the tiles and, per tile, the ascending indices of assigned points.
+    Returns the index of each tile's center point, ascending, and per tile the
+    ascending indices of its assigned points.
     """
-    if not points:
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    if not lats.size:
         raise ValueError("points must be non-empty")
     if min_sep_px < 0:
         raise ValueError("min_sep_px must be >= 0")
 
     min_sep_m = min_sep_px * spec.resolution_m_per_px
-    lats = np.array([p.lat for p in points], dtype=np.float64)
-    lons = np.array([p.lon for p in points], dtype=np.float64)
-
-    spawn = np.ones(len(points), dtype=bool)
+    spawn = np.ones(lats.size, dtype=bool)
     for i, j in _neighbour_pairs(lats, lons, min_sep_m, np.arange(lats.size)) if min_sep_m else ():
         first = i[0]  # every point is its own candidate
         i, j = i[j < i], j[j < i]
@@ -242,10 +157,9 @@ def sample_tiles(
         for a, b in zip(i[~settled].tolist(), j[~settled].tolist()):
             spawn[a] &= not spawn[b]
     centers = np.flatnonzero(spawn)
-    tiles = [replace(spec, center=points[c]) for c in centers]
 
     half = spec.half_extent_m
-    lon_cos = np.array([math.cos(math.radians(t.center.lat)) for t in tiles])
+    lon_cos = np.array([math.cos(math.radians(lat)) for lat in lats[centers].tolist()])
     found = []
     for t, p in _neighbour_pairs(lats, lons, half, centers):
         c = centers[t]
@@ -253,8 +167,8 @@ def sample_tiles(
         found.append((t[inside], p[inside]))
     t, p = map(np.concatenate, zip(*found))
     members = p[np.lexsort((p, t))].tolist()
-    ends = np.cumsum(np.bincount(t, minlength=len(tiles))).tolist()
-    return tiles, [members[a:b] for a, b in zip([0] + ends, ends)]
+    ends = np.cumsum(np.bincount(t, minlength=len(centers))).tolist()
+    return centers, [members[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def cap_subsample(

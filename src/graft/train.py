@@ -122,13 +122,6 @@ class AdamWState:
             v={k: np.zeros_like(a) for k, a in params.arrays().items()},
         )
 
-    def copy(self) -> "AdamWState":
-        return AdamWState(
-            m={k: a.copy() for k, a in self.m.items()},
-            v={k: a.copy() for k, a in self.v.items()},
-            t=self.t,
-        )
-
 
 def adamw_update(
     params: SatEncoderParams,
@@ -181,7 +174,7 @@ def _image_level_backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     # A diverged encoder overflows here: numpy stays silent and the output check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        sat_embs, cache = image_forward(params, [t.patch_features for t in batch.tiles])
+        sat_embs, cache = image_forward(params, batch.features)
         _require_unit_output(sat_embs)
     if cfg.variant == "image_default":
         value, d_sat = losses.image_loss(sat_embs, grounds, batch.sizes, cfg.tau)
@@ -204,7 +197,7 @@ def _pixel_level_backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     # Only patches containing at least one ground image are forwarded, those
     # of every tile in one pass; all other patches receive no gradient.
-    features = np.stack([t.patch_features for t in batch.tiles])  # (B, G, G, F)
+    features = batch.features  # (B, G, G, F)
     n_patches = features.shape[1] * features.shape[2]
     tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
     uniq, inverse = np.unique(tile_of_pair * n_patches + batch.patch, return_inverse=True)
@@ -308,8 +301,8 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     if batch_size < 2:
         raise ValueError(f"batch_size {batch_size} < 2 leaves every tile without negatives")
-    feature_dim = ds.tiles[0].feature_dim
-    n_patches = ds.tiles[0].spec.grid_px ** 2
+    feature_dim = ds.tiles.features.shape[-1]
+    n_patches = ds.tiles.spec.grid_px ** 2
     params = init_params(feature_dim, hidden_dim, frozen.dim, n_patches, seed=sched.seed)
 
     batches_per_epoch = len(make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, 0)))

@@ -11,10 +11,101 @@ import math
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from graft import geo
 from graft.encoder import forward_patch_rows
-from graft.geo import PixelCoord, pixel_to_patch
+from graft.geo import GeoPoint
 from graft.losses import pixel_loss_anchors
+
+
+# ---- one geotag at a time ----------------------------------------------------
+#
+# The scalar geotag -> pixel -> patch mapping of one point against one tile
+# centered on `center`. The library maps every pair of a dataset at once
+# (`corpus.PairedDataset.pair_index`); tests check it against these.
+
+
+class OutOfFootprintError(ValueError):
+    """A geotag was mapped against a tile whose footprint does not contain it."""
+
+
+@dataclass(frozen=True)
+class PixelCoord:
+    row: int
+    col: int
+
+
+@dataclass(frozen=True)
+class PatchIndex:
+    prow: int
+    pcol: int
+
+
+def meters_per_degree(lat: float) -> tuple[float, float]:
+    """Local meters per degree of latitude and longitude at the given latitude."""
+    if not (-90.0 <= lat <= 90.0):
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    return geo.METERS_PER_DEGREE, geo.METERS_PER_DEGREE * math.cos(math.radians(lat))
+
+
+def _offsets(origin: GeoPoint, p: GeoPoint, half_m: float):
+    lon_cos = math.cos(math.radians(origin.lat))
+    return geo.footprint_offsets(p.lat, p.lon, origin.lat, origin.lon, lon_cos, half_m)
+
+
+def flat_earth_offset_m(origin: GeoPoint, p: GeoPoint) -> tuple[float, float]:
+    """(north_m, east_m) displacement of `p` from `origin`, cos scale at origin."""
+    return _offsets(origin, p, 0.0)[:2]
+
+
+def flat_earth_distance_m(a: GeoPoint, b: GeoPoint) -> float:
+    """Symmetric flat-earth distance; longitude scale at the midpoint latitude."""
+    return math.sqrt(geo.separation_m2(a.lat, a.lon, b.lat, b.lon))
+
+
+def tile_contains(tile, center: GeoPoint, p: GeoPoint) -> bool:
+    """Strict containment: points exactly on the footprint boundary are outside."""
+    return _offsets(center, p, tile.half_extent_m)[2]
+
+
+def geotag_to_pixel(tile, center: GeoPoint, p: GeoPoint) -> PixelCoord:
+    """Map a geotag inside the footprint of the tile at `center` to its raster pixel.
+
+    Raises OutOfFootprintError for points on or outside the footprint boundary.
+    """
+    north, east, inside = _offsets(center, p, tile.half_extent_m)
+    if not inside:
+        raise OutOfFootprintError(
+            f"point ({p.lat}, {p.lon}) outside tile at ({center.lat}, "
+            f"{center.lon}): offset ({north:.1f} m N, {east:.1f} m E), "
+            f"half extent {tile.half_extent_m:.1f} m"
+        )
+    res = tile.resolution_m_per_px
+    row = math.floor(tile.size_px / 2 - north / res)
+    col = math.floor(tile.size_px / 2 + east / res)
+    return PixelCoord(int(row), int(col))
+
+
+def pixel_to_geotag(tile, center: GeoPoint, px: PixelCoord) -> GeoPoint:
+    """Geotag of a pixel's center; inverse of geotag_to_pixel up to half a pixel."""
+    if not (0 <= px.row < tile.size_px and 0 <= px.col < tile.size_px):
+        raise ValueError(f"pixel {px} out of bounds for size_px {tile.size_px}")
+    res = tile.resolution_m_per_px
+    north = (tile.size_px / 2 - (px.row + 0.5)) * res
+    east = ((px.col + 0.5) - tile.size_px / 2) * res
+    lat = center.lat + north / geo.METERS_PER_DEGREE
+    lon = center.lon + east / (geo.METERS_PER_DEGREE * math.cos(math.radians(center.lat)))
+    return GeoPoint(lat, lon)
+
+
+def pixel_to_patch(px: PixelCoord, patch_px: int) -> PatchIndex:
+    """Index of the non-overlapping patch containing the pixel."""
+    if patch_px <= 0:
+        raise ValueError("patch_px must be positive")
+    if px.row < 0 or px.col < 0:
+        raise ValueError(f"pixel {px} has negative coordinates")
+    return PatchIndex(px.row // patch_px, px.col // patch_px)
 
 
 def rand_unit(rng: np.random.Generator, shape) -> np.ndarray:
@@ -285,32 +376,29 @@ def class_centroids(world) -> np.ndarray:
     return eye
 
 
-def class_grid_per_tile(fld, tile) -> np.ndarray:
+def class_grid_per_tile(fld, tile, center) -> np.ndarray:
     g = tile.grid_px
     res = tile.resolution_m_per_px
     centers_px = (np.arange(g) + 0.5) * tile.patch_px
     north = (tile.size_px / 2 - centers_px) * res
     east = (centers_px - tile.size_px / 2) * res
-    lat = tile.center.lat + north / geo.METERS_PER_DEGREE
-    lon = tile.center.lon + east / (
-        geo.METERS_PER_DEGREE * math.cos(math.radians(tile.center.lat))
-    )
+    lat = center.lat + north / geo.METERS_PER_DEGREE
+    lon = center.lon + east / (geo.METERS_PER_DEGREE * math.cos(math.radians(center.lat)))
     return fld.class_at_many(np.broadcast_to(lat[:, None], (g, g)),
                              np.broadcast_to(lon[None, :], (g, g)))
 
 
-def class_grids_broadcast(fld, specs) -> np.ndarray:
+def class_grids_broadcast(fld, spec, lats, lons) -> np.ndarray:
     """(N, G, G) classes of N tiles, each block's patch-center coordinates
     broadcast to (n, G, G) and passed through `class_at_many`."""
-    g = specs[0].grid_px
-    patch_px, half, res, lat0, lon0, lon_scale = np.array(
-        [(s.patch_px, s.size_px / 2, s.resolution_m_per_px, s.center.lat, s.center.lon,
-          geo.METERS_PER_DEGREE * math.cos(math.radians(s.center.lat))) for s in specs]
+    g = spec.grid_px
+    lat0, lon0, lon_scale = np.array(
+        [(a, b, geo.METERS_PER_DEGREE * math.cos(math.radians(a))) for a, b in zip(lats, lons)]
     ).T[..., None]
-    north = (half - (np.arange(g) + 0.5) * patch_px) * res
+    north = (spec.size_px / 2 - (np.arange(g) + 0.5) * spec.patch_px) * spec.resolution_m_per_px
     lat = lat0 + north / geo.METERS_PER_DEGREE
     lon = lon0 - north / lon_scale
-    shape = (len(specs), g, g)
+    shape = (len(lats), g, g)
     return fld.class_at_many(np.broadcast_to(lat[:, :, None], shape),
                              np.broadcast_to(lon[:, None, :], shape))
 
@@ -320,9 +408,9 @@ def majority_class_per_tile(grids) -> np.ndarray:
     return np.array([int(np.bincount(grid.ravel()).argmax()) for grid in grids])
 
 
-def materialize_per_tile(fld, tile, snapshot_ts: int) -> np.ndarray:
+def materialize_per_tile(fld, tile, center, snapshot_ts: int) -> np.ndarray:
     g = tile.grid_px
-    labels = class_grid_per_tile(fld, tile)
+    labels = class_grid_per_tile(fld, tile, center)
     features = np.zeros((g, g, fld.feature_dim), dtype=np.float64)
     gi, gj = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
     features[gi, gj, labels] = 1.0
@@ -332,8 +420,8 @@ def materialize_per_tile(fld, tile, snapshot_ts: int) -> np.ndarray:
                 [
                     fld.noise_key,
                     int(snapshot_ts),
-                    int(round((tile.center.lat + 90.0) * 1e7)),
-                    int(round((tile.center.lon + 180.0) * 1e7)),
+                    int(round((center.lat + 90.0) * 1e7)),
+                    int(round((center.lon + 180.0) * 1e7)),
                 ]
             )
         )
@@ -352,9 +440,8 @@ def density_scores_per_cell(fld, params, query_emb, spec, cell_px: int, snapshot
     scores = np.zeros((len(lat_centers), len(lon_centers)))
     for r, lat in enumerate(lat_centers):
         for c, lon in enumerate(lon_centers):
-            cell = geo.TileSpec(geo.GeoPoint(lat, lon), spec.resolution_m_per_px,
-                                spec.size_px, spec.patch_px)
-            _, img = encoder_forward(params, materialize_per_tile(fld, cell, snapshot_ts))
+            cell = geo.GeoPoint(lat, lon)
+            _, img = encoder_forward(params, materialize_per_tile(fld, spec, cell, snapshot_ts))
             scores[r, c] = float(img @ query_emb)
     return scores
 
@@ -362,12 +449,10 @@ def density_scores_per_cell(fld, params, query_emb, spec, cell_px: int, snapshot
 # ---- build report -------------------------------------------------------------
 
 
-def min_center_separation_per_tile(tiles) -> float:
+def min_center_separation_per_tile(lats, lons) -> float:
     """Smallest distance between two tile centers, each tile against every later one."""
-    lats = np.array([t.spec.center.lat for t in tiles])
-    lons = np.array([t.spec.center.lon for t in tiles])
     best = math.inf
-    for i in range(len(tiles) - 1):
+    for i in range(len(lats) - 1):
         dn = (lats[i] - lats[i + 1 :]) * geo.METERS_PER_DEGREE
         de = (
             (lons[i] - lons[i + 1 :])
@@ -384,14 +469,15 @@ def min_center_separation_per_tile(tiles) -> float:
 
 def sample_tiles_scan(points, spec, min_sep_px):
     """Greedy tile sampling as first written: each point against every spawned
-    center, then each tile against every point."""
+    center, then each tile against every point. Returns the center point
+    indices and the assignment."""
     min_sep_m = min_sep_px * spec.resolution_m_per_px
     lats = np.array([p.lat for p in points], dtype=np.float64)
     lons = np.array([p.lon for p in points], dtype=np.float64)
     center_lat = np.empty(len(points))
     center_lon = np.empty(len(points))
     n_tiles = 0
-    tiles = []
+    centers = []
     for i in range(len(points)):
         if n_tiles > 0 and min_sep_m > 0:
             clat = center_lat[:n_tiles]
@@ -407,20 +493,19 @@ def sample_tiles_scan(points, spec, min_sep_px):
         center_lat[n_tiles] = lats[i]
         center_lon[n_tiles] = lons[i]
         n_tiles += 1
-        tiles.append(geo.TileSpec(center=points[i], resolution_m_per_px=spec.resolution_m_per_px,
-                                  size_px=spec.size_px, patch_px=spec.patch_px))
+        centers.append(i)
     half = spec.half_extent_m
     assignment = []
-    for t in tiles:
-        dn = (lats - t.center.lat) * geo.METERS_PER_DEGREE
+    for c in centers:
+        dn = (lats - points[c].lat) * geo.METERS_PER_DEGREE
         de = (
-            (lons - t.center.lon)
+            (lons - points[c].lon)
             * geo.METERS_PER_DEGREE
-            * math.cos(math.radians(t.center.lat))
+            * math.cos(math.radians(points[c].lat))
         )
         inside = (np.abs(dn) < half) & (np.abs(de) < half)
         assignment.append(np.nonzero(inside)[0].tolist())
-    return tiles, assignment
+    return centers, assignment
 
 
 def select_snapshot_scan(candidates, target: int) -> int:

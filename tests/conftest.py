@@ -27,13 +27,10 @@ def small_world():
 @pytest.fixture(scope="session")
 def small_dataset(small_world):
     world = small_world
-    spec = geo.TileSpec(
-        center=geo.GeoPoint(world.config.center_lat, world.config.center_lon)
-    )
     return corpus.build_pairs(
         world.grounds,
         world.snapshots,
-        spec,
+        geo.TileSpec(),
         cap=25,
         min_sep_px=112,
         seed=7,

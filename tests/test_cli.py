@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,14 +152,12 @@ def test_min_center_separation_sweep_matches_all_pairs(n, lat_steps):
         if lat_steps:
             lats = rng.choice(np.linspace(42.9, 43.1, lat_steps), n)
         lons = rng.uniform(-76.1, -75.9, n)
-        tiles = [SimpleNamespace(spec=TileSpec(GeoPoint(lat, lon)))
-                 for lat, lon in zip(lats, lons)]
-        want = min_center_separation_per_tile(tiles)
-        assert _min_center_separation_m(tiles) == want
-        assert _min_center_separation_m(tiles[::-1]) == want
+        want = min_center_separation_per_tile(lats, lons)
+        assert _min_center_separation_m(lats, lons) == want
+        assert _min_center_separation_m(lats[::-1], lons[::-1]) == want
         if n > 2:
-            dup = tiles + tiles[n // 2 : n // 2 + 1]
-            assert _min_center_separation_m(dup) == min_center_separation_per_tile(dup) == 0.0
+            dup = np.append(lats, lats[n // 2]), np.append(lons, lons[n // 2])
+            assert _min_center_separation_m(*dup) == min_center_separation_per_tile(*dup) == 0.0
 
 
 def test_build_corrupt_manifest_exits_4(pipeline, tmp_path):
@@ -183,7 +180,20 @@ def test_train_out_of_range_assignment_exits_4(pipeline, tmp_path, capsys):
     assert main(["train", "--world", str(world_dir), "--dataset", str(bad),
                  "--out", str(tmp_path / "run"), "--epochs", "1"]) == 4
     err = capsys.readouterr().err
-    assert f"tile {ds.tiles[1].id}" in err and "1000000 out of range" in err
+    assert f"tile {ds.tiles.ids[1]}" in err and "1000000 out of range" in err
+
+
+def test_train_tile_without_grounds_exits_4(pipeline, tmp_path, capsys):
+    _, world_dir, dataset, _ = pipeline
+    ds = corpus.load_dataset(dataset)
+    ds.assignments[2] = []
+    bad = tmp_path / "bad.grft"
+    corpus.save_dataset(ds, bad)
+    capsys.readouterr()
+    assert main(["train", "--world", str(world_dir), "--dataset", str(bad),
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"tile {ds.tiles.ids[2]}: no grounds" in err
 
 
 def test_eval_empty_container_exits_4(pipeline, tmp_path, capsys):
@@ -290,10 +300,11 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "seg")]) == 0
 
     class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names, PromptSet())
-    want = [evaluation.segment_patches(encoder_forward(params, t.patch_features)[0], class_embs)[0]
-            for t in ds.tiles]
+    want = [evaluation.segment_patches(encoder_forward(params, grid)[0], class_embs)[0]
+            for grid in ds.tiles.features]
     np.testing.assert_array_equal(seen["pred"].ravel(), np.concatenate(want, axis=None))
-    gt = [class_grid_per_tile(world.field, t.spec) for t in ds.tiles]
+    gt = [class_grid_per_tile(world.field, ds.tiles.spec, GeoPoint(lat, lon))
+          for lat, lon in zip(ds.tiles.lat, ds.tiles.lon)]
     np.testing.assert_array_equal(seen["gt"].ravel(), np.concatenate(gt, axis=None))
 
 
@@ -304,9 +315,9 @@ def test_eval_ground_truth_is_each_tiles_majority_class(pipeline, tmp_path, monk
     rng = np.random.default_rng(4)
     grids = []
 
-    def class_grids(fld, specs):
-        labels = rng.integers(0, len(fld.class_names), (len(specs), 196))
-        pairs = rng.integers(0, len(fld.class_names), (len(specs) // 2, 2))
+    def class_grids(fld, spec, lat, lon):
+        labels = rng.integers(0, len(fld.class_names), (len(lat), 196))
+        pairs = rng.integers(0, len(fld.class_names), (len(lat) // 2, 2))
         labels[: len(pairs)] = np.repeat(pairs, 98, axis=1)
         grids.append(labels.reshape(-1, 14, 14))
         return grids[-1]
@@ -326,13 +337,12 @@ def test_eval_random_encoder_near_chance(pipeline):
     world = corpus.load_world_dir(world_dir)
     tiles = corpus.load_tiles(dataset)
     class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names, PromptSet())
-    gts = evaluation.majority_labels(corpus.class_grids(world.field, [t.spec for t in tiles]),
-                                     len(world.class_names))
+    gts = evaluation.majority_labels(corpus.class_grids(world.field, tiles.spec, tiles.lat,
+                                                        tiles.lon), len(world.class_names))
     accs = []
     for seed in range(24):
         params = init_params(16, 32, 16, 196, seed=1000 + seed)
-        preds, _ = evaluation.classify(embed_images(params, [t.patch_features for t in tiles]),
-                                       class_embs)
+        preds, _ = evaluation.classify(embed_images(params, tiles.features), class_embs)
         accs.append(float(np.mean(preds == gts)))
     assert abs(np.mean(accs) - 0.125) <= 0.05
 
@@ -558,8 +568,6 @@ def test_map_density_matches_ground_truth(pipeline, tmp_path, capsys):
     first = next(iter(grids.values()))
     stack = np.stack([grids[n].scores for n in world.class_names])
     # per cell, the best-scoring query is the cell's majority ground-truth class
-    from graft.geo import GeoPoint, TileSpec
-
     rows, cols = first.scores.shape
     for r in range(rows):
         for c in range(cols):
@@ -567,8 +575,8 @@ def test_map_density_matches_ground_truth(pipeline, tmp_path, capsys):
             lon = first.origin.lon + c * first.cell_m / (
                 111320.0 * np.cos(np.radians(world.field.origin.lat))
             )
-            cell = TileSpec(GeoPoint(lat, lon))
-            gt = np.bincount(world.field.class_grid(cell).ravel()).argmax()
+            labels = world.field.class_grid(TileSpec(), GeoPoint(lat, lon))
+            gt = np.bincount(labels.ravel()).argmax()
             assert int(np.argmax(stack[:, r, c])) == int(gt)
 
 
@@ -645,18 +653,49 @@ def test_map_cell_px_out_of_domain_exits_2(pipeline, tmp_path, capsys, cell_px, 
     assert err.startswith("config error:") and message in err
 
 
-@pytest.mark.parametrize("command", ["build", "map"])
-def test_empty_snapshot_manifest_exits_4(pipeline, tmp_path, capsys, command):
+def run_on_edited_world(command, pipeline, tmp_path, capsys, name, edit):
+    """Exit code and stderr of `build` or `map` on a fresh 60-ground world whose
+    file `name` is replaced by `edit(old text)`."""
     world_dir = tmp_path / "world"
     sixty = ["--set", "world.n_ground=60"]
     assert main(["synth", "--out", str(world_dir), *sixty]) == 0
-    (world_dir / "snapshot_manifest.txt").write_text("")
+    (world_dir / name).write_text(edit((world_dir / name).read_text()))
     capsys.readouterr()
     inputs = ["water", "--checkpoint", str(pipeline[3])] if command == "map" else []
-    assert main([command, *inputs, "--world", str(world_dir), "--out", str(tmp_path / "o"),
-                 *sixty]) == 4
-    err = capsys.readouterr().err
+    code = main([command, *inputs, "--world", str(world_dir), "--out", str(tmp_path / "o"),
+                 *sixty])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+def test_empty_snapshot_manifest_exits_4(pipeline, tmp_path, capsys, command):
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys,
+                                    "snapshot_manifest.txt", lambda _: "")
+    assert code == 4
     assert "Traceback" not in err and "snapshot manifest is empty" in err
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+def test_infinite_field_noise_exits_4(pipeline, tmp_path, capsys, command):
+    def infinite_noise(text):
+        field = json.loads(text)
+        field["noise_sigma"] = math.inf
+        return json.dumps(field)  # written as the JSON literal Infinity
+
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "field.json",
+                                    infinite_noise)
+    assert code == 4
+    assert "Traceback" not in err and "field.json: noise_sigma inf" in err
+    assert not list((tmp_path / "o").glob("density_*"))
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+def test_snapshot_blob_that_is_not_a_field_exits_4(pipeline, tmp_path, capsys, command):
+    # map scores the field of the snapshot it picks, as build pairs with it
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "snapshot_manifest.txt",
+                                    lambda text: text.replace("field.json", "world.json"))
+    assert code == 4
+    assert "Traceback" not in err and "world.json has unknown format" in err
 
 
 def test_map_unknown_label_exits_6(pipeline, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from graft.cli import main
 from graft.config import ConfigError, RunConfig
 
 
@@ -94,3 +95,13 @@ def test_bad_prompts_rejected():
     cfg.prompts = "no slot"
     with pytest.raises(ConfigError):
         cfg.prompt_set()
+
+
+@pytest.mark.parametrize("flags", [["--set", "seed=-1"], ["--seed", "-1"]])
+def test_negative_seed_exits_2(tmp_path, capsys, flags):
+    assert main(["synth", "--out", str(tmp_path / "w"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'seed': '-1' is out of range, must be >= 0" in err
+    assert not (tmp_path / "w").exists()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig().apply_overrides(["seed=-1"])

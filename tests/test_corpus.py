@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_broadcast,
-                      materialize_per_tile, select_snapshot_scan)
+                      geotag_to_pixel, materialize_per_tile, pixel_to_patch,
+                      select_snapshot_scan, tile_contains)
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
@@ -31,13 +34,13 @@ from graft.corpus import (
     select_snapshot,
     subset_tiles,
     synth_world,
-    validate_dataset,
 )
 from graft.geo import GeoPoint, TileSpec
 
 
-def test_pair_index_of_a_dataset_without_tiles():
-    ds = corpus.PairedDataset(tiles=[], grounds=[], assignments=[], provenance={})
+def test_pair_index_of_a_dataset_without_tiles(small_dataset):
+    ds = corpus.PairedDataset(tiles=small_dataset.tiles.take([]), grounds=[], assignments=[],
+                              provenance={})
     pairs = ds.pair_index()
     assert pairs.offsets.tolist() == [0] and pairs.pixel.shape == (0, 2)
     assert make_batches(ds, 4) == []
@@ -119,6 +122,37 @@ def test_snapshot_manifest_roundtrip(tmp_path):
         parse_snapshot_manifest(path)
 
 
+MANIFEST_LINES = {
+    parse_ground_manifest: ("g0 41.5 -73.25 1700000000 r0", "g1 41.5 -73.25 {ts} r1"),
+    parse_snapshot_manifest: ("world 1700000000 field.json", "world {ts} field.json"),
+}
+
+
+@pytest.mark.parametrize("parse", MANIFEST_LINES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ts", [2**63, -(2**63) - 1, 2**70])
+def test_manifest_timestamp_outside_int64(tmp_path, parse, ts):
+    path = tmp_path / "manifest.txt"
+    good, bad = MANIFEST_LINES[parse]
+    path.write_text(f"# header\n{good}\n{bad.format(ts=ts)}\n")
+    with pytest.raises(ManifestError, match=f"manifest.txt:3: timestamp {ts} outside int64"):
+        parse(path)
+    for edge in (2**63 - 1, -(2**63)):
+        path.write_text(bad.format(ts=edge) + "\n")
+        assert parse(path)[0].timestamp == edge
+
+
+@pytest.mark.parametrize("parse", MANIFEST_LINES, ids=lambda f: f.__name__)
+def test_manifest_not_utf8(tmp_path, parse):
+    path = tmp_path / "manifest.txt"
+    good, _ = MANIFEST_LINES[parse]
+    path.write_bytes(f"{good}\n\n".encode() + b"\xff\xfe\n")
+    with pytest.raises(ManifestError, match="manifest.txt:3: not UTF-8"):
+        parse(path)
+    path.write_bytes(f"{good} \xe9".encode("latin-1"))
+    with pytest.raises(ManifestError, match="manifest.txt:1: not UTF-8"):
+        parse(path)
+
+
 @pytest.fixture(scope="module")
 def noiseless_world():
     cfg = SynthWorldConfig(
@@ -131,15 +165,16 @@ def noiseless_world():
 def test_build_pairs_single_ground(noiseless_world):
     world = noiseless_world
     g = world.grounds[0]
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     ds = build_pairs(
         [g], world.snapshots[:1], spec, fields={"field.json": world.field},
         embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
     assert ds.assignments == [[0]]
-    assert ds.tiles[0].spec.center == g.geo
-    assert ds.tiles[0].timestamp == world.snapshots[0].timestamp
+    assert (ds.tiles.lat[0], ds.tiles.lon[0]) == (g.geo.lat, g.geo.lon)
+    assert ds.tiles.timestamp[0] == world.snapshots[0].timestamp
+    assert ds.tiles.ids == ["t000000"]
 
 
 def test_build_pairs_two_close_grounds(noiseless_world):
@@ -151,7 +186,7 @@ def test_build_pairs_two_close_grounds(noiseless_world):
         base.timestamp,
         world.grounds[1].embedding_ref,
     )
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     ds = build_pairs(
         [base, shifted], world.snapshots, spec,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -164,7 +199,7 @@ def test_build_pairs_two_close_grounds(noiseless_world):
 def test_build_pairs_missing_embedding_refs(noiseless_world):
     world = noiseless_world
     bad = GroundImageRecord("weird", world.grounds[0].geo, 0, "no-such-ref")
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     with pytest.raises(IntegrityError, match="weird"):
         build_pairs(
             [bad], world.snapshots, spec,
@@ -174,7 +209,7 @@ def test_build_pairs_missing_embedding_refs(noiseless_world):
 
 def test_build_pairs_empty_inputs(noiseless_world):
     world = noiseless_world
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     with pytest.raises(EmptyDatasetError):
         build_pairs([], world.snapshots, spec, fields={"field.json": world.field})
     with pytest.raises(IntegrityError):
@@ -184,7 +219,7 @@ def test_build_pairs_empty_inputs(noiseless_world):
 def test_build_pairs_no_covering_snapshot(noiseless_world):
     world = noiseless_world
     far = GroundImageRecord("far", GeoPoint(10.0, 10.0), 0, world.grounds[0].embedding_ref)
-    spec = TileSpec(GeoPoint(10.0, 10.0))
+    spec = TileSpec()
     with pytest.raises(IntegrityError, match="covers"):
         build_pairs(
             [far], world.snapshots, spec,
@@ -192,8 +227,28 @@ def test_build_pairs_no_covering_snapshot(noiseless_world):
         )
 
 
+def test_build_pairs_two_feature_fields(noiseless_world):
+    # tiles pick one of two snapshots, each with its own field: every tile's
+    # features are its own snapshot field's, in tile order
+    world = noiseless_world
+    noisy = dataclasses.replace(world.field, noise_sigma=0.5)
+    first, last = world.snapshots[0].timestamp, world.snapshots[-1].timestamp
+    snaps = [SnapshotRecord("world", first, "a.json"), SnapshotRecord("world", last, "b.json")]
+    ds = build_pairs(world.grounds, snaps, TileSpec(), fields={"a.json": world.field,
+                                                               "b.json": noisy})
+    assert set(ds.tiles.timestamp.tolist()) == {first, last}
+    for i, ts in enumerate(ds.tiles.timestamp.tolist()):
+        fld = world.field if ts == first else noisy
+        center = GeoPoint(ds.tiles.lat[i], ds.tiles.lon[i])
+        np.testing.assert_array_equal(ds.tiles.features[i], fld.materialize(TileSpec(), center, ts))
+    wide = dataclasses.replace(world.field, feature_dim=world.field.feature_dim + 1)
+    with pytest.raises(IntegrityError, match=r"differ in feature_dim: \[8, 9\]"):
+        build_pairs(world.grounds, snaps, TileSpec(), fields={"a.json": world.field,
+                                                              "b.json": wide})
+
+
 def test_build_pairs_validates(small_dataset):
-    validate_dataset(small_dataset)
+    small_dataset.pair_index()
     assert small_dataset.provenance["n_tiles"] == len(small_dataset.tiles)
     assert max(len(a) for a in small_dataset.assignments) <= 25
 
@@ -202,20 +257,22 @@ def test_build_pairs_picks_temporally_closest_snapshot(noiseless_world):
     world = noiseless_world
     ref = world.grounds[0].embedding_ref
     g = GroundImageRecord("g", world.grounds[0].geo, world.snapshots[1].timestamp + 3, ref)
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     ds = build_pairs(
         [g], world.snapshots, spec,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
-    assert ds.tiles[0].timestamp == world.snapshots[1].timestamp
+    assert ds.tiles.timestamp[0] == world.snapshots[1].timestamp
 
 
 def test_make_batches_even_split(small_dataset):
     ds = subset_tiles(small_dataset, range(10))
     batches = make_batches(ds, 5, seed=0)
     assert [b.n_tiles for b in batches] == [5, 5]
-    seen = [t.id for b in batches for t in b.tiles]
-    assert sorted(seen) == sorted(t.id for t in ds.tiles)
+    seen = [ds.tiles.ids[i] for b in batches for i in b.tiles]
+    assert sorted(seen) == sorted(ds.tiles.ids)
+    for b in batches:
+        np.testing.assert_array_equal(b.features, ds.tiles.features[b.tiles])
 
 
 def test_make_batches_drops_lone_final_tile(small_dataset):
@@ -230,14 +287,12 @@ def test_make_batches_drops_lone_final_tile(small_dataset):
 def test_make_batches_deterministic(small_dataset):
     a = make_batches(small_dataset, 7, seed=9)
     b = make_batches(small_dataset, 7, seed=9)
-    assert [[t.id for t in batch.tiles] for batch in a] == [
-        [t.id for t in batch.tiles] for batch in b
-    ]
+    assert [batch.tiles.tolist() for batch in a] == [batch.tiles.tolist() for batch in b]
 
 
 def test_make_batches_epoch_coverage(small_dataset):
     batches = make_batches(small_dataset, 8, seed=4)
-    ids = [t.id for b in batches for t in b.tiles]
+    ids = [i for b in batches for i in b.tiles.tolist()]
     retained = len(small_dataset.tiles) - (
         1 if len(small_dataset.tiles) % 8 == 1 else 0
     )
@@ -249,14 +304,16 @@ def test_pair_index_matches_scalar_geometry(small_dataset):
     ds = small_dataset
     pairs = ds.pair_index()
     k = 0
-    for t, (tile, members) in enumerate(zip(ds.tiles, ds.assignments)):
+    spec = ds.tiles.spec
+    for t, members in enumerate(ds.assignments):
         assert (pairs.offsets[t], pairs.offsets[t + 1]) == (k, k + len(members))
+        center = GeoPoint(ds.tiles.lat[t], ds.tiles.lon[t])
         for m in members:
-            px = geo.geotag_to_pixel(tile.spec, ds.grounds[m].geo)
-            patch = geo.pixel_to_patch(px, tile.spec.patch_px)
+            px = geotag_to_pixel(spec, center, ds.grounds[m].geo)
+            patch = pixel_to_patch(px, spec.patch_px)
             assert pairs.ground[k] == m
             assert (pairs.pixel[k, 0], pairs.pixel[k, 1]) == (px.row, px.col)
-            assert pairs.patch[k] == patch.prow * tile.spec.grid_px + patch.pcol
+            assert pairs.patch[k] == patch.prow * spec.grid_px + patch.pcol
             k += 1
     assert k == len(pairs.patch) == ds.n_pairs
 
@@ -264,10 +321,8 @@ def test_pair_index_matches_scalar_geometry(small_dataset):
 def test_make_batches_gathers_each_tiles_pairs(small_dataset):
     ds = small_dataset
     pairs = ds.pair_index()
-    index_of = {t.id: i for i, t in enumerate(ds.tiles)}
     for batch in make_batches(ds, 7, seed=5):
-        segments = [range(pairs.offsets[index_of[t.id]], pairs.offsets[index_of[t.id] + 1])
-                    for t in batch.tiles]
+        segments = [range(pairs.offsets[t], pairs.offsets[t + 1]) for t in batch.tiles]
         assert list(batch.sizes) == [len(s) for s in segments]
         rows = [r for s in segments for r in s]
         np.testing.assert_array_equal(batch.ground, pairs.ground[rows])
@@ -277,15 +332,16 @@ def test_make_batches_gathers_each_tiles_pairs(small_dataset):
 def test_pair_index_rejects_bad_assignments(small_dataset):
     ds = subset_tiles(small_dataset, [0, 1])
     ds.assignments[1].append(10**6)
-    with pytest.raises(IntegrityError, match=f"tile {ds.tiles[1].id}: assignment index 1000000"):
+    with pytest.raises(IntegrityError, match=f"tile {ds.tiles.ids[1]}: assignment index 1000000"):
         make_batches(ds, 2)
 
     ds = subset_tiles(small_dataset, [0, 1])
+    center = GeoPoint(ds.tiles.lat[1], ds.tiles.lon[1])
     outside = next(i for i, g in enumerate(ds.grounds)
-                   if not geo.tile_contains(ds.tiles[1].spec, g.geo))
+                   if not tile_contains(ds.tiles.spec, center, g.geo))
     ds.assignments[1].append(outside)
-    with pytest.raises(IntegrityError, match=f"tile {ds.tiles[1].id}: ground {outside} .* outside"):
-        validate_dataset(ds)
+    with pytest.raises(IntegrityError, match=f"tile {ds.tiles.ids[1]}: ground {outside} .*"):
+        ds.pair_index()
 
 
 def test_make_batches_pixels_in_bounds(small_dataset):
@@ -294,7 +350,7 @@ def test_make_batches_pixels_in_bounds(small_dataset):
     for batch in make_batches(small_dataset, 16, seed=2):
         tile_of_pair = np.repeat(np.arange(batch.n_tiles), batch.sizes)
         for k, patch in zip(tile_of_pair, batch.patch):
-            assert 0 <= patch < batch.tiles[k].spec.grid_px ** 2
+            assert 0 <= patch < small_dataset.tiles.spec.grid_px ** 2
 
 
 def test_synth_world_noiseless_embeddings_exact(noiseless_world):
@@ -314,10 +370,10 @@ def test_synth_world_bit_identical_for_seed():
     assert w1.ground_encoder.content_hash() == w2.ground_encoder.content_hash()
     assert w1.grounds == w2.grounds
     assert w1.snapshots == w2.snapshots
-    tile = TileSpec(GeoPoint(cfg.center_lat, cfg.center_lon))
+    center = GeoPoint(cfg.center_lat, cfg.center_lon)
     np.testing.assert_array_equal(
-        w1.field.materialize(tile, w1.snapshots[0].timestamp),
-        w2.field.materialize(tile, w2.snapshots[0].timestamp),
+        w1.field.materialize(TileSpec(), center, w1.snapshots[0].timestamp),
+        w2.field.materialize(TileSpec(), center, w2.snapshots[0].timestamp),
     )
     w3 = synth_world(cfg, seed=22)
     assert w3.ground_encoder.content_hash() != w1.ground_encoder.content_hash()
@@ -352,10 +408,10 @@ def test_synth_world_validation():
 
 def test_feature_field_grid_matches_pointwise(noiseless_world):
     field = noiseless_world.field
-    tile = TileSpec(GeoPoint(45.0, 9.0), size_px=64, patch_px=16)
-    grid = field.class_grid(tile)
+    tile, center = TileSpec(size_px=64, patch_px=16), GeoPoint(45.0, 9.0)
+    grid = field.class_grid(tile, center)
     # noiseless features are exactly the one-hot of the grid labels
-    features = field.materialize(tile, 0)
+    features = field.materialize(tile, center, 0)
     assert features.dtype == np.float32
     for r in range(4):
         for c in range(4):
@@ -369,20 +425,21 @@ def test_materialize_many_matches_per_tile_oracle(request, monkeypatch, world_na
     fld = request.getfixturevalue(world_name).field
     lat_min, lat_max, lon_min, lon_max = fld.bounds
     rng = np.random.default_rng(3)
-    specs = [TileSpec(GeoPoint(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max)),
-                      size_px=64, patch_px=16) for _ in range(11)]
+    spec = TileSpec(size_px=64, patch_px=16)
+    lat, lon = rng.uniform(lat_min, lat_max, 11), rng.uniform(lon_min, lon_max, 11)
+    centers = [GeoPoint(a, b) for a, b in zip(lat, lon)]
     timestamps = [1_700_000_000 + 864_000 * (i % 3) for i in range(11)]
     monkeypatch.setattr(corpus, "FIELD_BLOCK_TILES", 4)
-    got = corpus.materialize_many(fld, specs, timestamps)
-    want = np.stack([materialize_per_tile(fld, s, t) for s, t in zip(specs, timestamps)])
+    got = corpus.materialize_many(fld, spec, lat, lon, timestamps)
+    want = np.stack([materialize_per_tile(fld, spec, c, t) for c, t in zip(centers, timestamps)])
     assert got.dtype == np.float32 and got.shape == (11, 4, 4, fld.feature_dim)
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-    np.testing.assert_array_equal(
-        corpus.class_grids(fld, specs), np.stack([class_grid_per_tile(fld, s) for s in specs])
-    )
+    np.testing.assert_array_equal(corpus.class_grids(fld, spec, lat, lon),
+                                  np.stack([class_grid_per_tile(fld, spec, c) for c in centers]))
     # the one-tile methods are the same computation
-    np.testing.assert_array_equal(fld.materialize(specs[5], timestamps[5]), want[5])
-    np.testing.assert_array_equal(fld.class_grid(specs[5]), class_grid_per_tile(fld, specs[5]))
+    np.testing.assert_array_equal(fld.materialize(spec, centers[5], timestamps[5]), want[5])
+    np.testing.assert_array_equal(fld.class_grid(spec, centers[5]),
+                                  class_grid_per_tile(fld, spec, centers[5]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,21 +464,21 @@ def test_class_grids_match_broadcast_oracle(k, lat, n, grid, tied, seed):
                               GeoPoint(lat, 10.0), bounds, feature_dim=k, noise_sigma=0.0,
                               noise_key=0)
     size, patch, res = grid
-    specs = [TileSpec(GeoPoint(a, b), res, size, patch)
-             for a, b in zip(lat + rng.uniform(-dlat, dlat, n), 10.0 + rng.uniform(-dlon, dlon, n))]
-    got = corpus.class_grids(fld, specs)
-    np.testing.assert_array_equal(got, class_grids_broadcast(fld, specs))
+    spec = TileSpec(res, size, patch)
+    lats, lons = lat + rng.uniform(-dlat, dlat, n), 10.0 + rng.uniform(-dlon, dlon, n)
+    got = corpus.class_grids(fld, spec, lats, lons)
+    np.testing.assert_array_equal(got, class_grids_broadcast(fld, spec, lats, lons))
     if tied:
         assert not np.any(got == k - 1)
 
 
 def test_materialize_many_rejects_mismatched_inputs(noiseless_world):
     fld = noiseless_world.field
-    center = GeoPoint(fld.origin.lat, fld.origin.lon)
+    lat, lon = [fld.origin.lat], [fld.origin.lon]
     with pytest.raises(ValueError, match="2 timestamps for 1 tiles"):
-        corpus.materialize_many(fld, [TileSpec(center)], [0, 1])
-    with pytest.raises(ValueError, match="share a patch grid"):
-        corpus.class_grids(fld, [TileSpec(center), TileSpec(center, size_px=64)])
+        corpus.materialize_many(fld, TileSpec(), lat, lon, [0, 1])
+    with pytest.raises(ValueError, match="1 timestamps for 1 tiles"):
+        corpus.materialize_many(fld, TileSpec(), lat, lon * 2, [0])
 
 
 def test_feature_field_json_roundtrip(tmp_path, noiseless_world):
@@ -431,12 +488,26 @@ def test_feature_field_json_roundtrip(tmp_path, noiseless_world):
     assert loaded.class_names == noiseless_world.field.class_names
     np.testing.assert_array_equal(loaded.seeds_lat, noiseless_world.field.seeds_lat)
     assert loaded.bounds == tuple(noiseless_world.field.bounds)
-    tile = TileSpec(GeoPoint(45.0, 9.0))
+    center = GeoPoint(45.0, 9.0)
     np.testing.assert_array_equal(
-        loaded.materialize(tile, 123), noiseless_world.field.materialize(tile, 123)
+        loaded.materialize(TileSpec(), center, 123),
+        noiseless_world.field.materialize(TileSpec(), center, 123),
     )
     path.write_text("{not json")
     with pytest.raises(IntegrityError):
+        load_feature_field(path)
+
+
+@pytest.mark.parametrize("key, value", [("noise_sigma", math.inf), ("noise_sigma", -0.1),
+                                        ("noise_sigma", math.nan), ("seeds_lat", math.nan),
+                                        ("seeds_lon", math.inf)])
+def test_feature_field_rejects_non_finite_noise_and_seeds(tmp_path, noiseless_world, key, value):
+    path = tmp_path / "field.json"
+    save_feature_field(noiseless_world.field, path)
+    payload = json.loads(path.read_text())
+    payload[key] = value if key == "noise_sigma" else [value] + payload[key][1:]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IntegrityError, match="noise_sigma|seed coordinates"):
         load_feature_field(path)
 
 
@@ -489,10 +560,9 @@ def test_dataset_container_bad_version(tmp_path, small_dataset):
 
 def test_subset_tiles_keeps_integrity(small_dataset):
     sub = subset_tiles(small_dataset, [3, 1, 4])
-    assert [t.id for t in sub.tiles] == [
-        small_dataset.tiles[i].id for i in (3, 1, 4)
-    ]
-    validate_dataset(sub)
+    assert sub.tiles.ids == [small_dataset.tiles.ids[i] for i in (3, 1, 4)]
+    assert sub.tiles == small_dataset.tiles.take([3, 1, 4])
+    sub.pair_index()
     assert sub.provenance["n_tiles"] == 3
 
 
@@ -509,7 +579,7 @@ def test_cap_applies_in_build(noiseless_world):
         )
         for i in range(40)
     ]
-    spec = TileSpec(GeoPoint(45.0, 9.0))
+    spec = TileSpec()
     ds = build_pairs(
         crowd, world.snapshots, spec, cap=25, min_sep_px=112, seed=1,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,

@@ -96,7 +96,7 @@ def test_image_forward_matches_tile_forward(rng):
     # 5 tiles of 3x3 patches in blocks of 2 tiles: the last block is partial
     params = init_params(6, 8, 5, 9, seed=10)
     params.pool_logits[:] = rng.standard_normal(9)
-    grids = [rng.standard_normal((3, 3, 6)).astype(np.float32) for _ in range(5)]
+    grids = rng.standard_normal((5, 3, 3, 6)).astype(np.float32)
     want = np.array([encoder_forward(params, g)[1] for g in grids])
     class_embs = rand_unit(rng, (4, 5))
     want_labels = [evaluation.segment_patches(encoder_forward(params, g)[0], class_embs)[0]

@@ -24,7 +24,7 @@ from graft.corpus import (
     GroundImageRecord,
     IntegrityError,
     PairedDataset,
-    SatTileRecord,
+    TileTable,
 )
 from graft.encoder import init_params
 from graft.frozen import (
@@ -40,12 +40,9 @@ from graft.train import load_checkpoint, save_checkpoint
 
 def tiny_dataset() -> PairedDataset:
     rng = np.random.default_rng(3)
-    spec = TileSpec(GeoPoint(45.0, 7.0), 1.0, 32, 16)
-    tiles = [
-        SatTileRecord(f"t{i}", spec, 1_600_000_000 + i,
-                      rng.standard_normal((2, 2, 3)).astype(np.float32), channels=3)
-        for i in range(2)
-    ]
+    tiles = TileTable(TileSpec(1.0, 32, 16), ["t0", "t1"], np.full(2, 45.0), np.full(2, 7.0),
+                      1_600_000_000 + np.arange(2),
+                      rng.standard_normal((2, 2, 2, 3)).astype(np.float32))
     grounds = [GroundImageRecord(f"g{j}", GeoPoint(45.0, 7.0), 1_600_000_000, f"g{j}")
                for j in range(3)]
     return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[0, 1], [2]],
@@ -138,6 +135,54 @@ def test_container_invalid_utf8_id(samples):
     bad[20] = 0xFF  # first byte of the first tile id: magic, version, length, count, id length
     with pytest.raises(DatasetFormatError, match="UTF-8.* at byte 20"):
         load_variant("container", path, bytes(bad))
+
+
+# The sample container's tile section: the tile count at byte 14, then two
+# records of a 2-byte id length, a 2-byte id, a 56-byte header and 48 bytes of
+# features, at bytes 18 and 126.
+TILE_AT = (18, 126)
+HEADER_FIELD_AT = {"resolution": (16, "<d", 2.0), "size_px": (24, "<I", 64),
+                   "patch_px": (28, "<I", 8), "grid": (44, "<I", 3), "features": (52, "<I", 4)}
+
+
+def patched(raw: bytes, at: int, fmt: str, value) -> bytes:
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt):]
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+@pytest.mark.parametrize("count", [3, 2**32 - 1])
+def test_tile_count_beyond_section_fails_before_allocating(samples, fmt, count):
+    import tracemalloc
+
+    raw, path = samples
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"{count} tiles .* overrun .* at byte 14"):
+            load_variant(fmt, path, patched(raw["container"], 14, "<I", count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+@pytest.mark.parametrize("field", HEADER_FIELD_AT)
+def test_tile_geometry_or_grid_unlike_tile_0(samples, fmt, field):
+    raw, path = samples
+    offset, code, value = HEADER_FIELD_AT[field]
+    data = patched(raw["container"], TILE_AT[1] + 4 + offset, code, value)
+    with pytest.raises(FormatError, match=f"differs from tile 0's at byte {TILE_AT[1]}"):
+        load_variant(fmt, path, data)
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+@pytest.mark.parametrize("tile", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_tile_feature(samples, fmt, tile, bad):
+    raw, path = samples
+    data = patched(raw["container"], TILE_AT[tile] + 4 + 56 + 4 * 5, "<f", bad)
+    with pytest.raises(FormatError, match=f"'t{tile}': non-finite .* at byte {TILE_AT[tile]}"):
+        load_variant(fmt, path, data)
 
 
 def test_container_error_is_the_codec_error():

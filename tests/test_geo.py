@@ -7,22 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import sample_tiles_scan
-from graft import geo
-from graft.geo import (
-    GeoPoint,
+from _oracles import (
     OutOfFootprintError,
     PixelCoord,
-    TileSpec,
-    cap_subsample,
     flat_earth_distance_m,
+    flat_earth_offset_m,
     geotag_to_pixel,
     meters_per_degree,
     pixel_to_geotag,
     pixel_to_patch,
-    sample_tiles,
+    sample_tiles_scan,
     tile_contains,
 )
+from graft import geo
+from graft.geo import GeoPoint, TileSpec, cap_subsample, sample_tiles
 
 
 def test_meters_per_degree_equator():
@@ -60,46 +58,46 @@ def test_geopoint_lon_normalization():
 def test_tilespec_rejects_resolution_outside_domain(res):
     # a finite positive resolution keeps every tile's spawning ground inside it
     with pytest.raises(ValueError, match="positive and finite"):
-        TileSpec(GeoPoint(0, 0), resolution_m_per_px=res)
+        TileSpec(resolution_m_per_px=res)
 
 
 def test_tilespec_divisibility():
     with pytest.raises(ValueError):
-        TileSpec(GeoPoint(0, 0), size_px=224, patch_px=15)
-    spec = TileSpec(GeoPoint(0, 0))
+        TileSpec(size_px=224, patch_px=15)
+    spec = TileSpec()
     assert spec.grid_px == 14
-    assert spec.patch_extent_m == 16.0
+    assert spec.half_extent_m == 112.0
 
 
 def test_geotag_to_pixel_center():
-    tile = TileSpec(GeoPoint(40.0, -75.0))
-    assert geotag_to_pixel(tile, tile.center) == PixelCoord(112, 112)
+    center = GeoPoint(40.0, -75.0)
+    assert geotag_to_pixel(TileSpec(), center, center) == PixelCoord(112, 112)
 
 
 def test_geotag_to_pixel_50m_east():
-    tile = TileSpec(GeoPoint(40.0, -75.0), resolution_m_per_px=1.0)
+    tile = TileSpec(resolution_m_per_px=1.0)
     east_deg = 50.0 / (geo.METERS_PER_DEGREE * math.cos(math.radians(40.0)))
     p = GeoPoint(40.0, -75.0 + east_deg)
-    assert geotag_to_pixel(tile, p) == PixelCoord(112, 162)
+    assert geotag_to_pixel(tile, GeoPoint(40.0, -75.0), p) == PixelCoord(112, 162)
 
 
 def test_geotag_to_pixel_out_of_footprint():
-    tile = TileSpec(GeoPoint(40.0, -75.0), resolution_m_per_px=1.0, size_px=224)
+    tile = TileSpec(resolution_m_per_px=1.0, size_px=224)
     north = GeoPoint(40.0 + 200.0 / geo.METERS_PER_DEGREE, -75.0)
     with pytest.raises(OutOfFootprintError):
-        geotag_to_pixel(tile, north)
+        geotag_to_pixel(tile, GeoPoint(40.0, -75.0), north)
 
 
 def test_boundary_point_excluded():
     # containment is a strict inequality: straddle the 112 m boundary
-    tile = TileSpec(GeoPoint(0.0, 0.0), resolution_m_per_px=1.0, size_px=224)
+    tile, center = TileSpec(resolution_m_per_px=1.0, size_px=224), GeoPoint(0.0, 0.0)
     just_out = GeoPoint((112.0 + 1e-4) / geo.METERS_PER_DEGREE, 0.0)
     just_in = GeoPoint((112.0 - 1e-4) / geo.METERS_PER_DEGREE, 0.0)
-    assert not tile_contains(tile, just_out)
-    assert tile_contains(tile, just_in)
+    assert not tile_contains(tile, center, just_out)
+    assert tile_contains(tile, center, just_in)
     with pytest.raises(OutOfFootprintError):
-        geotag_to_pixel(tile, just_out)
-    assert geotag_to_pixel(tile, just_in) == PixelCoord(0, 112)
+        geotag_to_pixel(tile, center, just_out)
+    assert geotag_to_pixel(tile, center, just_in) == PixelCoord(0, 112)
 
 
 @pytest.mark.parametrize(
@@ -125,15 +123,15 @@ def test_pixel_to_patch_negative():
 )
 def test_roundtrip_geo_pixel_geo(lat, lon, north, east):
     # 448 px at 10 m/px covers +-2240 m, so any 2 km offset stays inside.
-    tile = TileSpec(GeoPoint(lat, lon), resolution_m_per_px=10.0, size_px=448)
+    tile, center = TileSpec(resolution_m_per_px=10.0, size_px=448), GeoPoint(lat, lon)
     p = GeoPoint(
         lat + north / geo.METERS_PER_DEGREE,
         lon + east / (geo.METERS_PER_DEGREE * math.cos(math.radians(lat))),
     )
-    px = geotag_to_pixel(tile, p)
-    back = pixel_to_geotag(tile, px)
-    dn, de = geo.flat_earth_offset_m(tile.center, back)
-    dn0, de0 = geo.flat_earth_offset_m(tile.center, p)
+    px = geotag_to_pixel(tile, center, p)
+    back = pixel_to_geotag(tile, center, px)
+    dn, de = flat_earth_offset_m(center, back)
+    dn0, de0 = flat_earth_offset_m(center, p)
     assert abs(dn - dn0) <= 0.5 * tile.resolution_m_per_px + 1e-6
     assert abs(de - de0) <= 0.5 * tile.resolution_m_per_px + 1e-6
 
@@ -145,72 +143,77 @@ def test_roundtrip_geo_pixel_geo(lat, lon, north, east):
     col=st.integers(0, 447),
 )
 def test_roundtrip_pixel_geo_pixel_exact(lat, row, col):
-    tile = TileSpec(GeoPoint(lat, 10.0), resolution_m_per_px=10.0, size_px=448)
+    tile, center = TileSpec(resolution_m_per_px=10.0, size_px=448), GeoPoint(lat, 10.0)
     px = PixelCoord(row, col)
-    assert geotag_to_pixel(tile, pixel_to_geotag(tile, px)) == px
+    assert geotag_to_pixel(tile, center, pixel_to_geotag(tile, center, px)) == px
+
+
+def sample(points, spec, min_sep_px):
+    """sample_tiles over GeoPoints: the center points and the assignment."""
+    centers, assignment = sample_tiles(np.array([p.lat for p in points]),
+                                       np.array([p.lon for p in points]), spec, min_sep_px)
+    return [points[c] for c in centers], assignment
 
 
 def test_sample_tiles_single_point():
-    spec = TileSpec(GeoPoint(0, 0))
-    tiles, assignment = sample_tiles([GeoPoint(40.0, -75.0)], spec, 112)
-    assert len(tiles) == 1
-    assert tiles[0].center == GeoPoint(40.0, -75.0)
+    centers, assignment = sample([GeoPoint(40.0, -75.0)], TileSpec(), 112)
+    assert centers == [GeoPoint(40.0, -75.0)]
     assert assignment == [[0]]
 
 
 def test_sample_tiles_two_close_points():
-    spec = TileSpec(GeoPoint(0, 0), resolution_m_per_px=1.0)
+    spec = TileSpec(resolution_m_per_px=1.0)
     a = GeoPoint(40.0, -75.0)
     b = GeoPoint(40.0 + 50.0 / geo.METERS_PER_DEGREE, -75.0)
-    tiles, assignment = sample_tiles([a, b], spec, 112)
+    tiles, assignment = sample([a, b], spec, 112)
     assert len(tiles) == 1
     assert assignment == [[0, 1]]
 
 
 def test_sample_tiles_two_far_points():
-    spec = TileSpec(GeoPoint(0, 0), resolution_m_per_px=1.0)
+    spec = TileSpec(resolution_m_per_px=1.0)
     a = GeoPoint(40.0, -75.0)
     b = GeoPoint(40.0 + 300.0 / geo.METERS_PER_DEGREE, -75.0)
-    tiles, assignment = sample_tiles([a, b], spec, 112)
+    tiles, assignment = sample([a, b], spec, 112)
     assert len(tiles) == 2
     assert assignment == [[0], [1]]
 
 
 def test_sample_tiles_empty_and_negative():
-    spec = TileSpec(GeoPoint(0, 0))
+    spec = TileSpec()
     with pytest.raises(ValueError):
-        sample_tiles([], spec, 112)
+        sample_tiles(np.empty(0), np.empty(0), spec, 112)
     with pytest.raises(ValueError):
-        sample_tiles([GeoPoint(0, 0)], spec, -1)
+        sample_tiles(np.zeros(1), np.zeros(1), spec, -1)
 
 
 def test_sample_tiles_invariants_random():
     rng = np.random.default_rng(5)
-    spec = TileSpec(GeoPoint(0, 0), resolution_m_per_px=1.0)
+    spec = TileSpec(resolution_m_per_px=1.0)
     base = GeoPoint(44.0, 7.0)
     lat = base.lat + rng.uniform(-0.01, 0.01, size=300)
     lon = base.lon + rng.uniform(-0.013, 0.013, size=300)
     points = [GeoPoint(a, b) for a, b in zip(lat, lon)]
-    tiles, assignment = sample_tiles(points, spec, 112)
+    centers, assignment = sample(points, spec, 112)
     min_sep_m = 112 * spec.resolution_m_per_px
 
-    for i in range(len(tiles)):
-        for j in range(i + 1, len(tiles)):
-            assert flat_earth_distance_m(tiles[i].center, tiles[j].center) >= min_sep_m
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            assert flat_earth_distance_m(centers[i], centers[j]) >= min_sep_m
 
     # every point belongs to exactly the tiles whose footprints contain it
     member_sets = [set(a) for a in assignment]
     for pi, p in enumerate(points):
-        for ti, tile in enumerate(tiles):
-            assert (pi in member_sets[ti]) == tile_contains(tile, p)
+        for ti, center in enumerate(centers):
+            assert (pi in member_sets[ti]) == tile_contains(spec, center, p)
 
     # spawning points are strictly inside their own tile: patch mapping is total
-    for tile, members in zip(tiles, assignment):
+    for center, members in zip(centers, assignment):
         for m in members:
-            px = geotag_to_pixel(tile, points[m])
-            patch = pixel_to_patch(px, tile.patch_px)
-            assert 0 <= patch.prow < tile.grid_px
-            assert 0 <= patch.pcol < tile.grid_px
+            px = geotag_to_pixel(spec, center, points[m])
+            patch = pixel_to_patch(px, spec.patch_px)
+            assert 0 <= patch.prow < spec.grid_px
+            assert 0 <= patch.pcol < spec.grid_px
 
 
 # ---- grid-bucketed sample_tiles against the all-pairs scan ----------------------
@@ -224,23 +227,23 @@ LATTICE_RES = M * 2.0**-16
 
 
 def assert_same_as_scan(points, spec, min_sep_px):
-    tiles, assignment = sample_tiles(points, spec, min_sep_px)
-    want_tiles, want_assignment = sample_tiles_scan(points, spec, min_sep_px)
-    assert tiles == want_tiles
+    centers, assignment = sample(points, spec, min_sep_px)
+    want_centers, want_assignment = sample_tiles_scan(points, spec, min_sep_px)
+    assert centers == [points[c] for c in want_centers]
     assert assignment == want_assignment
-    return tiles, assignment
+    return centers, assignment
 
 
 def test_lattice_hits_separation_and_edges_exactly():
     a = GeoPoint(44.0, 7.0)
     b, c = GeoPoint(44.0 + 4 * LATTICE_DEG, 7.0), GeoPoint(44.0 + 7 * LATTICE_DEG, 7.0)
-    tile = TileSpec(a, resolution_m_per_px=LATTICE_RES)
-    assert geo.flat_earth_offset_m(a, b)[0] == 64 * LATTICE_RES
-    assert geo.flat_earth_offset_m(a, c)[0] == tile.half_extent_m
-    assert not tile_contains(tile, c)
+    tile = TileSpec(resolution_m_per_px=LATTICE_RES)
+    assert flat_earth_offset_m(a, b)[0] == 64 * LATTICE_RES
+    assert flat_earth_offset_m(a, c)[0] == tile.half_extent_m
+    assert not tile_contains(tile, a, c)
     # at exactly the separation a point still spawns: the test is strict
-    tiles, assignment = assert_same_as_scan([a, b, c], tile, 64)
-    assert [t.center for t in tiles] == [a, b]
+    centers, assignment = assert_same_as_scan([a, b, c], tile, 64)
+    assert centers == [a, b]
     assert assignment == [[0, 1], [0, 1, 2]]
 
 
@@ -253,7 +256,7 @@ def test_lattice_hits_separation_and_edges_exactly():
 def test_sample_tiles_matches_scan_on_lattice(cells, min_sep_px):
     # repeated cells are duplicate points
     points = [GeoPoint(44.0 + i * LATTICE_DEG, 7.0 + j * LATTICE_DEG) for i, j in cells]
-    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0), resolution_m_per_px=LATTICE_RES),
+    assert_same_as_scan(points, TileSpec(resolution_m_per_px=LATTICE_RES),
                         min_sep_px)
 
 
@@ -276,7 +279,7 @@ def test_sample_tiles_matches_scan_clustered(lat, lon, n_clusters, spread_m, n, 
     pts = centers[rng.integers(n_clusters, size=n)] + rng.normal(size=(n, 2)) * spread_m * scale
     pts = np.concatenate([pts, pts[rng.integers(n, size=n_dup)]])
     points = [GeoPoint(a, b) for a, b in pts]
-    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), min_sep_px)
+    assert_same_as_scan(points, TileSpec(), min_sep_px)
 
 
 @pytest.mark.parametrize("bearing", ["north", "east"])
@@ -288,7 +291,7 @@ def test_sample_tiles_matches_scan_on_chain_just_inside_separation(bearing):
     lats, lons = (44.0 + k * step, np.full(3000, 7.0)) if bearing == "north" else (
         np.full(3000, 44.0), 7.0 + k * step / math.cos(math.radians(44.0)))
     points = [GeoPoint(a, b) for a, b in zip(lats, lons)]
-    tiles, _ = assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    tiles, _ = assert_same_as_scan(points, TileSpec(), 112)
     assert len(tiles) == 1500
 
 
@@ -299,7 +302,7 @@ def test_sample_tiles_matches_scan_at_high_latitude(lat):
     lats = lat + rng.uniform(-1, 1, 400) * 1500.0 / M
     lons = 20.0 + rng.uniform(-1, 1, 400) * 0.05
     points = [GeoPoint(a, b) for a, b in zip(np.clip(lats, -90, 90), lons)]
-    assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    assert_same_as_scan(points, TileSpec(), 112)
 
 
 def test_sample_tiles_matches_scan_across_antimeridian():
@@ -308,14 +311,14 @@ def test_sample_tiles_matches_scan_across_antimeridian():
     rng = np.random.default_rng(1)
     lons = np.concatenate([180.0 - rng.uniform(0, 0.002, 100), -180.0 + rng.uniform(0, 0.002, 100)])
     points = [GeoPoint(45.0 + rng.uniform(-1, 1) * 0.001, lon) for lon in lons]
-    tiles, assignment = assert_same_as_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    tiles, assignment = assert_same_as_scan(points, TileSpec(), 112)
     east = {i for i, p in enumerate(points) if p.lon > 0}
     assert all(set(a) <= east or not set(a) & east for a in assignment)
 
 
 @pytest.mark.parametrize("min_sep_px", [0, 112])
 def test_sample_tiles_single_point_matches_scan(min_sep_px):
-    assert_same_as_scan([GeoPoint(-33.9, 151.2)], TileSpec(GeoPoint(0, 0)), min_sep_px)
+    assert_same_as_scan([GeoPoint(-33.9, 151.2)], TileSpec(), min_sep_px)
 
 
 def test_sample_tiles_one_cell_memory_stays_chunked():
@@ -325,14 +328,16 @@ def test_sample_tiles_one_cell_memory_stays_chunked():
 
     rng = np.random.default_rng(2)
     points = [GeoPoint(50.0 + a / M, 8.0 + b / M) for a, b in rng.uniform(0, 1, (2000, 2))]
+    lat, lon = np.array([p.lat for p in points]), np.array([p.lon for p in points])
     tracemalloc.start()
     try:
-        tiles, assignment = sample_tiles(points, TileSpec(GeoPoint(0, 0)), 112)
+        centers, assignment = sample_tiles(lat, lon, TileSpec(), 112)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
-    assert (tiles, assignment) == sample_tiles_scan(points, TileSpec(GeoPoint(0, 0)), 112)
+    want_centers, want_assignment = sample_tiles_scan(points, TileSpec(), 112)
+    assert (centers.tolist(), assignment) == (want_centers, want_assignment)
 
 
 def test_cap_subsample_under_cap_unchanged():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    PixelCoord,
     avg_rep_oracle,
     fd_gradient,
     image_loss_oracle,
@@ -17,7 +18,6 @@ from _oracles import (
     sum_prob_oracle,
 )
 from graft.frozen import DegenerateEmbeddingError
-from graft.geo import PixelCoord
 from graft.losses import (
     LossConfig,
     image_loss,

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient_inplace, image_level_per_tile, relative_error
+from _oracles import (fd_gradient_inplace, geotag_to_pixel, image_level_per_tile,
+                      pixel_to_patch, relative_error)
 from graft import corpus, losses
 from graft.encoder import encoder_backward, forward_patch_rows, init_params
-from graft.geo import geotag_to_pixel, pixel_to_patch
+from graft.geo import GeoPoint, TileSpec
 from graft.losses import LossConfig, pixel_loss_anchors
 from graft.train import (
     AdamWState,
@@ -75,9 +78,7 @@ def tiny_setup():
         noise_sigma=0.1, center_lat=41.0, center_lon=8.0,
     )
     world = corpus.synth_world(cfg, seed=3)
-    from graft.geo import GeoPoint, TileSpec
-
-    spec = TileSpec(GeoPoint(41.0, 8.0), size_px=64, patch_px=16)
+    spec = TileSpec(size_px=64, patch_px=16)
     ds = corpus.build_pairs(
         world.grounds, world.snapshots, spec, cap=25, min_sep_px=16, seed=3,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -127,9 +128,7 @@ def test_full_parameter_gradient_matches_fd(tiny_setup, variant, rng):
         noise_sigma=0.05, center_lat=40.0, center_lon=7.0,
     )
     world = corpus.synth_world(cfg, seed=5)
-    from graft.geo import GeoPoint, TileSpec
-
-    spec = TileSpec(GeoPoint(40.0, 7.0), size_px=32, patch_px=16)
+    spec = TileSpec(size_px=32, patch_px=16)
     ds = corpus.build_pairs(
         world.grounds, world.snapshots, spec, cap=25, min_sep_px=4, seed=5,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
@@ -155,13 +154,14 @@ def test_full_parameter_gradient_matches_fd(tiny_setup, variant, rng):
 def test_divergence_raises_with_step(tiny_setup):
     world, ds = tiny_setup
     batch = corpus.make_batches(ds, 4, seed=2)[0]
-    batch.tiles[0].patch_features[0, 0, 0] = np.nan
+    poisoned = ds.tiles.features.copy()
+    poisoned[batch.tiles[0], 0, 0, 0] = np.nan
+    batch = dataclasses.replace(batch, all_features=poisoned)
     params = init_params(8, 6, 8, 16, seed=3)
     sched = TrainSchedule(peak_lr=1e-3, warmup_steps=1, total_steps=10)
     ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     with pytest.raises(DivergenceError, match="step 7"):
         train_step(params, batch, ground_embs, LossConfig(), sched, step=7)
-    batch.tiles[0].patch_features[0, 0, 0] = 0.0  # un-poison the shared fixture
 
 
 def test_train_zero_epochs_returns_init(tiny_setup):
@@ -169,7 +169,7 @@ def test_train_zero_epochs_returns_init(tiny_setup):
     sched = TrainSchedule(epochs=0, seed=4)
     result = train(ds, world.ground_encoder, LossConfig(), sched, batch_size=4,
                    hidden_dim=6)
-    init = init_params(8, 6, 8, ds.tiles[0].spec.grid_px ** 2, seed=4)
+    init = init_params(8, 6, 8, ds.tiles.spec.grid_px ** 2, seed=4)
     for name, arr in init.arrays().items():
         assert arr.tobytes() == result.params.arrays()[name].tobytes()
     assert result.epoch_mean_loss == []
@@ -227,15 +227,18 @@ def per_tile_pixel_grads(params, batch, ds, ground_embs, tau):
     """
     anchors, passes = [], []
     start = 0
+    spec = ds.tiles.spec
+    grid = spec.grid_px
     for tile, n in zip(batch.tiles, batch.sizes):
-        grid, patch_px = tile.spec.grid_px, tile.spec.patch_px
+        center = GeoPoint(ds.tiles.lat[tile], ds.tiles.lon[tile])
         rows = []
         for g in batch.ground[start : start + n]:
-            patch = pixel_to_patch(geotag_to_pixel(tile.spec, ds.grounds[g].geo), patch_px)
+            patch = pixel_to_patch(geotag_to_pixel(spec, center, ds.grounds[g].geo), spec.patch_px)
             rows.append(patch.prow * grid + patch.pcol)
         start += n
         uniq, inverse = np.unique(rows, return_inverse=True)
-        embs, cache = forward_patch_rows(params, tile.patch_features.reshape(grid * grid, -1)[uniq])
+        features = ds.tiles.features[tile].reshape(grid * grid, -1)
+        embs, cache = forward_patch_rows(params, features[uniq])
         anchors.append(embs[inverse])
         passes.append((cache, inverse, len(uniq)))
     value, d_anchors = pixel_loss_anchors(np.concatenate(anchors), ground_embs[batch.ground],
@@ -256,10 +259,8 @@ def test_batched_pixel_backward_matches_per_tile_passes():
     # a dense world, so tiles hold many grounds and some share a patch
     cfg = corpus.SynthWorldConfig(extent_km=1.0, n_ground=300, center_lat=41.0, center_lon=8.0)
     world = corpus.synth_world(cfg, seed=8)
-    from graft.geo import GeoPoint, TileSpec
-
     ds = corpus.build_pairs(
-        world.grounds, world.snapshots, TileSpec(GeoPoint(41.0, 8.0)), seed=8,
+        world.grounds, world.snapshots, TileSpec(), seed=8,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     batch = corpus.make_batches(ds, 6, seed=4)[0]
@@ -289,10 +290,8 @@ def test_blocked_image_pass_matches_per_tile_loop(variant, rng):
     # 11 tiles of 196 patches: blocks of 7 tiles, so the second block is partial
     cfg = corpus.SynthWorldConfig(extent_km=2.0, n_ground=200, center_lat=41.0, center_lon=8.0)
     world = corpus.synth_world(cfg, seed=8)
-    from graft.geo import GeoPoint, TileSpec
-
     ds = corpus.build_pairs(
-        world.grounds, world.snapshots, TileSpec(GeoPoint(41.0, 8.0)), seed=8,
+        world.grounds, world.snapshots, TileSpec(), seed=8,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     batch = corpus.make_batches(ds, 11, seed=4)[0]
@@ -303,7 +302,7 @@ def test_blocked_image_pass_matches_per_tile_loop(variant, rng):
     ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     value, grads = loss_and_param_grads(params, batch, ground_embs, LossConfig(variant=variant))
     want_value, want_grads = image_level_per_tile(
-        params, [t.patch_features for t in batch.tiles],
+        params, list(ds.tiles.features[batch.tiles]),
         lambda sat: IMAGE_LOSSES[variant](sat, ground_embs[batch.ground], batch.sizes),
     )
     assert abs(value - want_value) <= 1e-12
