@@ -245,7 +245,8 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
 
 def _manifest_lines(path: str | Path, n_fields: int, ts_field: int):
     """(line number, fields) of each manifest line that is neither blank nor a
-    comment; field `ts_field` is parsed as an int64 timestamp."""
+    comment; field `ts_field` is parsed as a timestamp in [0, 2**62], where
+    snapshot noise keys are non-negative and timestamp gaps fit int64."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -263,8 +264,8 @@ def _manifest_lines(path: str | Path, n_fields: int, ts_field: int):
             parts[ts_field] = int(parts[ts_field])
         except ValueError as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-        if not -(2**63) <= parts[ts_field] < 2**63:
-            raise ManifestError(f"{path}:{lineno}: timestamp {parts[ts_field]} outside int64")
+        if not 0 <= parts[ts_field] <= 2**62:
+            raise ManifestError(f"{path}:{lineno}: timestamp {parts[ts_field]} outside [0, 2**62]")
         yield lineno, parts
 
 
@@ -386,7 +387,7 @@ def materialize_many(
     """
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     if not len(timestamps) == len(lat) == len(lon):
-        raise ValueError(f"{len(timestamps)} timestamps for {len(lat)} tiles")
+        raise ValueError(f"{len(lat)} lats, {len(lon)} lons and {len(timestamps)} timestamps")
     g = spec.grid_px
     features = np.empty((len(lat), g, g, fld.feature_dim), dtype=np.float32)
     for start in range(0, len(lat), FIELD_BLOCK_TILES):
@@ -517,10 +518,9 @@ def build_pairs(
     if not cover.any(axis=0).all():
         k = int(np.argmin(cover.any(axis=0)))
         raise IntegrityError(f"no snapshot region covers tile at ({lat[k]:.5f}, {lon[k]:.5f})")
-    # mean ground timestamp per tile: sums of <= cap timestamps are exact, as in np.mean
-    sizes = np.array([len(members) for members in assignment])
-    ts = np.array([grounds[m].timestamp for members in assignment for m in members])
-    target = np.rint(np.add.reduceat(ts, np.cumsum(sizes) - sizes) / sizes).astype(np.int64)
+    # mean ground timestamp per tile, summed exactly in Python ints
+    target = np.rint([sum(grounds[m].timestamp for m in members) / len(members)
+                      for members in assignment]).astype(np.int64)
     snap = select_snapshot([s.timestamp for s in snapshots], target, cover)
     timestamp = np.array([s.timestamp for s in snapshots], dtype=np.int64)[snap]
     blob = np.array([s.blob_ref for s in snapshots])[snap]

@@ -690,6 +690,14 @@ def test_infinite_field_noise_exits_4(pipeline, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["build", "map"])
+def test_negative_snapshot_timestamp_exits_4(pipeline, tmp_path, capsys, command):
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "snapshot_manifest.txt",
+                                    lambda text: text.replace(" 1700000000 ", " -5 ", 1))
+    assert code == 4
+    assert "Traceback" not in err and "snapshot_manifest.txt:1: timestamp -5 outside" in err
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
 def test_snapshot_blob_that_is_not_a_field_exits_4(pipeline, tmp_path, capsys, command):
     # map scores the field of the snapshot it picks, as build pairs with it
     code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "snapshot_manifest.txt",

@@ -129,14 +129,15 @@ MANIFEST_LINES = {
 
 
 @pytest.mark.parametrize("parse", MANIFEST_LINES, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("ts", [2**63, -(2**63) - 1, 2**70])
-def test_manifest_timestamp_outside_int64(tmp_path, parse, ts):
+@pytest.mark.parametrize("ts", [-1, 2**62 + 1, 2**63, -(2**63) - 1, 2**70])
+def test_manifest_timestamp_outside_domain(tmp_path, parse, ts):
     path = tmp_path / "manifest.txt"
     good, bad = MANIFEST_LINES[parse]
     path.write_text(f"# header\n{good}\n{bad.format(ts=ts)}\n")
-    with pytest.raises(ManifestError, match=f"manifest.txt:3: timestamp {ts} outside int64"):
+    with pytest.raises(ManifestError,
+                       match=rf"manifest.txt:3: timestamp {ts} outside \[0, 2\*\*62\]"):
         parse(path)
-    for edge in (2**63 - 1, -(2**63)):
+    for edge in (0, 2**62):
         path.write_text(bad.format(ts=edge) + "\n")
         assert parse(path)[0].timestamp == edge
 
@@ -194,6 +195,17 @@ def test_build_pairs_two_close_grounds(noiseless_world):
     assert len(ds.tiles) == 1
     assert ds.assignments == [[0, 1]]
     assert ds.n_pairs == 2
+
+
+def test_build_pairs_mean_timestamp_at_top_of_domain(noiseless_world):
+    # three timestamps of 2**62 sum past int64; the tile's mean is still 2**62
+    world = noiseless_world
+    base = world.grounds[0]
+    grounds = [dataclasses.replace(base, id=f"g{i}", timestamp=2**62) for i in range(3)]
+    snaps = [SnapshotRecord("world", ts, "field.json") for ts in (0, 2**62)]
+    ds = build_pairs(grounds, snaps, TileSpec(), fields={"field.json": world.field})
+    assert ds.assignments == [[0, 1, 2]]
+    assert ds.tiles.timestamp.tolist() == [2**62]
 
 
 def test_build_pairs_missing_embedding_refs(noiseless_world):
@@ -340,7 +352,8 @@ def test_pair_index_rejects_bad_assignments(small_dataset):
     outside = next(i for i, g in enumerate(ds.grounds)
                    if not tile_contains(ds.tiles.spec, center, g.geo))
     ds.assignments[1].append(outside)
-    with pytest.raises(IntegrityError, match=f"tile {ds.tiles.ids[1]}: ground {outside} .*"):
+    with pytest.raises(IntegrityError,
+                       match=f"tile {ds.tiles.ids[1]}: ground {outside} .* outside"):
         ds.pair_index()
 
 
@@ -475,9 +488,9 @@ def test_class_grids_match_broadcast_oracle(k, lat, n, grid, tied, seed):
 def test_materialize_many_rejects_mismatched_inputs(noiseless_world):
     fld = noiseless_world.field
     lat, lon = [fld.origin.lat], [fld.origin.lon]
-    with pytest.raises(ValueError, match="2 timestamps for 1 tiles"):
+    with pytest.raises(ValueError, match="1 lats, 1 lons and 2 timestamps"):
         corpus.materialize_many(fld, TileSpec(), lat, lon, [0, 1])
-    with pytest.raises(ValueError, match="1 timestamps for 1 tiles"):
+    with pytest.raises(ValueError, match="1 lats, 2 lons and 1 timestamps"):
         corpus.materialize_many(fld, TileSpec(), lat, lon * 2, [0])
 
 
