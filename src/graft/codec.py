@@ -20,10 +20,14 @@ class FormatError(ValueError):
 
 
 class Writer:
-    """Collects the parts of a file; `save` writes them without joining."""
+    """Collects the parts of a file; `save` writes them without joining.
+
+    Array parts are views of the caller's arrays, not copies, until `save`:
+    an array changed in between is written as it is then.
+    """
 
     def __init__(self):
-        self.parts: list[bytes] = []
+        self.parts: list[bytes | memoryview] = []
 
     def pack(self, fmt: str, *values) -> None:
         self.parts.append(struct.pack(fmt, *values))
@@ -38,8 +42,12 @@ class Writer:
         self.parts += [struct.pack("<H", len(b)), b]
 
     def array(self, a, dtype: str) -> None:
-        """The elements of `a` as `dtype` in C order; the caller writes the shape."""
-        self.parts.append(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        """The elements of `a` as `dtype` in C order; the caller writes the shape.
+
+        The part is a byte view of `a` when `a` is already contiguous `dtype`.
+        """
+        flat = np.ascontiguousarray(a, dtype=dtype).reshape(-1)
+        self.parts.append(memoryview(flat.view(np.uint8)))
 
     def json(self, obj) -> None:
         self.parts.append(json.dumps(obj, sort_keys=True).encode("utf-8"))

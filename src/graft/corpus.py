@@ -98,7 +98,7 @@ class TileTable:
     lat: np.ndarray  # (N,) float64
     lon: np.ndarray  # (N,) float64, in [-180, 180)
     timestamp: np.ndarray  # (N,) int64
-    features: np.ndarray  # (N, G, G, F) float32
+    features: np.ndarray  # (N, G, G, F) float32; loaded: a read-only view of the file
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -473,6 +473,12 @@ def select_snapshot(candidates: Sequence[int], target, usable: np.ndarray | None
     return rank[np.argmin(gap, axis=0)]
 
 
+def _tile_id_width(n: int) -> int:
+    """Digits in the ids `t000000`... of n tiles: one width for all of them, so
+    every container record has the same size, and 6 up to a million tiles."""
+    return max(6, len(str(n - 1)))
+
+
 def build_pairs(
     grounds: Sequence[GroundImageRecord],
     snapshots: Sequence[SnapshotRecord],
@@ -538,7 +544,8 @@ def build_pairs(
         features = np.empty((len(lat), *features.shape[1:]), dtype=np.float32)
         for idx, part in zip(tiles_of.values(), grids):
             features[idx] = part
-    tiles = TileTable(spec, [f"t{i:06d}" for i in range(len(lat))], lat, lon, timestamp, features)
+    w = _tile_id_width(len(lat))
+    tiles = TileTable(spec, [f"t{i:0{w}d}" for i in range(len(lat))], lat, lon, timestamp, features)
     provenance = {
         "seed": seed,
         "cap": cap,
@@ -843,14 +850,29 @@ def resolve_fields(
     return fields
 
 
-# lat, lon, m/px, size_px, patch_px, timestamp, 3, G, G, F; the constant u32
-# once held a channel count that nothing read
+# a tile record's header, after its id; `channels`, written as 3, once held a
+# channel count that nothing read
 _TILE_HEADER = "<dddIIqIIII"
+_TILE_FIELDS = ("lat", "lon", "resolution", "size_px", "patch_px", "timestamp", "channels",
+                "grid_rows", "grid_cols", "feature_dim")
+
+
+def _tile_record(id_len: int, grid: Sequence[int]) -> np.dtype:
+    """One tile record: u16 id length, the id, the `_TILE_HEADER` fields, the features."""
+    header = [(name, "<" + code) for name, code in zip(_TILE_FIELDS, _TILE_HEADER[1:])]
+    return np.dtype([("id_len", "<u2"), ("id", f"S{id_len}"), *header,
+                     ("features", "<f4", tuple(grid))])
 
 
 def save_dataset(ds: PairedDataset, path: str | Path) -> None:
-    """Write the versioned binary container: magic, version, four sections."""
+    """Write the versioned binary container: magic, version, four sections.
+
+    Tile records are fixed-size, so all tile ids must have one UTF-8 byte length.
+    """
     t, spec = ds.tiles, ds.tiles.spec
+    ids = [tid.encode("utf-8") for tid in t.ids]
+    if len({len(b) for b in ids}) > 1 or any(b.endswith(b"\0") for b in ids):
+        raise ValueError("tile ids must share one UTF-8 byte length and not end in a NUL byte")
     tiles = Writer()
     tiles.pack("<I", len(t))
     for tid, lat, lon, ts, grid in zip(t.ids, t.lat.tolist(), t.lon.tolist(),
@@ -893,14 +915,16 @@ def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reade
 
 
 def _read_tiles(r: Reader) -> TileTable:
-    """The tile section decoded into preallocated columns.
+    """The tile section as one record array over the file's bytes.
 
-    Every tile must have tile 0's geometry and feature grid, so the declared
-    count is checked against the section's size before anything is allocated.
-    An empty section reads as a table of the default geometry.
+    Tile 0's id length and feature grid fix the record size, which is checked
+    against the section's size before anything is mapped; every record must
+    then share tile 0's layout. The columns are views of the records, so the
+    features are a read-only view of the file's bytes, not a copy. An empty
+    section reads as a table of the default geometry.
     """
     (n,) = r.unpack("<I")
-    at, left = r.off - 4, r.end - r.off
+    at, first, left = r.off - 4, r.off, r.end - r.off
 
     def fits(record: int) -> None:  # every tile record takes at least `record` bytes
         if n * record > left:
@@ -908,38 +932,53 @@ def _read_tiles(r: Reader) -> TileTable:
 
     head = 2 + struct.calcsize(_TILE_HEADER)  # id length and header
     fits(head)
-    spec = TileSpec()
-    ids, starts = [], np.empty(n, dtype=np.int64)
-    lat, lon, timestamp = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
-    features = np.empty((0, spec.grid_px, spec.grid_px, 0), dtype=np.float32)
-    for i in range(n):
-        starts[i] = r.off
-        ids.append(r.string())
-        lat[i], lon[i], res, size_px, patch_px, timestamp[i], _, *grid = r.unpack(_TILE_HEADER)
-        if i == 0:
-            try:
-                spec = TileSpec(res, size_px, patch_px)
-            except ValueError as exc:
-                raise r.fail(f"invalid tile geometry ({exc})", starts[0]) from exc
-            if grid[:2] != [spec.grid_px] * 2 or not grid[2]:
-                raise r.fail(f"feature grid {tuple(grid)} does not fill the "
-                             f"{spec.grid_px}x{spec.grid_px} patch layout", starts[0])
-            fits(head + 4 * math.prod(grid))
-            features = np.empty((n, *grid), dtype=np.float32)
-        elif (res, size_px, patch_px, *grid) != (spec.resolution_m_per_px, spec.size_px,
-                                                  spec.patch_px, *features.shape[1:]):
-            raise r.fail("tile geometry or feature grid differs from tile 0's", starts[i])
-        features[i] = r.array("<f4", tuple(grid))
+    if n == 0:
+        r.done()
+        spec = TileSpec()
+        return TileTable(spec, [], np.empty(0), np.empty(0), np.empty(0, dtype=np.int64),
+                         np.empty((0, spec.grid_px, spec.grid_px, 0), dtype=np.float32))
+    tile0 = Reader(r.data, r.what, first, r.end)
+    id_len = tile0.unpack("<H")[0]
+    tile0.advance(id_len)
+    _, _, res, size_px, patch_px, _, _, *grid = tile0.unpack(_TILE_HEADER)
+    try:
+        spec = TileSpec(res, size_px, patch_px)
+    except ValueError as exc:
+        raise r.fail(f"invalid tile geometry ({exc})", first) from exc
+    if grid[:2] != [spec.grid_px] * 2 or not grid[2]:
+        raise r.fail(f"feature grid {tuple(grid)} does not fill the "
+                     f"{spec.grid_px}x{spec.grid_px} patch layout", first)
+    record = head + id_len + 4 * math.prod(grid)
+    fits(record)  # before the dtype, whose size numpy bounds
+    rec = np.frombuffer(r.data, _tile_record(id_len, grid), n, r.advance(n * record))
+
+    def at(bad: np.ndarray) -> int:  # the byte offset of the first flagged record
+        return first + int(np.argmax(bad)) * record
+
+    differs = np.zeros(n, dtype=bool)
+    for name in ("id_len", "resolution", "size_px", "patch_px", "grid_rows", "grid_cols",
+                 "feature_dim"):
+        differs |= rec[name] != rec[name][0]
+    if differs.any():
+        raise r.fail("tile id length, geometry or feature grid differs from tile 0's", at(differs))
     r.done()
+    try:
+        ids = np.char.decode(rec["id"], "utf-8").tolist()
+    except UnicodeDecodeError as exc:  # the bad ids are those that do not round-trip
+        lossy = np.char.decode(rec["id"], "utf-8", "replace")
+        bad = np.char.encode(lossy, "utf-8") != rec["id"]
+        raise r.fail(f"invalid UTF-8 string ({exc.reason})", at(bad) + 2) from None
+    lat, lon, features = rec["lat"], rec["lon"], rec["features"]
     # a float64 sum of finite float32 values cannot overflow: it is finite
-    # exactly when every feature of the tile is, and needs no (N, G, G, F) mask
-    finite = np.isfinite(features.sum(axis=(1, 2, 3), dtype=np.float64))
+    # exactly when every feature of the tile is, and needs no (N, G, G, F) mask;
+    # a signaling NaN or inf + -inf would also print numpy's "invalid" warning
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(features.sum(axis=(1, 2, 3), dtype=np.float64))
     for bad, what in ((~((np.abs(lat) <= 90) & np.isfinite(lon)), "center off the globe"),
                       (~finite, "non-finite patch features")):
         if bad.any():
-            k = int(np.argmax(bad))
-            raise r.fail(f"tile {ids[k]!r}: {what}", starts[k])
-    return TileTable(spec, ids, lat, geo.wrap_lon(lon), timestamp, features)
+            raise r.fail(f"tile {ids[int(np.argmax(bad))]!r}: {what}", at(bad))
+    return TileTable(spec, ids, lat, geo.wrap_lon(lon), rec["timestamp"], features)
 
 
 def load_tiles(path: str | Path) -> TileTable:

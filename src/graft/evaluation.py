@@ -1,5 +1,5 @@
 """Zero-shot evaluation heads: classification, retrieval metrics, patch
-segmentation with bicubic logit upsampling, and query density maps.
+segmentation at patch resolution, and query density maps.
 
 Everything scores unit embeddings by cosine (a plain dot product). Ties break
 toward the lower class index or lexicographically smaller item id so repeated
@@ -9,7 +9,6 @@ runs produce identical rankings.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -166,48 +165,6 @@ def segment_tiles(params: encoder.SatEncoderParams, features: np.ndarray,
     return labels
 
 
-def _catmull_rom_matrix(n_in: int, factor: int) -> np.ndarray:
-    """(n_in*factor, n_in) interpolation matrix; output o samples source o/factor."""
-    n_out = n_in * factor
-    mat = np.zeros((n_out, n_in))
-    for o in range(n_out):
-        src = o / factor
-        base = math.floor(src)
-        t = src - base
-        # Keys cubic with a = -0.5 (Catmull-Rom); exact at t == 0.
-        weights = (
-            -0.5 * t * (t - 1.0) ** 2,
-            1.5 * t**3 - 2.5 * t**2 + 1.0,
-            -1.5 * t**3 + 2.0 * t**2 + 0.5 * t,
-            0.5 * t**2 * (t - 1.0),
-        )
-        for j, w in zip(range(base - 1, base + 3), weights):
-            mat[o, min(max(j, 0), n_in - 1)] += w
-    return mat
-
-
-def upsample_logits(logits: np.ndarray, factor: int) -> np.ndarray:
-    """Bicubic (Catmull-Rom, edge-clamped) upsampling of per-class logit grids.
-
-    Output position (i*factor, j*factor) reproduces input (i, j) exactly, so
-    source grid values survive to the fine grid. factor 1 is the identity.
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError("factor must be a positive integer")
-    logits = np.asarray(logits, dtype=np.float64)
-    if factor == 1:
-        return logits.copy()
-    squeeze = logits.ndim == 2
-    if squeeze:
-        logits = logits[..., None]
-    h, w, k = logits.shape
-    rows = _catmull_rom_matrix(h, factor)
-    cols = _catmull_rom_matrix(w, factor)
-    out = np.tensordot(rows, logits, axes=(1, 0))  # (H_out, W, K)
-    out = np.tensordot(cols, out, axes=(1, 1)).transpose(1, 0, 2)  # (H_out, W_out, K)
-    return out[..., 0] if squeeze else out
-
-
 def per_class_accuracy(
     pred: np.ndarray, gt: np.ndarray, ignore_label: int = IGNORE_LABEL
 ) -> tuple[dict[int, float], float]:
@@ -258,20 +215,6 @@ class DensityMap:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
             fh.write(gray.tobytes())
-
-
-def load_density_grid(path: str | Path) -> DensityMap:
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    cols_s, rows_s, lat_s, lon_s, cell_s = raw[:nl].decode("ascii").split()
-    cols, rows = int(cols_s), int(rows_s)
-    scores = (
-        np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=nl + 1)
-        .reshape(rows, cols)
-        .astype(np.float64)
-    )
-    return DensityMap(scores=scores, origin=GeoPoint(float(lat_s), float(lon_s)),
-                      cell_m=float(cell_s))
 
 
 def density_map(

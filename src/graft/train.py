@@ -362,7 +362,11 @@ def load_checkpoint(path: str | Path) -> tuple[SatEncoderParams, dict]:
     for _ in range(r.unpack("<I")[0]):
         name = r.string()
         (ndim,) = r.unpack("<B")
-        arrays[name] = r.array("<f8", r.unpack(f"<{ndim}I"))
+        shape = r.unpack(f"<{ndim}I")
+        start = r.off
+        arrays[name] = r.array("<f8", shape)
+        if not np.isfinite(arrays[name]).all():
+            raise r.fail(f"tensor {name!r} holds a non-finite value", start)
     provenance = r.section("<I").json()
     r.done()
     missing = set(PARAM_NAMES) - set(arrays)

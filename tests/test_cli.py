@@ -15,7 +15,8 @@ import pytest
 
 import graft
 from _oracles import (class_grid_per_tile, density_scores_per_cell, encoder_forward,
-                      majority_class_per_tile, min_center_separation_per_tile)
+                      load_density_grid, majority_class_per_tile,
+                      min_center_separation_per_tile)
 from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
@@ -561,9 +562,7 @@ def test_map_density_matches_ground_truth(pipeline, tmp_path, capsys):
     for name in world.class_names:
         assert main(["map", name, "--world", str(world_dir), "--checkpoint",
                      str(ckpt), "--out", str(out), *WORLD_ARGS]) == 0
-        grids[name] = evaluation.load_density_grid(
-            out / f"density_{name}.grid"
-        )
+        grids[name] = load_density_grid(out / f"density_{name}.grid")
 
     first = next(iter(grids.values()))
     stack = np.stack([grids[n].scores for n in world.class_names])
@@ -588,7 +587,7 @@ def test_map_deterministic_and_shapes(pipeline, tmp_path):
                      str(ckpt), "--out", str(out), *WORLD_ARGS]) == 0
     assert file_hash(out1 / "density_water.grid") == file_hash(out2 / "density_water.grid")
     assert file_hash(out1 / "density_water.pgm") == file_hash(out2 / "density_water.pgm")
-    dmap = evaluation.load_density_grid(out1 / "density_water.grid")
+    dmap = load_density_grid(out1 / "density_water.grid")
     # 4 km extent, 224 m cells, first center half a cell inside the bounds
     per_axis = int((4000.0 - 112.0) // 224.0) + 1
     assert dmap.scores.shape == (per_axis, per_axis)
@@ -638,6 +637,26 @@ def test_collapsed_encoder_checkpoint_exits_6(pipeline, tmp_path, capsys, comman
                  "--out", str(tmp_path / "o"), *WORLD_ARGS]) == 6
     err = capsys.readouterr().err
     assert "Traceback" not in err and "collapsed to zero norm" in err
+
+
+@pytest.mark.parametrize("command", [["map", "water"], ["eval", "classify"],
+                                     ["eval", "retrieve"], ["eval", "segment"]],
+                         ids=["map", "classify", "retrieve", "segment"])
+def test_non_finite_checkpoint_exits_6(pipeline, tmp_path, capsys, command):
+    _, world_dir, dataset, _ = pipeline
+    params = oracle_params(16, 196)
+    params.w1[0, 0] = math.nan
+    ckpt = tmp_path / "nan.grcp"
+    save_checkpoint(ckpt, params, {})
+    at = ckpt.read_bytes().index(struct.pack("<d", math.nan))  # w1's first element
+    inputs = [] if command[0] == "map" else ["--dataset", str(dataset)]
+    capsys.readouterr()
+    assert main([*command, "--world", str(world_dir), *inputs, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), *WORLD_ARGS]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"tensor 'w1' holds a non-finite value at byte {at}" in err
+    assert not [*(tmp_path / "o").glob("*_metrics.txt"), *(tmp_path / "o").glob("*.grid")]
 
 
 @pytest.mark.parametrize("cell_px, message", [("0", "out of range"), ("-1", "out of range"),

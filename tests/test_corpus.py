@@ -571,6 +571,14 @@ def test_dataset_container_bad_version(tmp_path, small_dataset):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("n, width", [(1, 6), (10**6, 6), (10**6 + 1, 7)])
+def test_tile_ids_share_one_width(n, width):
+    # container records are fixed-size, so the first and last id of n tiles
+    # must have one length; 6 digits, as always, up to a million tiles
+    assert corpus._tile_id_width(n) == width
+    assert len(f"t{0:0{width}d}") == len(f"t{n - 1:0{width}d}") == 1 + width
+
+
 def test_subset_tiles_keeps_integrity(small_dataset):
     sub = subset_tiles(small_dataset, [3, 1, 4])
     assert sub.tiles.ids == [small_dataset.tiles.ids[i] for i in (3, 1, 4)]

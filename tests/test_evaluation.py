@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import ap_at_k_bruteforce, majority_class_per_tile, rand_unit
+from _oracles import (ap_at_k_bruteforce, load_density_grid, majority_class_per_tile, rand_unit,
+                      upsample_logits)
 from graft.evaluation import (
     IGNORE_LABEL,
     DensityMap,
@@ -13,14 +14,12 @@ from graft.evaluation import (
     average_precision_at_k,
     classify,
     density_map,
-    load_density_grid,
     majority_labels,
     multilabel_map,
     per_class_accuracy,
     retrieval_ap,
     retrieve,
     segment_patches,
-    upsample_logits,
 )
 from graft.geo import GeoPoint
 

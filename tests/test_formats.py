@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import shutil
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,10 +141,12 @@ def test_container_invalid_utf8_id(samples):
 
 # The sample container's tile section: the tile count at byte 14, then two
 # records of a 2-byte id length, a 2-byte id, a 56-byte header and 48 bytes of
-# features, at bytes 18 and 126.
+# features, at bytes 18 and 126. Field offsets count from the header; the id
+# length sits 4 bytes before it.
 TILE_AT = (18, 126)
-HEADER_FIELD_AT = {"resolution": (16, "<d", 2.0), "size_px": (24, "<I", 64),
-                   "patch_px": (28, "<I", 8), "grid": (44, "<I", 3), "features": (52, "<I", 4)}
+HEADER_FIELD_AT = {"id_length": (-4, "<H", 3), "resolution": (16, "<d", 2.0),
+                   "size_px": (24, "<I", 64), "patch_px": (28, "<I", 8), "grid": (44, "<I", 3),
+                   "features": (52, "<I", 4)}
 
 
 def patched(raw: bytes, at: int, fmt: str, value) -> bytes:
@@ -152,8 +156,6 @@ def patched(raw: bytes, at: int, fmt: str, value) -> bytes:
 @pytest.mark.parametrize("fmt", ["container", "tiles"])
 @pytest.mark.parametrize("count", [3, 2**32 - 1])
 def test_tile_count_beyond_section_fails_before_allocating(samples, fmt, count):
-    import tracemalloc
-
     raw, path = samples
     tracemalloc.start()
     try:
@@ -183,6 +185,84 @@ def test_non_finite_tile_feature(samples, fmt, tile, bad):
     data = patched(raw["container"], TILE_AT[tile] + 4 + 56 + 4 * 5, "<f", bad)
     with pytest.raises(FormatError, match=f"'t{tile}': non-finite .* at byte {TILE_AT[tile]}"):
         load_variant(fmt, path, data)
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+def test_signaling_nan_feature_fails_without_a_numpy_warning(samples, fmt):
+    raw, path = samples
+    data = patched(raw["container"], TILE_AT[1] + 4 + 56 + 4 * 5, "<I", 0x7F800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=f"'t1': non-finite .* at byte {TILE_AT[1]}"):
+            load_variant(fmt, path, data)
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+def test_invalid_utf8_id_of_a_later_tile(samples, fmt):
+    raw, path = samples
+    data = patched(raw["container"], TILE_AT[1] + 2, "<B", 0xFF)
+    with pytest.raises(FormatError, match=f"UTF-8.* at byte {TILE_AT[1] + 2}"):
+        load_variant(fmt, path, data)
+
+
+@pytest.mark.parametrize("ids", [["", ""], ["é0", "é1"], ["t\x000", "t\x001"]])
+def test_container_roundtrip_of_ids(tmp_path, ids):
+    ds = tiny_dataset()
+    ds.tiles.ids = ids
+    corpus.save_dataset(ds, tmp_path / "ds")
+    assert corpus.load_dataset(tmp_path / "ds") == ds
+
+
+@pytest.mark.parametrize("ids", [["t0", "t10"], ["t0", "é0"], ["t\x00", "t1"]])
+def test_save_rejects_ids_unfit_for_fixed_records(tmp_path, ids):
+    ds = tiny_dataset()
+    ds.tiles.ids = ids
+    with pytest.raises(ValueError, match="one UTF-8 byte length"):
+        corpus.save_dataset(ds, tmp_path / "ds")
+
+
+def wide_dataset(n: int = 200) -> PairedDataset:
+    """n tiles of the default geometry, 16 features per patch (12.5 KB a tile)."""
+    rng = np.random.default_rng(5)
+    spec = TileSpec()
+    features = rng.standard_normal((n, spec.grid_px, spec.grid_px, 16)).astype(np.float32)
+    tiles = TileTable(spec, [f"t{i:06d}" for i in range(n)], np.full(n, 45.0), np.full(n, 7.0),
+                      1_600_000_000 + np.arange(n), features)
+    grounds = [GroundImageRecord(f"g{i}", GeoPoint(45.0, 7.0), 1_600_000_000, f"g{i}")
+               for i in range(n)]
+    return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[i] for i in range(n)],
+                         provenance={})
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of memory allocated while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_dataset_writes_features_without_copying(tmp_path):
+    ds = wide_dataset()
+    _, peak = traced_peak(corpus.save_dataset, ds, tmp_path / "ds")
+    assert peak < ds.tiles.features.nbytes / 4, (peak, ds.tiles.features.nbytes)
+    assert corpus.load_dataset(tmp_path / "ds") == ds
+
+
+@pytest.mark.parametrize("load", [corpus.load_tiles, corpus.load_dataset],
+                         ids=["tiles", "container"])
+def test_load_maps_features_as_a_read_only_view_of_the_file(tmp_path, load):
+    ds = wide_dataset()
+    corpus.save_dataset(ds, tmp_path / "ds")
+    size = (tmp_path / "ds").stat().st_size
+    load(tmp_path / "ds")  # the first load also imports numpy's string functions
+    out, peak = traced_peak(load, tmp_path / "ds")
+    assert peak <= 1.1 * size, (peak, size)
+    features = out.features if load is corpus.load_tiles else out.tiles.features
+    np.testing.assert_array_equal(features, ds.tiles.features)
+    assert not features.flags.writeable
 
 
 def test_container_error_is_the_codec_error():
