@@ -310,7 +310,7 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     world = _load_world(args)
     params, _ = _load_checkpoint_or_mismatch(args.checkpoint)
     spec = cfg.tile_spec()
-    target_ts = int(np.mean([g.timestamp for g in world.grounds])) if world.grounds else 0
+    target_ts = int(np.mean(world.grounds.timestamp)) if len(world.grounds) else 0
     snap_ts = [s.timestamp for s in world.snapshots]
     if not snap_ts:
         raise IntegrityError("snapshot manifest is empty")

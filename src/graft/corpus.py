@@ -9,6 +9,10 @@ geotags under a minimum-separation rule, caps grounds per tile, picks the
 temporally closest snapshot per tile, and materializes each tile's raw patch
 feature grid.
 
+Grounds and tiles are held as columns (`GroundTable`, `TileTable`), end to
+end: the manifest parser, the synthetic generator, pairing and the container
+read and write whole columns, and no step builds one object per ground image.
+
 The synthetic world is a Voronoi partition of a small extent into latent
 land-cover classes. Patch features are a one-hot of the class at the patch
 center plus gaussian noise; ground embeddings are noisy class centroids; text
@@ -18,6 +22,7 @@ reproducible from (config, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -31,7 +36,7 @@ import numpy as np
 from . import frozen, geo
 from .codec import FormatError, Reader, Writer
 from .geo import GeoPoint, TileSpec
-from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, save_embeddings, unit
+from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, first_repeat, save_embeddings
 
 CONTAINER_MAGIC = b"GRFT"
 CONTAINER_VERSION = 1
@@ -69,12 +74,29 @@ class DatasetVersionError(DatasetFormatError):
     """Container magic or version is not one this code can read."""
 
 
-@dataclass(frozen=True)
-class GroundImageRecord:
-    id: str
-    geo: GeoPoint
-    timestamp: int
-    embedding_ref: str
+@dataclass(eq=False)
+class GroundTable:
+    """N ground images as columns.
+
+    Ground i is `ids[i]`, geotagged at (`lat[i]`, `lon[i]`), taken at
+    `timestamp[i]` and embedded by the fixture entry `refs[i]`.
+    """
+
+    ids: list[str]
+    lat: np.ndarray  # (N,) float64, in [-90, 90]
+    lon: np.ndarray  # (N,) float64, in [-180, 180)
+    timestamp: np.ndarray  # (N,) int64
+    refs: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroundTable):
+            return NotImplemented
+        return (self.ids == other.ids and self.refs == other.refs
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("lat", "lon", "timestamp")))
 
 
 @dataclass(frozen=True)
@@ -158,7 +180,7 @@ class PairIndex:
 @dataclass(eq=False)
 class PairedDataset:
     tiles: TileTable
-    grounds: list[GroundImageRecord]
+    grounds: GroundTable
     assignments: list[list[int]]  # per tile, indices into `grounds`
     provenance: dict
     _pairs: PairIndex | None = field(default=None, init=False, repr=False)
@@ -222,8 +244,7 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
     lon_cos = np.array([math.cos(math.radians(lat)) for lat in tiles.lat.tolist()])
     center_lat, center_lon, lon_cos = (np.repeat(a, counts) for a in (tiles.lat, tiles.lon,
                                                                         lon_cos))
-    lat = np.array([g.geo.lat for g in ds.grounds])[ground]
-    lon = np.array([g.geo.lon for g in ds.grounds])[ground]
+    lat, lon = ds.grounds.lat[ground], ds.grounds.lon[ground]
 
     half, res = spec.half_extent_m, spec.resolution_m_per_px
     north, east, inside = geo.footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half)
@@ -243,51 +264,108 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
                      patch=prow * spec.grid_px + pcol)
 
 
+def _parsed(convert, texts: Sequence[str]) -> list:
+    """convert(t) for each of `texts` before the first that raises ValueError."""
+    values: list = []
+    try:
+        values.extend(map(convert, texts))  # keeps the values converted before a failure
+    except ValueError:
+        pass
+    return values
+
+
+def _first(bad: np.ndarray, n: int) -> int:
+    """Index of the first True in `bad`; n if there is none."""
+    return int(np.argmax(bad)) if bad.any() else n
+
+
 def _manifest_lines(path: str | Path, n_fields: int, ts_field: int):
-    """(line number, fields) of each manifest line that is neither blank nor a
-    comment; field `ts_field` is parsed as a timestamp in [0, 2**62], where
-    snapshot noise keys are non-negative and timestamp gaps fit int64."""
+    """The manifest lines that are neither blank nor a comment, split into fields.
+
+    Returns the line numbers and the `n_fields` field columns of the lines
+    before the first bad one, and that line's ManifestError (None if none).
+    Column `ts_field` holds timestamps, ints in [0, 2**62], where snapshot
+    noise keys are non-negative and timestamp gaps fit int64. A caller checks
+    its own columns up to the bad line, so the first bad line is reported.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ManifestError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != n_fields:
-            raise ManifestError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        try:
-            parts[ts_field] = int(parts[ts_field])
-        except ValueError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 <= parts[ts_field] <= 2**62:
-            raise ManifestError(f"{path}:{lineno}: timestamp {parts[ts_field]} outside [0, 2**62]")
-        yield lineno, parts
+    lines = text.splitlines()
+    fields = list(map(str.split, lines))
+    width = np.fromiter(map(len, fields), np.int64, len(fields))
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), itertools.repeat("#")),
+                          bool, len(lines))
+    used = (width > 0) & ~comment
+    linenos, width = (np.flatnonzero(used) + 1).tolist(), width[used]
+    n = len(linenos)
+    wrong = _first(width != n_fields, n)
+    rows = list(itertools.compress(fields, used))[:wrong]
+    columns = list(zip(*rows)) if rows else [()] * n_fields
+    stamps = _parsed(int, columns[ts_field])
+    out = n
+    if stamps and not 0 <= min(stamps) <= max(stamps) <= 2**62:
+        out = next(i for i, t in enumerate(stamps) if not 0 <= t <= 2**62)
+    i = min(wrong, len(stamps), out)  # a line's checks run in this order
+    failure = None
+    if i < n:
+        where = f"{path}:{linenos[i]}"
+        if i == wrong:
+            failure = ManifestError(f"{where}: expected {n_fields} fields, got {width[i]}")
+        elif i == len(stamps):
+            try:
+                int(columns[ts_field][i])
+            except ValueError as exc:
+                failure = ManifestError(f"{where}: {exc}")
+        else:
+            failure = ManifestError(f"{where}: timestamp {stamps[i]} outside [0, 2**62]")
+    columns = [c[:i] for c in columns]
+    columns[ts_field] = stamps[:i]
+    return linenos[:i], columns, failure
 
 
-def parse_ground_manifest(path: str | Path) -> list[GroundImageRecord]:
-    """Parse `id lat lon timestamp embedding_ref` lines; ids must be unique."""
-    records: list[GroundImageRecord] = []
-    seen: set[str] = set()
-    for lineno, (rid, lat_s, lon_s, ts, ref) in _manifest_lines(path, 5, 3):
-        if rid in seen:
-            raise ManifestError(f"{path}:{lineno}: duplicate ground id {rid!r}")
-        seen.add(rid)
+def parse_ground_manifest(path: str | Path) -> GroundTable:
+    """Parse `id lat lon timestamp embedding_ref` lines; ids must be unique.
+
+    `_manifest_lines` splits the lines; the id, latitude and longitude columns
+    are then checked at once, with `GeoPoint`'s rules. An error names the
+    first line that has one, as a line-by-line parse would.
+    """
+    linenos, (ids, lat_s, lon_s, timestamps, refs), late = _manifest_lines(path, 5, 3)
+    n = len(linenos)
+    lat = np.array(_parsed(float, lat_s), dtype=np.float64)
+    lon = np.array(_parsed(float, lon_s), dtype=np.float64)
+    m = min(len(lat), len(lon))  # the first line whose lat or lon does not parse
+    dup = first_repeat(ids)
+    dup = n if dup is None else dup
+    i = min(dup, m, _first(~((-90.0 <= lat[:m]) & (lat[:m] <= 90.0)), n),
+            _first(~np.isfinite(lon[:m]), n))
+    if i < n:  # a line's checks run in this order
+        where = f"{path}:{linenos[i]}"
+        if i == dup:
+            raise ManifestError(f"{where}: duplicate ground id {ids[i]!r}")
         try:
-            point = GeoPoint(float(lat_s), float(lon_s))
+            float(lat_s[i]), float(lon_s[i])
         except ValueError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
-        records.append(GroundImageRecord(rid, point, ts, ref))
-    return records
+            raise ManifestError(f"{where}: {exc}") from exc
+        if not -90.0 <= lat[i] <= 90.0:
+            raise ManifestError(f"{where}: latitude {float(lat[i])} outside [-90, 90]")
+        raise ManifestError(f"{where}: longitude {float(lon[i])} is not finite")
+    if late is not None:
+        raise late
+    return GroundTable(list(ids), lat, geo.wrap_lon(lon), np.array(timestamps, dtype=np.int64),
+                       list(refs))
 
 
 def parse_snapshot_manifest(path: str | Path) -> list[SnapshotRecord]:
     """Parse `region_id timestamp blob_ref` lines."""
-    return [SnapshotRecord(*parts) for _, parts in _manifest_lines(path, 3, 1)]
+    _, columns, failure = _manifest_lines(path, 3, 1)
+    if failure is not None:
+        raise failure
+    return list(map(SnapshotRecord, *columns))
 
 
 @dataclass
@@ -312,6 +390,8 @@ class VoronoiFeatureField:
     def __post_init__(self):
         self.seeds_lat = np.asarray(self.seeds_lat, dtype=np.float64)
         self.seeds_lon = np.asarray(self.seeds_lon, dtype=np.float64)
+        if not self.class_names:
+            raise ValueError("class_names is empty")
         if len(self.class_names) != self.seeds_lat.shape[0]:
             raise ValueError("one seed point per class required")
         if self.feature_dim < len(self.class_names):
@@ -320,6 +400,8 @@ class VoronoiFeatureField:
             raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and >= 0")
         if not (np.isfinite(self.seeds_lat).all() and np.isfinite(self.seeds_lon).all()):
             raise ValueError("class seed coordinates must be finite")
+        if self.noise_key < 0:
+            raise ValueError(f"noise_key {self.noise_key} is negative")
 
     def _project(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale = geo.METERS_PER_DEGREE * math.cos(math.radians(self.origin.lat))
@@ -422,16 +504,34 @@ def save_feature_field(fld: VoronoiFeatureField, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-# Keys of a field.json payload and how each is read.
+def _numbers(v, n: int | None = None) -> bool:
+    """Whether v is a JSON list of numbers, n of them if given; a bool is no number."""
+    return (type(v) is list and (n is None or len(v) == n)
+            and all(type(x) in (int, float) for x in v))
+
+
+def _reader(ok, what: str, read=lambda v: v):
+    """Reader of a field.json value: read(v), or TypeError unless ok(v)."""
+    def check(v):
+        if not ok(v):
+            raise TypeError(f"{v!r} is not {what}")
+        return read(v)
+    return check
+
+
+# Keys of a field.json payload and how each is read; a value of the wrong JSON
+# type raises, so a malformed field exits 4 naming its key.
 _FIELD_KEYS = {
-    "class_names": list,
-    "seeds_lat": np.array,
-    "seeds_lon": np.array,
-    "origin": lambda v: GeoPoint(*v),
-    "bounds": tuple,
-    "feature_dim": int,
-    "noise_sigma": float,
-    "noise_key": int,
+    "class_names": _reader(lambda v: type(v) is list and all(type(x) is str for x in v),
+                           "a list of strings"),
+    "seeds_lat": _reader(_numbers, "a list of numbers", np.array),
+    "seeds_lon": _reader(_numbers, "a list of numbers", np.array),
+    "origin": _reader(lambda v: _numbers(v, 2), "a list of 2 numbers", lambda v: GeoPoint(*v)),
+    "bounds": _reader(lambda v: _numbers(v, 4) and all(map(math.isfinite, v)),
+                      "a list of 4 finite numbers", tuple),
+    "feature_dim": _reader(lambda v: type(v) is int, "an integer"),
+    "noise_sigma": _reader(lambda v: type(v) in (int, float), "a number", float),
+    "noise_key": _reader(lambda v: type(v) is int, "an integer"),
 }
 
 
@@ -480,7 +580,7 @@ def _tile_id_width(n: int) -> int:
 
 
 def build_pairs(
-    grounds: Sequence[GroundImageRecord],
+    grounds: GroundTable,
     snapshots: Sequence[SnapshotRecord],
     spec: TileSpec,
     cap: int = 25,
@@ -497,36 +597,37 @@ def build_pairs(
     snapshot temporally closest to the mean timestamp of its grounds. Tile
     features come from the snapshot's feature field.
     """
-    if not grounds:
+    if not len(grounds):
         raise EmptyDatasetError("ground manifest is empty")
     if not snapshots:
         raise IntegrityError("snapshot manifest is empty")
     missing_blobs = sorted({s.blob_ref for s in snapshots} - set(fields))
     if missing_blobs:
         raise IntegrityError(f"unresolvable feature blob refs: {missing_blobs}")
-    if embeddings is not None:
-        bad = [g.id for g in grounds if g.embedding_ref not in embeddings.table]
-        if bad:
-            raise IntegrityError(
-                f"{len(bad)} ground records with unresolvable embedding_ref: "
-                f"{bad[:10]}{'...' if len(bad) > 10 else ''}"
-            )
+    missing = set() if embeddings is None else set(grounds.refs).difference(embeddings.index)
+    if missing:
+        bad = [gid for gid, ref in zip(grounds.ids, grounds.refs) if ref in missing]
+        raise IntegrityError(
+            f"{len(bad)} ground records with unresolvable embedding_ref: "
+            f"{bad[:10]}{'...' if len(bad) > 10 else ''}"
+        )
 
-    lat = np.array([g.geo.lat for g in grounds])
-    lon = np.array([g.geo.lon for g in grounds])
-    centers, assignment = geo.sample_tiles(lat, lon, spec, min_sep_px)
+    centers, assignment = geo.sample_tiles(grounds.lat, grounds.lon, spec, min_sep_px)
     cap_seed = int(np.random.SeedSequence([seed, _SALT_CAP]).generate_state(1)[0])
     assignment = geo.cap_subsample(assignment, cap=cap, seed=cap_seed)
-    lat, lon = lat[centers], lon[centers]
+    lat, lon = grounds.lat[centers], grounds.lon[centers]
 
     # no tile is empty: each keeps at least the ground at its center
     cover = np.array([fields[s.blob_ref].contains(lat, lon) for s in snapshots])  # (S, T)
     if not cover.any(axis=0).all():
         k = int(np.argmin(cover.any(axis=0)))
         raise IntegrityError(f"no snapshot region covers tile at ({lat[k]:.5f}, {lon[k]:.5f})")
-    # mean ground timestamp per tile, summed exactly in Python ints
-    target = np.rint([sum(grounds[m].timestamp for m in members) / len(members)
-                      for members in assignment]).astype(np.int64)
+    # mean ground timestamp per tile, summed exactly in Python ints (an object
+    # array), so no sum of timestamps up to 2**62 can wrap
+    counts = np.fromiter(map(len, assignment), np.int64, len(assignment))
+    members = np.fromiter(itertools.chain.from_iterable(assignment), np.intp, counts.sum())
+    sums = np.add.reduceat(grounds.timestamp.astype(object)[members], np.cumsum(counts) - counts)
+    target = np.rint((sums / counts).astype(np.float64)).astype(np.int64)
     snap = select_snapshot([s.timestamp for s in snapshots], target, cover)
     timestamp = np.array([s.timestamp for s in snapshots], dtype=np.int64)[snap]
     blob = np.array([s.blob_ref for s in snapshots])[snap]
@@ -557,10 +658,10 @@ def build_pairs(
         },
         "n_tiles": len(tiles),
         "n_grounds": len(grounds),
-        "n_pairs": sum(len(a) for a in assignment),
+        "n_pairs": len(members),
     }
     return PairedDataset(
-        tiles=tiles, grounds=list(grounds), assignments=assignment, provenance=provenance
+        tiles=tiles, grounds=grounds, assignments=assignment, provenance=provenance
     )
 
 
@@ -637,7 +738,7 @@ class SynthWorld:
     config: SynthWorldConfig
     seed: int
     field: VoronoiFeatureField
-    grounds: list[GroundImageRecord]
+    grounds: GroundTable
     snapshots: list[SnapshotRecord]
     ground_encoder: FrozenEncoder
     text_encoder: FrozenEncoder
@@ -658,16 +759,16 @@ class SynthWorld:
             "text_embeddings": outdir / "text_embeddings.bin",
             "world": outdir / "world.json",
         }
-        lines = [
-            f"{g.id} {g.geo.lat!r} {g.geo.lon!r} {g.timestamp} {g.embedding_ref}"
-            for g in self.grounds
-        ]
+        g = self.grounds
+        lines = map("{} {!r} {!r} {} {}".format, g.ids, g.lat.tolist(), g.lon.tolist(),
+                    g.timestamp.tolist(), g.refs)
         paths["ground_manifest"].write_text("\n".join(lines) + "\n")
         lines = [f"{s.region_id} {s.timestamp} {s.blob_ref}" for s in self.snapshots]
         paths["snapshot_manifest"].write_text("\n".join(lines) + "\n")
         save_feature_field(self.field, paths["field"])
-        save_embeddings(paths["ground_embeddings"], self.ground_encoder.table)
-        save_embeddings(paths["text_embeddings"], self.text_encoder.table)
+        for key, enc in (("ground_embeddings", self.ground_encoder),
+                         ("text_embeddings", self.text_encoder)):
+            save_embeddings(paths[key], enc.keys, enc.vectors)
         summary = {
             "seed": self.seed,
             "config": asdict(self.config),
@@ -750,23 +851,18 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
 
     centroids = np.zeros((k, cfg.embed_dim))
     centroids[np.arange(k), np.arange(k)] = 1.0
-    grounds: list[GroundImageRecord] = []
-    ground_table: dict[str, np.ndarray] = {}
-    for i in range(cfg.n_ground):
-        gid = f"g{i:06d}"
-        vec = centroids[labels[i]].copy()
-        if cfg.noise_sigma > 0:
-            vec = vec + cfg.noise_sigma * rng_emb.standard_normal(cfg.embed_dim)
-        ground_table[gid] = unit(vec)
-        grounds.append(
-            GroundImageRecord(gid, GeoPoint(lat_g[i], lon_g[i]), int(timestamps[i]), gid)
-        )
+    ids = list(map("g{:06d}".format, range(cfg.n_ground)))
+    grounds = GroundTable(ids, lat_g, geo.wrap_lon(lon_g), timestamps, ids)
+    # one noise row per ground, drawn in ground order from one stream; each
+    # embedding is normalized on its own, then once more as a table entry
+    vecs = centroids[labels]
+    if cfg.noise_sigma > 0:
+        vecs = vecs + cfg.noise_sigma * rng_emb.standard_normal((cfg.n_ground, cfg.embed_dim))
+    vecs = FrozenEncoder.from_vectors(ids, vecs).vectors
 
     prompt_set = PromptSet(cfg.prompts)
-    text_table: dict[str, np.ndarray] = {}
-    for ci, name in enumerate(names):
-        for rendered in prompt_set.render(name):
-            text_table[rendered] = centroids[ci].copy()
+    text_table = {rendered: centroids[ci] for ci, name in enumerate(names)
+                  for rendered in prompt_set.render(name)}
 
     return SynthWorld(
         config=cfg,
@@ -774,8 +870,8 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
         field=fld,
         grounds=grounds,
         snapshots=snapshots,
-        ground_encoder=FrozenEncoder.from_vectors(ground_table),
-        text_encoder=FrozenEncoder.from_vectors(text_table),
+        ground_encoder=FrozenEncoder.from_vectors(ids, vecs),
+        text_encoder=FrozenEncoder.from_vectors(list(text_table), list(text_table.values())),
     )
 
 
@@ -797,7 +893,7 @@ class LoadedWorld:
         self.files = files
 
     @cached_property
-    def grounds(self) -> list[GroundImageRecord]:
+    def grounds(self) -> GroundTable:
         return parse_ground_manifest(self.files["ground_manifest"])
 
     @cached_property
@@ -857,6 +953,10 @@ _TILE_FIELDS = ("lat", "lon", "resolution", "size_px", "patch_px", "timestamp", 
                 "grid_rows", "grid_cols", "feature_dim")
 
 
+# a ground record is its id, this geotag and timestamp, then its embedding ref
+_GROUND_POINT = np.dtype([("lat", "<f8"), ("lon", "<f8"), ("timestamp", "<i8")])
+
+
 def _tile_record(id_len: int, grid: Sequence[int]) -> np.dtype:
     """One tile record: u16 id length, the id, the `_TILE_HEADER` fields, the features."""
     header = [(name, "<" + code) for name, code in zip(_TILE_FIELDS, _TILE_HEADER[1:])]
@@ -882,17 +982,21 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
                    spec.patch_px, ts, 3, *grid.shape)
         tiles.array(grid, "<f4")
 
+    g = ds.grounds
+    point = np.empty(len(g), dtype=_GROUND_POINT)
+    point["lat"], point["lon"], point["timestamp"] = g.lat, g.lon, g.timestamp
     grounds = Writer()
-    grounds.pack("<I", len(ds.grounds))
-    for g in ds.grounds:
-        grounds.string(g.id)
-        grounds.pack("<ddq", g.geo.lat, g.geo.lon, g.timestamp)
-        grounds.string(g.embedding_ref)
+    grounds.pack("<I", len(g))
+    grounds.records([g.ids, point.view(np.uint8).reshape(len(g), point.itemsize), g.refs])
 
+    # each list is its u32 length, then its u32 members
+    counts = np.fromiter(map(len, ds.assignments), np.int64, len(ds.assignments))
+    members = np.fromiter(itertools.chain.from_iterable(ds.assignments), np.int64, counts.sum())
+    if members.size and not 0 <= members.min() <= members.max() <= 0xFFFFFFFF:
+        raise ValueError("assignment index outside [0, 2**32)")
     assigns = Writer()
-    assigns.pack("<I", len(ds.assignments))
-    for members in ds.assignments:
-        assigns.pack(f"<I{len(members)}I", len(members), *members)
+    assigns.pack("<I", len(counts))
+    assigns.array(np.insert(members, np.cumsum(counts) - counts, counts), "<u4")
 
     prov = Writer()
     prov.json(ds.provenance)
@@ -981,6 +1085,52 @@ def _read_tiles(r: Reader) -> TileTable:
     return TileTable(spec, ids, lat, geo.wrap_lon(lon), rec["timestamp"], features)
 
 
+def _read_grounds(r: Reader) -> GroundTable:
+    """The ground section: one scan of its string lengths, then columns.
+
+    A record whose geotag breaks `GeoPoint`'s rules fails at its offset.
+    """
+    (count,) = r.unpack("<I")
+    texts, (point, _), starts, failure = r.records(count, (_GROUND_POINT.itemsize, 0))
+    point = point.view(_GROUND_POINT)[:, 0]
+    lat, lon = point["lat"], point["lon"]
+    off_globe = ~((-90.0 <= lat) & (lat <= 90.0))
+    bad = off_globe | ~np.isfinite(lon)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = (f"latitude {float(lat[i])} outside [-90, 90]" if off_globe[i]
+               else f"longitude {float(lon[i])} is not finite")
+        raise r.fail(f"invalid ground record ({why})", int(starts[i]))
+    if failure is not None:
+        raise failure
+    r.done()
+    return GroundTable(texts[0::2], lat.copy(), geo.wrap_lon(lon), point["timestamp"].copy(),
+                       texts[1::2])
+
+
+def _read_assignments(r: Reader) -> list[list[int]]:
+    """The assignment section: a u32 count of lists, each a u32 length, then
+    its u32 members; one pass over the section's words splits the lists."""
+    (count,) = r.unpack("<I")
+    base, left = r.off, r.end - r.off
+    if 4 * count > left:
+        raise r.fail(f"{count} assignment lists of at least 4 bytes overrun the {left} bytes "
+                     f"left", base - 4)
+    words = np.frombuffer(r.data, "<u4", left // 4, base).tolist()
+    lists: list[list[int]] = []
+    at = 0  # the word of the next list's length
+    for _ in range(count):
+        n = words[at] if at < len(words) else 0
+        if at + 1 + n > len(words):  # cut off: fail as reading the list would
+            r.advance(4 * at)
+            r.advance(4 * r.unpack("<I")[0])
+        lists.append(words[at + 1 : at + 1 + n])
+        at += 1 + n
+    r.advance(4 * at)
+    r.done()
+    return lists
+
+
 def load_tiles(path: str | Path) -> TileTable:
     """The tiles of a container; its frames are checked as by load_dataset, but
     only the tile section is decoded."""
@@ -991,25 +1141,9 @@ def load_dataset(path: str | Path) -> PairedDataset:
     """Read a container written by save_dataset; round-trips structurally."""
     tiles_r, grounds_r, assigns_r, prov_r = _container_sections(path)
     tiles = _read_tiles(tiles_r)
-
-    grounds: list[GroundImageRecord] = []
-    for _ in range(grounds_r.unpack("<I")[0]):
-        start = grounds_r.off
-        gid = grounds_r.string()
-        lat, lon, ts = grounds_r.unpack("<ddq")
-        ref = grounds_r.string()
-        try:
-            grounds.append(GroundImageRecord(gid, GeoPoint(lat, lon), ts, ref))
-        except ValueError as exc:
-            raise grounds_r.fail(f"invalid ground record ({exc})", start) from exc
-    grounds_r.done()
-
+    grounds = _read_grounds(grounds_r)
     start = assigns_r.off
-    assignments: list[list[int]] = []
-    for _ in range(assigns_r.unpack("<I")[0]):
-        (n,) = assigns_r.unpack("<I")
-        assignments.append(list(assigns_r.unpack(f"<{n}I")))
-    assigns_r.done()
+    assignments = _read_assignments(assigns_r)
     if len(assignments) != len(tiles):
         raise assigns_r.fail(f"{len(assignments)} assignment lists for {len(tiles)} tiles", start)
 

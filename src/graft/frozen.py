@@ -1,17 +1,20 @@
 """Frozen reference encoders for ground images and text, backed by fixture tables.
 
-The ground-image and text encoders are never trained here; they are lookup
-tables of unit-norm vectors living in one shared representation space. Text
-queries go through prompt ensembling: each template is rendered with the label,
-the per-prompt embeddings are averaged, and the mean is re-normalized.
+The ground-image and text encoders are never trained here; each is a table of
+unit-norm vectors living in one shared representation space, held as a key
+list and one (N, D) float64 matrix, so a lookup of many keys is one gather. A
+fixture file is read and written a whole table at a time. Text queries go
+through prompt ensembling: each template is rendered with the label, the
+per-prompt embeddings are averaged, and the mean is re-normalized.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -70,114 +73,128 @@ def _row_norms(mat: np.ndarray) -> np.ndarray:
     return np.sqrt((mat[:, None, :] @ mat[:, :, None])[:, 0, 0])
 
 
-@dataclass
-class FrozenEncoder:
-    """Read-only table of unit-norm embeddings keyed by reference string."""
+def first_repeat(keys: Sequence[str]) -> int | None:
+    """Index of the first key equal to an earlier one; None if all differ."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen: set[str] = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
 
-    table: dict[str, np.ndarray]
-    dim: int
+
+@dataclass(eq=False)
+class FrozenEncoder:
+    """Read-only table of unit-norm embeddings: row i of `vectors` is `keys[i]`'s.
+
+    `index` maps each key to its row, so a lookup of many keys is one gather.
+    """
+
+    keys: list[str]
+    vectors: np.ndarray  # (N, D) float64
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for key, vec in self.table.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(
-                    f"entry {key!r} has shape {vec.shape}, expected ({self.dim},)"
-                )
-        if self.table:
-            dev = np.abs(_row_norms(np.array(list(self.table.values()))) - 1.0)
-            bad = ~(dev <= UNIT_NORM_TOL)
-            if bad.any():
-                key = list(self.table)[int(np.argmax(bad))]
-                raise ValueError(f"entry {key!r} is not unit-norm")
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if self.vectors.ndim != 2 or len(self.vectors) != len(self.keys):
+            raise ValueError(f"{len(self.keys)} keys for vectors of shape {self.vectors.shape}")
+        self.index = dict(zip(self.keys, range(len(self.keys))))
+        if len(self.index) != len(self.keys):
+            raise ValueError(f"duplicate key {self.keys[first_repeat(self.keys)]!r}")
+        bad = ~(np.abs(_row_norms(self.vectors) - 1.0) <= UNIT_NORM_TOL)
+        if bad.any():
+            raise ValueError(f"entry {self.keys[int(np.argmax(bad))]!r} is not unit-norm")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @classmethod
-    def from_vectors(cls, vectors: dict[str, np.ndarray]) -> "FrozenEncoder":
-        """Build an encoder, normalizing each entry; a degenerate entry raises."""
-        if not vectors:
+    def from_vectors(cls, keys: Sequence[str], vectors) -> "FrozenEncoder":
+        """Build an encoder, normalizing each row; a degenerate row raises."""
+        if not len(keys):
             raise ValueError("empty embedding table")
-        dims = {v.shape[-1] for v in vectors.values()}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        mat = np.array(list(vectors.values()), dtype=np.float64)
+        mat = np.asarray(vectors, dtype=np.float64)
         norms = _row_norms(mat)
         bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             raise DegenerateEmbeddingError(
-                f"cannot normalize entry {list(vectors)[i]!r} with norm {norms[i]:.3e}"
+                f"cannot normalize entry {keys[i]!r} with norm {norms[i]:.3e}"
             )
-        return cls(table=dict(zip(vectors, mat / norms[:, None])), dim=dims.pop())
+        return cls(keys=list(keys), vectors=mat / norms[:, None])
+
+    def rows(self, keys: Sequence[str], what: str = "ref") -> np.ndarray:
+        """The row of each key; the first key without one raises MissingEmbeddingError."""
+        try:
+            return np.fromiter(map(self.index.__getitem__, keys), np.intp, len(keys))
+        except KeyError as exc:
+            raise MissingEmbeddingError(f"no embedding for {what} {exc.args[0]!r}") from None
 
     def content_hash(self) -> str:
         """SHA-256 over the sorted table; constant across a training run."""
         h = hashlib.sha256()
-        for key in sorted(self.table):
-            h.update(key.encode("utf-8"))
-            h.update(self.table[key].tobytes())
+        for i in sorted(range(len(self.keys)), key=self.keys.__getitem__):
+            h.update(self.keys[i].encode("utf-8"))
+            h.update(self.vectors[i].tobytes())
         return h.hexdigest()
 
 
-def embed_ground(enc: FrozenEncoder, ref: str) -> np.ndarray:
-    """Frozen ground-image embedding for a reference; missing ref raises."""
-    try:
-        return enc.table[ref]
-    except KeyError:
-        raise MissingEmbeddingError(f"no embedding for ref {ref!r}") from None
+def embed_grounds(enc: FrozenEncoder, refs: Sequence[str]) -> np.ndarray:
+    """(len(refs), D) frozen ground-image embeddings, one gather; a missing ref raises."""
+    return enc.vectors[enc.rows(refs)]
 
 
 def embed_text(enc: FrozenEncoder, label: str, prompts: PromptSet) -> np.ndarray:
     """Prompt-ensembled text embedding: mean over rendered prompts, re-normalized."""
-    vecs = []
-    for rendered in prompts.render(label):
-        if rendered not in enc.table:
-            raise MissingEmbeddingError(f"no embedding for prompt {rendered!r}")
-        vecs.append(enc.table[rendered])
-    mean = np.mean(vecs, axis=0)
+    mean = np.mean(enc.vectors[enc.rows(prompts.render(label), "prompt")], axis=0)
     return unit(mean)
 
 
-def save_embeddings(path: str | Path, table: dict[str, np.ndarray]) -> None:
+def save_embeddings(path: str | Path, keys: Sequence[str], vectors) -> None:
     """Write a fixture file: header (count, dim), then (key, dim x f32) entries.
 
-    Keys are written in sorted order so identical tables produce identical bytes.
+    Row i of `vectors` is `keys[i]`'s. Entries are written in sorted key order,
+    so identical tables produce identical bytes, as one record table.
     """
-    if not table:
+    vectors = np.asarray(vectors)
+    if not len(keys):
         raise ValueError("refusing to write an empty embedding fixture")
-    dims = {v.shape[-1] for v in table.values()}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
+    if vectors.ndim != 2 or len(vectors) != len(keys):
+        raise ValueError(f"{len(keys)} keys for vectors of shape {vectors.shape}")
+    if (i := first_repeat(keys)) is not None:
+        raise ValueError(f"duplicate key {keys[i]!r}")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rows = np.ascontiguousarray(vectors[order], dtype="<f4")
     w = Writer()
-    w.pack("<II", len(table), dims.pop())
-    for key in sorted(table):
-        w.string(key)
-        w.array(table[key], "<f4")
+    w.pack("<II", len(keys), vectors.shape[1])
+    w.records([list(map(keys.__getitem__, order)), rows.view(np.uint8)])
     w.save(path)
 
 
 def load_embeddings(path: str | Path) -> FrozenEncoder:
     """Load a fixture file written by save_embeddings; entries are re-normalized.
 
-    An empty table, a duplicate key, and an entry that is non-finite or has
-    (near-)zero norm all raise FormatError naming the entry and its byte offset.
+    One scan of the key lengths finds the entries; the vectors are gathered
+    and checked at once. An empty table, a count the file cannot hold, a
+    duplicate key, and an entry that is non-finite or has (near-)zero norm all
+    raise FormatError naming the entry and its byte offset.
     """
     r = Reader(Path(path).read_bytes(), f"embedding fixture {path}")
     count, dim = r.unpack("<II")
     if count == 0:
         raise r.fail("empty table", 0)
-    starts, keys, rows = [], [], []
-    for _ in range(count):
-        starts.append(r.off)
-        keys.append(r.string())
-        rows.append(r.array("<f4", (dim,)))
+    keys, (rows,), starts, failure = r.records(count, (4 * dim,))
+    if failure is not None:
+        raise failure
     r.done()
-    first: dict[str, int] = {}
-    for i, key in enumerate(keys):
-        if first.setdefault(key, i) != i:
-            raise r.fail(f"duplicate key {key!r}", starts[i])
-    vecs = np.array(rows, dtype=np.float64)
+    if (i := first_repeat(keys)) is not None:
+        raise r.fail(f"duplicate key {keys[i]!r}", int(starts[i]))
+    vecs = rows.view("<f4").astype(np.float64)
     norms = _row_norms(vecs)
     bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        raise r.fail(f"entry {keys[i]!r} has norm {norms[i]:.3e}", starts[i])
-    return FrozenEncoder(table=dict(zip(keys, vecs / norms[:, None])), dim=dim)
+        raise r.fail(f"entry {keys[i]!r} has norm {norms[i]:.3e}", int(starts[i]))
+    return FrozenEncoder(keys=keys, vectors=vecs / norms[:, None])

@@ -31,7 +31,7 @@ from .encoder import (
     image_forward,
     init_params,
 )
-from .frozen import FrozenEncoder, embed_ground
+from .frozen import FrozenEncoder, embed_grounds
 from .losses import LossConfig
 
 CHECKPOINT_MAGIC = b"GRCP"
@@ -147,13 +147,13 @@ def adamw_update(
 def resolve_ground_embeddings(ds: PairedDataset, frozen: FrozenEncoder) -> np.ndarray:
     """Frozen embeddings of a dataset's grounds as one (len(ds.grounds), D) matrix.
 
-    Resolved once per run. Row g holds ground g's embedding when some tile
-    pairs with it and stays zero otherwise, so an unpaired ground's reference
-    is never looked up.
+    Resolved once per run, in one gather. Row g holds ground g's embedding
+    when some tile pairs with it and stays zero otherwise, so an unpaired
+    ground's reference is never looked up.
     """
     embs = np.zeros((len(ds.grounds), frozen.dim))
-    for g in np.unique(ds.pair_index().ground):
-        embs[g] = embed_ground(frozen, ds.grounds[g].embedding_ref)
+    paired = np.unique(ds.pair_index().ground)
+    embs[paired] = embed_grounds(frozen, list(map(ds.grounds.refs.__getitem__, paired.tolist())))
     return embs
 
 

@@ -8,15 +8,19 @@ so they stay independent of the library code paths they check.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from dataclasses import dataclass
 from pathlib import Path
 
-from graft import geo
+from graft import corpus, geo
+from graft.codec import Reader, Writer
+from graft.corpus import GroundTable, ManifestError, PairedDataset
 from graft.encoder import forward_patch_rows
 from graft.evaluation import DensityMap
+from graft.frozen import UNIT_NORM_TOL, FrozenEncoder
 from graft.geo import GeoPoint
 from graft.losses import pixel_loss_anchors
 
@@ -578,3 +582,176 @@ def upsample_logits(logits: np.ndarray, factor: int) -> np.ndarray:
     out = np.tensordot(rows, logits, axes=(1, 0))  # (H_out, W, K)
     out = np.tensordot(cols, out, axes=(1, 1)).transpose(1, 0, 2)  # (H_out, W_out, K)
     return out[..., 0] if squeeze else out
+
+
+# ---- grounds and embedding fixtures one record at a time --------------------
+#
+# The ground manifest parser, the embedding fixture writer and reader, and the
+# dataset container's writer and its ground and assignment readers, as first
+# written: one line, entry or record at a time through `codec.Reader` and
+# `codec.Writer`, one `GeoPoint` per ground. The library parses, reads and
+# writes whole columns; property tests check it against these.
+
+
+def ground_table(rows) -> GroundTable:
+    """Grounds from (id, lat, lon, timestamp, ref) rows; lon wrapped as by `GeoPoint`."""
+    ids, lat, lon, ts, refs = map(list, zip(*rows)) if rows else ([],) * 5
+    return GroundTable(ids, np.array(lat, dtype=np.float64),
+                       geo.wrap_lon(np.array(lon, dtype=np.float64)),
+                       np.array(ts, dtype=np.int64), refs)
+
+
+def section_at(raw: bytes, k: int) -> int:
+    """The offset of dataset container section k's first byte (its count, for 0-2)."""
+    at = 6  # magic and version
+    for _ in range(k):
+        at += 8 + struct.unpack_from("<Q", raw, at)[0]
+    return at + 8
+
+
+def ground_rows(grounds: GroundTable) -> list[tuple]:
+    """(id, lat, lon, timestamp, ref) of each ground, as Python values."""
+    return list(zip(grounds.ids, grounds.lat.tolist(), grounds.lon.tolist(),
+                    grounds.timestamp.tolist(), grounds.refs))
+
+
+def _grounds_of_points(rows) -> GroundTable:
+    """Grounds from (id, GeoPoint, timestamp, ref) rows, the points already wrapped."""
+    ids, points, ts, refs = map(list, zip(*rows)) if rows else ([],) * 4
+    return GroundTable(ids, np.array([p.lat for p in points], dtype=np.float64),
+                       np.array([p.lon for p in points], dtype=np.float64),
+                       np.array(ts, dtype=np.int64), refs)
+
+
+def manifest_lines_scan(path, n_fields: int, ts_field: int):
+    """(line number, fields) of each manifest line that is neither blank nor a comment."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ManifestError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != n_fields:
+            raise ManifestError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        try:
+            parts[ts_field] = int(parts[ts_field])
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= parts[ts_field] <= 2**62:
+            raise ManifestError(f"{path}:{lineno}: timestamp {parts[ts_field]} outside [0, 2**62]")
+        yield lineno, parts
+
+
+def parse_ground_manifest_scan(path) -> GroundTable:
+    rows = []
+    seen: set[str] = set()
+    for lineno, (rid, lat_s, lon_s, ts, ref) in manifest_lines_scan(path, 5, 3):
+        if rid in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate ground id {rid!r}")
+        seen.add(rid)
+        try:
+            point = GeoPoint(float(lat_s), float(lon_s))
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from exc
+        rows.append((rid, point, ts, ref))
+    return _grounds_of_points(rows)
+
+
+def save_embeddings_scan(path, table: dict[str, np.ndarray]) -> None:
+    if not table:
+        raise ValueError("refusing to write an empty embedding fixture")
+    dims = {v.shape[-1] for v in table.values()}
+    if len(dims) != 1:
+        raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
+    w = Writer()
+    w.pack("<II", len(table), dims.pop())
+    for key in sorted(table):
+        w.string(key)
+        w.array(table[key], "<f4")
+    w.save(path)
+
+
+def load_embeddings_scan(path) -> FrozenEncoder:
+    r = Reader(Path(path).read_bytes(), f"embedding fixture {path}")
+    count, dim = r.unpack("<II")
+    if count == 0:
+        raise r.fail("empty table", 0)
+    starts, keys, rows = [], [], []
+    for _ in range(count):
+        starts.append(r.off)
+        keys.append(r.string())
+        rows.append(r.array("<f4", (dim,)))
+    r.done()
+    first: dict[str, int] = {}
+    for i, key in enumerate(keys):
+        if first.setdefault(key, i) != i:
+            raise r.fail(f"duplicate key {key!r}", starts[i])
+    vecs = np.array(rows, dtype=np.float64).reshape(count, dim)
+    norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+    bad = ~np.isfinite(norms) | (norms < UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise r.fail(f"entry {keys[i]!r} has norm {norms[i]:.3e}", starts[i])
+    return FrozenEncoder(keys=keys, vectors=vecs / norms[:, None])
+
+
+def save_dataset_scan(ds, path) -> None:
+    t, spec = ds.tiles, ds.tiles.spec
+    tiles = Writer()
+    tiles.pack("<I", len(t))
+    for tid, lat, lon, ts, grid in zip(t.ids, t.lat.tolist(), t.lon.tolist(),
+                                       t.timestamp.tolist(), t.features):
+        tiles.string(tid)
+        tiles.pack(corpus._TILE_HEADER, lat, lon, spec.resolution_m_per_px, spec.size_px,
+                   spec.patch_px, ts, 3, *grid.shape)
+        tiles.array(grid, "<f4")
+    grounds = Writer()
+    grounds.pack("<I", len(ds.grounds))
+    for gid, lat, lon, ts, ref in ground_rows(ds.grounds):
+        grounds.string(gid)
+        grounds.pack("<ddq", lat, lon, ts)
+        grounds.string(ref)
+    assigns = Writer()
+    assigns.pack("<I", len(ds.assignments))
+    for members in ds.assignments:
+        assigns.pack(f"<I{len(members)}I", len(members), *members)
+    prov = Writer()
+    prov.json(ds.provenance)
+    out = Writer()
+    out.header(corpus.CONTAINER_MAGIC, corpus.CONTAINER_VERSION)
+    for section in (tiles, grounds, assigns, prov):
+        out.section(section)
+    out.save(path)
+
+
+def load_dataset_scan(path) -> PairedDataset:
+    """A container read with the library's tile reader and the per-record
+    ground and assignment readers."""
+    tiles_r, grounds_r, assigns_r, prov_r = corpus._container_sections(path)
+    tiles = corpus._read_tiles(tiles_r)
+    rows = []
+    for _ in range(grounds_r.unpack("<I")[0]):
+        start = grounds_r.off
+        gid = grounds_r.string()
+        lat, lon, ts = grounds_r.unpack("<ddq")
+        ref = grounds_r.string()
+        try:
+            rows.append((gid, GeoPoint(lat, lon), ts, ref))
+        except ValueError as exc:
+            raise grounds_r.fail(f"invalid ground record ({exc})", start) from exc
+    grounds_r.done()
+    start = assigns_r.off
+    assignments: list[list[int]] = []
+    for _ in range(assigns_r.unpack("<I")[0]):
+        (n,) = assigns_r.unpack("<I")
+        assignments.append(list(assigns_r.unpack(f"<{n}I")))
+    assigns_r.done()
+    if len(assignments) != len(tiles):
+        raise assigns_r.fail(f"{len(assignments)} assignment lists for {len(tiles)} tiles", start)
+    return PairedDataset(tiles=tiles, grounds=_grounds_of_points(rows), assignments=assignments,
+                         provenance=prov_r.json())

@@ -610,7 +610,7 @@ def test_map_scores_match_per_cell_oracle(world_dir, small_world, tmp_path, monk
                      "--out", str(out)]) == 0
     assert maps[0].scores.shape == (18, 18)
 
-    grounds_ts = int(np.mean([g.timestamp for g in small_world.grounds]))
+    grounds_ts = int(np.mean(small_world.grounds.timestamp.tolist()))
     snap_ts = [s.timestamp for s in small_world.snapshots]
     ts = snap_ts[corpus.select_snapshot(snap_ts, grounds_ts)]
     query = embed_text(small_world.text_encoder, "water", PromptSet())
@@ -706,6 +706,35 @@ def test_infinite_field_noise_exits_4(pipeline, tmp_path, capsys, command):
     assert code == 4
     assert "Traceback" not in err and "field.json: noise_sigma inf" in err
     assert not list((tmp_path / "o").glob("density_*"))
+
+
+# field.json values of the wrong JSON type or out of their domain: each names its key
+FIELD_SCHEMA_BREAKS = {
+    "negative_noise_key": ("noise_key", lambda old: -5),
+    "float_noise_key": ("noise_key", lambda old: 2.7),
+    "bool_noise_key": ("noise_key", lambda old: True),
+    "float_feature_dim": ("feature_dim", lambda old: 16.5),
+    "three_bounds": ("bounds", lambda old: [1, 2, 3]),
+    "string_bounds": ("bounds", lambda old: "abcd"),
+    "infinite_bound": ("bounds", lambda old: old[:3] + [math.inf]),
+    "string_class_names": ("class_names", lambda old: "abcdefgh"),
+    "2d_seeds_lat": ("seeds_lat", lambda old: [[v] for v in old]),
+}
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+@pytest.mark.parametrize("case", FIELD_SCHEMA_BREAKS)
+def test_field_json_schema_exits_4(pipeline, tmp_path, capsys, command, case):
+    key, value = FIELD_SCHEMA_BREAKS[case]
+
+    def edit(text):
+        field = json.loads(text)
+        field[key] = value(field[key])
+        return json.dumps(field)
+
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "field.json", edit)
+    assert code == 4, err
+    assert "Traceback" not in err and "field.json" in err and key in err
 
 
 @pytest.mark.parametrize("command", ["build", "map"])

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_broadcast,
-                      geotag_to_pixel, materialize_per_tile, pixel_to_patch,
-                      select_snapshot_scan, tile_contains)
+                      geotag_to_pixel, ground_rows, ground_table, materialize_per_tile,
+                      pixel_to_patch, select_snapshot_scan, tile_contains)
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
     DatasetVersionError,
     EmptyDatasetError,
-    GroundImageRecord,
     IntegrityError,
     ManifestError,
     SnapshotRecord,
@@ -39,8 +38,8 @@ from graft.geo import GeoPoint, TileSpec
 
 
 def test_pair_index_of_a_dataset_without_tiles(small_dataset):
-    ds = corpus.PairedDataset(tiles=small_dataset.tiles.take([]), grounds=[], assignments=[],
-                              provenance={})
+    ds = corpus.PairedDataset(tiles=small_dataset.tiles.take([]), grounds=ground_table([]),
+                              assignments=[], provenance={})
     pairs = ds.pair_index()
     assert pairs.offsets.tolist() == [0] and pairs.pixel.shape == (0, 2)
     assert make_batches(ds, 4) == []
@@ -90,11 +89,12 @@ def test_ground_manifest_roundtrip(tmp_path):
         "\n"
         "g1 -10.125 150.0 1700000500 ref1\n"
     )
-    records = parse_ground_manifest(path)
-    assert records == [
-        GroundImageRecord("g0", GeoPoint(41.5, -73.25), 1700000000, "ref0"),
-        GroundImageRecord("g1", GeoPoint(-10.125, 150.0), 1700000500, "ref1"),
+    grounds = parse_ground_manifest(path)
+    assert ground_rows(grounds) == [
+        ("g0", 41.5, -73.25, 1700000000, "ref0"),
+        ("g1", -10.125, 150.0, 1700000500, "ref1"),
     ]
+    assert grounds.timestamp.dtype == np.int64
 
 
 def test_ground_manifest_errors(tmp_path):
@@ -139,7 +139,9 @@ def test_manifest_timestamp_outside_domain(tmp_path, parse, ts):
         parse(path)
     for edge in (0, 2**62):
         path.write_text(bad.format(ts=edge) + "\n")
-        assert parse(path)[0].timestamp == edge
+        got = parse(path)
+        stamps = [s.timestamp for s in got] if isinstance(got, list) else got.timestamp.tolist()
+        assert stamps == [edge]
 
 
 @pytest.mark.parametrize("parse", MANIFEST_LINES, ids=lambda f: f.__name__)
@@ -165,31 +167,26 @@ def noiseless_world():
 
 def test_build_pairs_single_ground(noiseless_world):
     world = noiseless_world
-    g = world.grounds[0]
+    g = ground_rows(world.grounds)[0]
     spec = TileSpec()
     ds = build_pairs(
-        [g], world.snapshots[:1], spec, fields={"field.json": world.field},
+        ground_table([g]), world.snapshots[:1], spec, fields={"field.json": world.field},
         embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
     assert ds.assignments == [[0]]
-    assert (ds.tiles.lat[0], ds.tiles.lon[0]) == (g.geo.lat, g.geo.lon)
+    assert (ds.tiles.lat[0], ds.tiles.lon[0]) == g[1:3]
     assert ds.tiles.timestamp[0] == world.snapshots[0].timestamp
     assert ds.tiles.ids == ["t000000"]
 
 
 def test_build_pairs_two_close_grounds(noiseless_world):
     world = noiseless_world
-    base = world.grounds[0]
-    shifted = GroundImageRecord(
-        "other",
-        GeoPoint(base.geo.lat + 50.0 / geo.METERS_PER_DEGREE, base.geo.lon),
-        base.timestamp,
-        world.grounds[1].embedding_ref,
-    )
+    gid, lat, lon, ts, _ = base = ground_rows(world.grounds)[0]
+    shifted = ("other", lat + 50.0 / geo.METERS_PER_DEGREE, lon, ts, world.grounds.refs[1])
     spec = TileSpec()
     ds = build_pairs(
-        [base, shifted], world.snapshots, spec,
+        ground_table([base, shifted]), world.snapshots, spec,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
@@ -200,8 +197,8 @@ def test_build_pairs_two_close_grounds(noiseless_world):
 def test_build_pairs_mean_timestamp_at_top_of_domain(noiseless_world):
     # three timestamps of 2**62 sum past int64; the tile's mean is still 2**62
     world = noiseless_world
-    base = world.grounds[0]
-    grounds = [dataclasses.replace(base, id=f"g{i}", timestamp=2**62) for i in range(3)]
+    _, lat, lon, _, ref = ground_rows(world.grounds)[0]
+    grounds = ground_table([(f"g{i}", lat, lon, 2**62, ref) for i in range(3)])
     snaps = [SnapshotRecord("world", ts, "field.json") for ts in (0, 2**62)]
     ds = build_pairs(grounds, snaps, TileSpec(), fields={"field.json": world.field})
     assert ds.assignments == [[0, 1, 2]]
@@ -210,11 +207,12 @@ def test_build_pairs_mean_timestamp_at_top_of_domain(noiseless_world):
 
 def test_build_pairs_missing_embedding_refs(noiseless_world):
     world = noiseless_world
-    bad = GroundImageRecord("weird", world.grounds[0].geo, 0, "no-such-ref")
+    _, lat, lon, _, ref = ground_rows(world.grounds)[0]
+    bad = ground_table([("fine", lat, lon, 0, ref), ("weird", lat, lon, 0, "no-such-ref")])
     spec = TileSpec()
-    with pytest.raises(IntegrityError, match="weird"):
+    with pytest.raises(IntegrityError, match=r"1 ground records .*: \['weird'\]"):
         build_pairs(
-            [bad], world.snapshots, spec,
+            bad, world.snapshots, spec,
             fields={"field.json": world.field}, embeddings=world.ground_encoder,
         )
 
@@ -223,18 +221,18 @@ def test_build_pairs_empty_inputs(noiseless_world):
     world = noiseless_world
     spec = TileSpec()
     with pytest.raises(EmptyDatasetError):
-        build_pairs([], world.snapshots, spec, fields={"field.json": world.field})
+        build_pairs(ground_table([]), world.snapshots, spec, fields={"field.json": world.field})
     with pytest.raises(IntegrityError):
         build_pairs(world.grounds, [], spec, fields={})
 
 
 def test_build_pairs_no_covering_snapshot(noiseless_world):
     world = noiseless_world
-    far = GroundImageRecord("far", GeoPoint(10.0, 10.0), 0, world.grounds[0].embedding_ref)
+    far = ground_table([("far", 10.0, 10.0, 0, world.grounds.refs[0])])
     spec = TileSpec()
     with pytest.raises(IntegrityError, match="covers"):
         build_pairs(
-            [far], world.snapshots, spec,
+            far, world.snapshots, spec,
             fields={"field.json": world.field}, embeddings=world.ground_encoder,
         )
 
@@ -267,11 +265,11 @@ def test_build_pairs_validates(small_dataset):
 
 def test_build_pairs_picks_temporally_closest_snapshot(noiseless_world):
     world = noiseless_world
-    ref = world.grounds[0].embedding_ref
-    g = GroundImageRecord("g", world.grounds[0].geo, world.snapshots[1].timestamp + 3, ref)
+    _, lat, lon, _, ref = ground_rows(world.grounds)[0]
+    g = ground_table([("g", lat, lon, world.snapshots[1].timestamp + 3, ref)])
     spec = TileSpec()
     ds = build_pairs(
-        [g], world.snapshots, spec,
+        g, world.snapshots, spec,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     assert ds.tiles.timestamp[0] == world.snapshots[1].timestamp
@@ -321,7 +319,7 @@ def test_pair_index_matches_scalar_geometry(small_dataset):
         assert (pairs.offsets[t], pairs.offsets[t + 1]) == (k, k + len(members))
         center = GeoPoint(ds.tiles.lat[t], ds.tiles.lon[t])
         for m in members:
-            px = geotag_to_pixel(spec, center, ds.grounds[m].geo)
+            px = geotag_to_pixel(spec, center, GeoPoint(ds.grounds.lat[m], ds.grounds.lon[m]))
             patch = pixel_to_patch(px, spec.patch_px)
             assert pairs.ground[k] == m
             assert (pairs.pixel[k, 0], pairs.pixel[k, 1]) == (px.row, px.col)
@@ -349,8 +347,8 @@ def test_pair_index_rejects_bad_assignments(small_dataset):
 
     ds = subset_tiles(small_dataset, [0, 1])
     center = GeoPoint(ds.tiles.lat[1], ds.tiles.lon[1])
-    outside = next(i for i, g in enumerate(ds.grounds)
-                   if not tile_contains(ds.tiles.spec, center, g.geo))
+    outside = next(i for i, (lat, lon) in enumerate(zip(ds.grounds.lat, ds.grounds.lon))
+                   if not tile_contains(ds.tiles.spec, center, GeoPoint(lat, lon)))
     ds.assignments[1].append(outside)
     with pytest.raises(IntegrityError,
                        match=f"tile {ds.tiles.ids[1]}: ground {outside} .* outside"):
@@ -369,11 +367,10 @@ def test_make_batches_pixels_in_bounds(small_dataset):
 def test_synth_world_noiseless_embeddings_exact(noiseless_world):
     world = noiseless_world
     centroids = class_centroids(world)
-    for g in world.grounds[:10]:
-        label = class_at(world.field, g.geo)
-        np.testing.assert_array_equal(
-            world.ground_encoder.table[g.embedding_ref], centroids[label]
-        )
+    enc = world.ground_encoder
+    for _, lat, lon, _, ref in ground_rows(world.grounds)[:10]:
+        label = class_at(world.field, GeoPoint(lat, lon))
+        np.testing.assert_array_equal(enc.vectors[enc.index[ref]], centroids[label])
 
 
 def test_synth_world_bit_identical_for_seed():
@@ -395,7 +392,8 @@ def test_synth_world_bit_identical_for_seed():
 def test_synth_world_all_classes_present():
     cfg = SynthWorldConfig(n_classes=8, extent_km=10.0, n_ground=2000)
     world = synth_world(cfg, seed=0)
-    labels = {class_at(world.field, g.geo) for g in world.grounds}
+    labels = {class_at(world.field, GeoPoint(lat, lon))
+              for lat, lon in zip(world.grounds.lat, world.grounds.lon)}
     assert labels == set(range(8))
 
 
@@ -403,9 +401,8 @@ def test_synth_world_class_balance_within_3x():
     cfg = SynthWorldConfig(n_classes=8, extent_km=10.0, n_ground=4000)
     for seed in (0, 1, 2):
         world = synth_world(cfg, seed=seed)
-        lats = np.array([g.geo.lat for g in world.grounds])
-        lons = np.array([g.geo.lon for g in world.grounds])
-        counts = np.bincount(world.field.class_at_many(lats, lons), minlength=8)
+        counts = np.bincount(world.field.class_at_many(world.grounds.lat, world.grounds.lon),
+                             minlength=8)
         assert counts.min() > 0
         assert counts.max() <= 3 * counts.min(), counts
 
@@ -589,17 +586,11 @@ def test_subset_tiles_keeps_integrity(small_dataset):
 
 def test_cap_applies_in_build(noiseless_world):
     world = noiseless_world
-    ref = world.grounds[0].embedding_ref
-    base = world.grounds[0].geo
-    crowd = [
-        GroundImageRecord(
-            f"c{i}",
-            GeoPoint(base.lat + (i % 7) * 1e-5, base.lon + (i // 7) * 1e-5),
-            1700000000 + i,
-            ref,
-        )
+    _, lat, lon, _, ref = ground_rows(world.grounds)[0]
+    crowd = ground_table([
+        (f"c{i}", lat + (i % 7) * 1e-5, lon + (i // 7) * 1e-5, 1700000000 + i, ref)
         for i in range(40)
-    ]
+    ])
     spec = TileSpec()
     ds = build_pairs(
         crowd, world.snapshots, spec, cap=25, min_sep_px=112, seed=1,

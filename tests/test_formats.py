@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from graft import corpus
 from graft.codec import FormatError, Reader
+from _oracles import ground_table, section_at
 from graft.corpus import (
     DatasetFormatError,
-    GroundImageRecord,
     IntegrityError,
     PairedDataset,
     TileTable,
@@ -36,7 +36,7 @@ from graft.frozen import (
     save_embeddings,
     unit,
 )
-from graft.geo import GeoPoint, TileSpec
+from graft.geo import TileSpec
 from graft.train import load_checkpoint, save_checkpoint
 
 
@@ -45,8 +45,7 @@ def tiny_dataset() -> PairedDataset:
     tiles = TileTable(TileSpec(1.0, 32, 16), ["t0", "t1"], np.full(2, 45.0), np.full(2, 7.0),
                       1_600_000_000 + np.arange(2),
                       rng.standard_normal((2, 2, 2, 3)).astype(np.float32))
-    grounds = [GroundImageRecord(f"g{j}", GeoPoint(45.0, 7.0), 1_600_000_000, f"g{j}")
-               for j in range(3)]
+    grounds = ground_table([(f"g{j}", 45.0, 7.0, 1_600_000_000, f"g{j}") for j in range(3)])
     return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[0, 1], [2]],
                          provenance={"seed": 3, "note": "café"})
 
@@ -62,7 +61,8 @@ def write_sample(fmt: str, path) -> None:
     elif fmt == "checkpoint":
         save_checkpoint(path, init_params(3, 4, 2, 4, seed=0), {"seed": 0})
     else:
-        save_embeddings(path, tiny_table())
+        table = tiny_table()
+        save_embeddings(path, list(table), list(table.values()))
 
 
 LOADERS = {
@@ -167,6 +167,30 @@ def test_tile_count_beyond_section_fails_before_allocating(samples, fmt, count):
     assert peak < 1e6, peak
 
 
+# a declared count whose records cannot fit: (what, offset of the count, of the failure)
+COUNT_AT = {
+    "fixture": lambda raw: ("records", 0, 8),
+    "grounds": lambda raw: ("records", section_at(raw, 1), section_at(raw, 1) + 4),
+    "assignments": lambda raw: ("assignment lists", section_at(raw, 2), section_at(raw, 2)),
+}
+
+
+@pytest.mark.parametrize("table", COUNT_AT)
+def test_count_beyond_file_fails_near_it_before_allocating(samples, table):
+    raw, path = samples
+    fmt = "fixture" if table == "fixture" else "container"
+    what, at, fails_at = COUNT_AT[table](raw[fmt])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=rf"{2**32 - 1} {what} of at least .* overrun "
+                                              rf".* at byte {fails_at}$"):
+            load_variant(fmt, path, patched(raw[fmt], at, "<I", 2**32 - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
 @pytest.mark.parametrize("fmt", ["container", "tiles"])
 @pytest.mark.parametrize("field", HEADER_FIELD_AT)
 def test_tile_geometry_or_grid_unlike_tile_0(samples, fmt, field):
@@ -228,8 +252,7 @@ def wide_dataset(n: int = 200) -> PairedDataset:
     features = rng.standard_normal((n, spec.grid_px, spec.grid_px, 16)).astype(np.float32)
     tiles = TileTable(spec, [f"t{i:06d}" for i in range(n)], np.full(n, 45.0), np.full(n, 7.0),
                       1_600_000_000 + np.arange(n), features)
-    grounds = [GroundImageRecord(f"g{i}", GeoPoint(45.0, 7.0), 1_600_000_000, f"g{i}")
-               for i in range(n)]
+    grounds = ground_table([(f"g{i}", 45.0, 7.0, 1_600_000_000, f"g{i}") for i in range(n)])
     return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[i] for i in range(n)],
                          provenance={})
 
@@ -319,7 +342,7 @@ def test_unit_rejects_non_finite_and_zero(bad):
     with pytest.raises(DegenerateEmbeddingError):
         unit(v)
     with pytest.raises(ValueError, match="not unit-norm"):
-        FrozenEncoder({"x": v}, dim=4)
+        FrozenEncoder(["x"], v[None])
 
 
 @pytest.mark.parametrize("text", ["{", '{"files": {}}', "[]", '{"files": {"field": 1}}',

@@ -233,7 +233,8 @@ def per_tile_pixel_grads(params, batch, ds, ground_embs, tau):
         center = GeoPoint(ds.tiles.lat[tile], ds.tiles.lon[tile])
         rows = []
         for g in batch.ground[start : start + n]:
-            patch = pixel_to_patch(geotag_to_pixel(spec, center, ds.grounds[g].geo), spec.patch_px)
+            geotag = GeoPoint(ds.grounds.lat[g], ds.grounds.lon[g])
+            patch = pixel_to_patch(geotag_to_pixel(spec, center, geotag), spec.patch_px)
             rows.append(patch.prow * grid + patch.pcol)
         start += n
         uniq, inverse = np.unique(rows, return_inverse=True)
