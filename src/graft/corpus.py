@@ -440,8 +440,12 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
     of geometry `spec` centered on (lat[i], lon[i]).
 
     Each tile's longitude scale is its own scalar `math.cos`, so its classes
-    come from the same patch-center coordinates, bit for bit, as the tile's alone;
-    squared seed distances are summed per block from one per patch column and row.
+    come from the same patch-center coordinates, bit for bit, as the tile's alone.
+    Squared seed distances are summed per block from one per patch column and
+    row, and the nearest seed is a running minimum over the K seeds: a seed
+    replaces the best so far only when strictly closer, so the first of equally
+    near seeds wins, as in `np.argmin`. (The distances come from finite
+    coordinates and are never NaN.)
     """
     lat0 = np.asarray(lat, dtype=np.float64)[:, None]
     lon0 = np.asarray(lon, dtype=np.float64)[:, None]
@@ -452,9 +456,19 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
         * spec.resolution_m_per_px
     x, y = fld._project(lat0 + north / geo.METERS_PER_DEGREE, lon0 - north / lon_scale)
     sx, sy = fld._project(fld.seeds_lat, fld.seeds_lon)
-    dx2, dy2 = (x[..., None] - sx) ** 2, (y[..., None] - sy) ** 2  # (N, G, K) columns, rows
-    blocks = (slice(i, i + FIELD_BLOCK_TILES) for i in range(0, len(lat0), FIELD_BLOCK_TILES))
-    return np.concatenate([np.argmin(dx2[b, None] + dy2[b, :, None], axis=-1) for b in blocks])
+    # (K, N, G) squared distances of the patch columns and rows to each seed
+    dx2, dy2 = (x - sx[:, None, None]) ** 2, (y - sy[:, None, None]) ** 2
+    g = spec.grid_px
+    labels = np.zeros((len(lat0), g, g), dtype=np.intp)
+    for i in range(0, len(lat0), FIELD_BLOCK_TILES):
+        b = slice(i, i + FIELD_BLOCK_TILES)
+        best = dx2[0, b, None] + dy2[0, b, :, None]
+        for k in range(1, len(sx)):
+            d = dx2[k, b, None] + dy2[k, b, :, None]
+            closer = d < best
+            np.copyto(best, d, where=closer)
+            np.copyto(labels[b], k, where=closer)
+    return labels
 
 
 def materialize_many(
@@ -465,26 +479,31 @@ def materialize_many(
 
     Each tile draws its noise from its own stream, keyed by (noise_key,
     snapshot timestamp, quantized tile center), so its features equal, bit
-    for bit, those of the tile materialized alone.
+    for bit, those of the tile materialized alone. The noise is drawn in place
+    into one float64 block, scaled once, and the one-hot labels are added as
+    a 0/1 block: adding (not assigning) keeps `0 + (-0.0)` a positive zero.
     """
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     if not len(timestamps) == len(lat) == len(lon):
         raise ValueError(f"{len(lat)} lats, {len(lon)} lons and {len(timestamps)} timestamps")
-    g = spec.grid_px
-    features = np.empty((len(lat), g, g, fld.feature_dim), dtype=np.float32)
+    g, f = spec.grid_px, fld.feature_dim
+    features = np.empty((len(lat), g, g, f), dtype=np.float32)
+    block = np.empty((min(len(lat), FIELD_BLOCK_TILES), g, g, f))
     for start in range(0, len(lat), FIELD_BLOCK_TILES):
         rows = slice(start, start + FIELD_BLOCK_TILES)
         labels = class_grids(fld, spec, lat[rows], lon[rows])
-        block = np.zeros(labels.shape + (fld.feature_dim,))
-        np.put_along_axis(block, labels[..., None], 1.0, axis=-1)
+        noise = block[:len(labels)]
         if fld.noise_sigma > 0:
             centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
             for i, (c_lat, c_lon, ts) in enumerate(centers):
                 key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
                        int(round((c_lon + 180.0) * 1e7))]
-                rng = np.random.default_rng(np.random.SeedSequence(key))
-                block[i] += fld.noise_sigma * rng.standard_normal(block.shape[1:])
-        features[rows] = block
+                np.random.default_rng(np.random.SeedSequence(key)).standard_normal(out=noise[i])
+            noise *= fld.noise_sigma
+        else:
+            noise.fill(0.0)
+        noise += labels[..., None] == np.arange(f)
+        features[rows] = noise
     return features
 
 
@@ -957,17 +976,21 @@ _TILE_FIELDS = ("lat", "lon", "resolution", "size_px", "patch_px", "timestamp", 
 _GROUND_POINT = np.dtype([("lat", "<f8"), ("lon", "<f8"), ("timestamp", "<i8")])
 
 
-def _tile_record(id_len: int, grid: Sequence[int]) -> np.dtype:
-    """One tile record: u16 id length, the id, the `_TILE_HEADER` fields, the features."""
+def _tile_record(id_len: int, grid: Sequence[int] | None = None) -> np.dtype:
+    """One tile record: u16 id length, the id, the `_TILE_HEADER` fields, then,
+    given its grid, the features."""
     header = [(name, "<" + code) for name, code in zip(_TILE_FIELDS, _TILE_HEADER[1:])]
-    return np.dtype([("id_len", "<u2"), ("id", f"S{id_len}"), *header,
-                     ("features", "<f4", tuple(grid))])
+    features = [] if grid is None else [("features", "<f4", tuple(grid))]
+    return np.dtype([("id_len", "<u2"), ("id", f"S{id_len}"), *header, *features])
 
 
 def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     """Write the versioned binary container: magic, version, four sections.
 
     Tile records are fixed-size, so all tile ids must have one UTF-8 byte length.
+    Every tile's id and header are packed as one record array; the section is
+    its records' bytes, each followed by a byte view of that tile's features,
+    not a copy.
     """
     t, spec = ds.tiles, ds.tiles.spec
     ids = [tid.encode("utf-8") for tid in t.ids]
@@ -975,12 +998,17 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
         raise ValueError("tile ids must share one UTF-8 byte length and not end in a NUL byte")
     tiles = Writer()
     tiles.pack("<I", len(t))
-    for tid, lat, lon, ts, grid in zip(t.ids, t.lat.tolist(), t.lon.tolist(),
-                                       t.timestamp.tolist(), t.features):
-        tiles.string(tid)
-        tiles.pack(_TILE_HEADER, lat, lon, spec.resolution_m_per_px, spec.size_px,
-                   spec.patch_px, ts, 3, *grid.shape)
-        tiles.array(grid, "<f4")
+    if ids:
+        head = np.empty(len(t), _tile_record(len(ids[0])))
+        head["id_len"], head["id"], head["channels"] = len(ids[0]), ids, 3
+        head["lat"], head["lon"], head["timestamp"] = t.lat, t.lon, t.timestamp
+        head["resolution"], head["size_px"], head["patch_px"] = (
+            spec.resolution_m_per_px, spec.size_px, spec.patch_px)
+        head["grid_rows"], head["grid_cols"], head["feature_dim"] = t.features.shape[1:]
+        packed, w = head.tobytes(), head.itemsize
+        features = np.asarray(t.features, dtype="<f4").reshape(len(t), -1).view(np.uint8)
+        heads = (packed[i : i + w] for i in range(0, len(packed), w))
+        tiles.parts += itertools.chain.from_iterable(zip(heads, map(memoryview, features)))
 
     g = ds.grounds
     point = np.empty(len(g), dtype=_GROUND_POINT)

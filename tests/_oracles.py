@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 from pathlib import Path
 
-from graft import corpus, geo
+from graft import corpus, encoder, geo
 from graft.codec import Reader, Writer
 from graft.corpus import GroundTable, ManifestError, PairedDataset
 from graft.encoder import forward_patch_rows
@@ -312,6 +312,8 @@ def pixel_loss(
 # embeddings, then one backward per tile through the pooled normalization and
 # the softmax pooling weights, summed tile by tile. The library pools hidden
 # rows instead and runs blocks of tiles at once; tests check it against this.
+# The patch-collapse check as first written runs layer 2 on every patch; the
+# library screens the patches by a projection, and tests check it against that.
 
 
 def image_level_per_tile(params, grids, loss_fn):
@@ -362,12 +364,31 @@ def encoder_forward(params, patch_features):
     return forward_tile(params, patch_features)[:2]
 
 
+def patch_collapse_full(params, grids) -> bool:
+    """Whether the image-level pass must raise a patch collapse, by the check
+    as first written: layer 2 on every patch row of each block of
+    `encoder.IMAGE_BLOCK_ROWS` rows, then the smallest row norm against 1e-12
+    (a NaN norm makes the minimum NaN, which does not fail)."""
+    per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
+    for start in range(0, len(grids), per_block):
+        x = np.array(grids[start : start + per_block], dtype=np.float64)
+        h = x.reshape(-1, params.feature_dim) @ params.w1.T
+        h += params.b1
+        np.tanh(h, out=h)
+        y = h @ params.w2.T
+        y += params.b2
+        if np.sqrt(np.add.reduce(y * y, axis=1)).min() < 1e-12:
+            return True
+    return False
+
+
 # ---- the feature field one tile and one point at a time ---------------------
 #
 # Class lookup, class grids and feature materialization as first written, per
 # tile, and the density map as one materialization and one encoder forward per
 # cell. The library computes blocks of tiles at once; tests check it against
-# these.
+# these, and against the first blocked versions: an argmin over every seed's
+# distance and one-hots set by `put_along_axis`, each tile's noise added.
 
 
 def class_at(fld, p) -> int:
@@ -407,6 +428,47 @@ def class_grids_broadcast(fld, spec, lats, lons) -> np.ndarray:
     shape = (len(lats), g, g)
     return fld.class_at_many(np.broadcast_to(lat[:, :, None], shape),
                              np.broadcast_to(lon[:, None, :], shape))
+
+
+def class_grids_argmin(fld, spec, lat, lon) -> np.ndarray:
+    """`corpus.class_grids` as first blocked: the (n, G, G, K) squared seed
+    distances of each block of `corpus.FIELD_BLOCK_TILES` tiles, then `argmin`
+    over K, the blocks joined by `np.concatenate` (which fails on zero tiles)."""
+    lat0 = np.asarray(lat, dtype=np.float64)[:, None]
+    lon0 = np.asarray(lon, dtype=np.float64)[:, None]
+    lon_scale = np.array([geo.METERS_PER_DEGREE * math.cos(math.radians(v))
+                          for v in lat0[:, 0].tolist()]).reshape(-1, 1)
+    north = (spec.size_px / 2 - (np.arange(spec.grid_px) + 0.5) * spec.patch_px) \
+        * spec.resolution_m_per_px
+    x, y = fld._project(lat0 + north / geo.METERS_PER_DEGREE, lon0 - north / lon_scale)
+    sx, sy = fld._project(fld.seeds_lat, fld.seeds_lon)
+    dx2, dy2 = (x[..., None] - sx) ** 2, (y[..., None] - sy) ** 2  # (N, G, K) columns, rows
+    step = corpus.FIELD_BLOCK_TILES
+    blocks = (slice(i, i + step) for i in range(0, len(lat0), step))
+    return np.concatenate([np.argmin(dx2[b, None] + dy2[b, :, None], axis=-1) for b in blocks])
+
+
+def materialize_many_put(fld, spec, lat, lon, timestamps) -> np.ndarray:
+    """`corpus.materialize_many` as first blocked: a zero block per
+    `corpus.FIELD_BLOCK_TILES` tiles, the one-hots set by `put_along_axis`,
+    then each tile's `sigma * z` added from its own noise stream."""
+    lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+    g = spec.grid_px
+    features = np.empty((len(lat), g, g, fld.feature_dim), dtype=np.float32)
+    for start in range(0, len(lat), corpus.FIELD_BLOCK_TILES):
+        rows = slice(start, start + corpus.FIELD_BLOCK_TILES)
+        labels = class_grids_argmin(fld, spec, lat[rows], lon[rows])
+        block = np.zeros(labels.shape + (fld.feature_dim,))
+        np.put_along_axis(block, labels[..., None], 1.0, axis=-1)
+        if fld.noise_sigma > 0:
+            centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
+            for i, (c_lat, c_lon, ts) in enumerate(centers):
+                key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
+                       int(round((c_lon + 180.0) * 1e7))]
+                rng = np.random.default_rng(np.random.SeedSequence(key))
+                block[i] += fld.noise_sigma * rng.standard_normal(block.shape[1:])
+        features[rows] = block
+    return features
 
 
 def majority_class_per_tile(grids) -> np.ndarray:

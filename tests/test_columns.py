@@ -203,6 +203,36 @@ def with_section(raw: bytes, k: int, body: bytes) -> bytes:
     return raw[: start - 8] + struct.pack("<Q", len(body)) + body + raw[end:]
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tile_section_matches_per_tile_writer(scratch, data):
+    # ids of one UTF-8 byte length (empty, ASCII or multi-byte), any geotag,
+    # timestamp and features; also the loaded container, whose features view
+    # the file's records
+    n = data.draw(st.integers(0, 5), label="tiles")
+    spec = data.draw(st.sampled_from([TileSpec(1.0, 32, 16), TileSpec(10.0, 48, 16)]))
+    prefix = data.draw(st.sampled_from(["", "t", "\u00e9", "\u20ac"]), label="id prefix")
+    ids = [""] if n == 1 and data.draw(st.booleans(), label="empty id") else \
+        [f"{prefix}{i}" for i in range(n)]
+    lat = data.draw(st.lists(st.floats(-90, 90), min_size=n, max_size=n), label="lat")
+    lon = data.draw(st.lists(st.floats(-180, 180, exclude_max=True), min_size=n, max_size=n),
+                    label="lon")
+    timestamps = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n),
+                           label="timestamps")
+    f = data.draw(st.integers(1, 3), label="feature_dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    features = rng.standard_normal((n, spec.grid_px, spec.grid_px, f)).astype(np.float32)
+    tiles = TileTable(spec, ids, np.array(lat), np.array(lon), np.array(timestamps, np.int64),
+                      features)
+    ds = PairedDataset(tiles=tiles, grounds=ground_table([]), assignments=[[]] * n,
+                       provenance={})
+    for _ in range(2):
+        corpus.save_dataset(ds, scratch / "a.grft")
+        save_dataset_scan(ds, scratch / "b.grft")
+        assert (scratch / "a.grft").read_bytes() == (scratch / "b.grft").read_bytes()
+        ds = corpus.load_dataset(scratch / "a.grft")
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_container_codec_matches_record_oracle(scratch, data):

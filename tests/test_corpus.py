@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_broadcast,
-                      geotag_to_pixel, ground_rows, ground_table, materialize_per_tile,
-                      pixel_to_patch, select_snapshot_scan, tile_contains)
+from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_argmin,
+                      class_grids_broadcast, geotag_to_pixel, ground_rows, ground_table,
+                      materialize_many_put, materialize_per_tile, pixel_to_patch,
+                      select_snapshot_scan, tile_contains)
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
@@ -480,6 +481,66 @@ def test_class_grids_match_broadcast_oracle(k, lat, n, grid, tied, seed):
     np.testing.assert_array_equal(got, class_grids_broadcast(fld, spec, lats, lons))
     if tied:
         assert not np.any(got == k - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 63, 64, 65, 129]),
+    sigma=st.sampled_from([0.0, 5e-324, 1e-310, 0.35]),
+    layout=st.sampled_from(["random", "duplicate", "mirror"]),
+    k=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_field_blocks_match_first_blocked_oracles(n, sigma, layout, k, seed):
+    # blocks of 64 tiles: none, one partial, one full, one full plus a partial,
+    # two full plus one tile. Tiny sigmas make sigma * z a signed zero or a
+    # subnormal. "duplicate" repeats a seed; "mirror" puts two seeds 2**-12
+    # degrees north and south of the middle patch row of 3x3-patch tiles, so
+    # that row is exactly equidistant from both: the first index must win.
+    rng = np.random.default_rng(seed)
+    lat0, lon0 = 45.0, 9.0
+    dlat = 3000.0 / geo.METERS_PER_DEGREE
+    dlon = dlat / math.cos(math.radians(lat0))
+    seeds_lat, seeds_lon = lat0 + rng.uniform(-dlat, dlat, k), lon0 + rng.uniform(-dlon, dlon, k)
+    lats, lons = lat0 + rng.uniform(-dlat, dlat, n), lon0 + rng.uniform(-dlon, dlon, n)
+    spec = TileSpec()
+    i, j = np.sort(rng.choice(k, 2, replace=False))
+    if layout == "duplicate":
+        seeds_lat[j], seeds_lon[j] = seeds_lat[i], seeds_lon[i]
+    elif layout == "mirror":
+        spec = TileSpec(10.0, 48, 16)
+        far = rng.uniform(5, 10, k) * dlat * rng.choice([-1, 1], k)
+        seeds_lat, seeds_lon = lat0 + far, lon0 + rng.uniform(-dlon, dlon, k)
+        seeds_lat[[i, j]], seeds_lon[[i, j]] = [lat0 + 2**-12, lat0 - 2**-12], lon0
+        lats, lons = np.full(n, lat0), lon0 + rng.uniform(-1e-3, 1e-3, n)
+    fld = VoronoiFeatureField([f"c{c}" for c in range(k)], seeds_lat, seeds_lon,
+                              GeoPoint(lat0, lon0), (lat0 - dlat, lat0 + dlat, lon0 - dlon,
+                                                     lon0 + dlon),
+                              feature_dim=k + 3, noise_sigma=sigma, noise_key=seed % 1000)
+    timestamps = rng.integers(0, 2**40, n)
+    g = spec.grid_px
+
+    got = corpus.materialize_many(fld, spec, lats, lons, timestamps)
+    want = materialize_many_put(fld, spec, lats, lons, timestamps)
+    assert got.dtype == want.dtype == np.float32 and got.shape == (n, g, g, k + 3)
+    assert got.tobytes() == want.tobytes()
+    labels = corpus.class_grids(fld, spec, lats, lons)
+    assert labels.dtype == np.intp and labels.shape == (n, g, g)
+    if n:  # the argmin oracle cannot join zero blocks
+        assert labels.tobytes() == class_grids_argmin(fld, spec, lats, lons).tobytes()
+    if layout == "duplicate":
+        assert not np.any(labels == j)
+    elif layout == "mirror":
+        assert np.all(labels[:, 1] == i)
+
+
+def test_field_blocks_of_no_tiles(noiseless_world):
+    fld, spec = noiseless_world.field, TileSpec()
+    labels = corpus.class_grids(fld, spec, [], [])
+    assert labels.shape == (0, spec.grid_px, spec.grid_px) and labels.dtype == np.intp
+    features = corpus.materialize_many(fld, spec, [], [], [])
+    assert features.shape == (0, spec.grid_px, spec.grid_px, fld.feature_dim)
+    assert features.dtype == np.float32
 
 
 def test_materialize_many_rejects_mismatched_inputs(noiseless_world):
