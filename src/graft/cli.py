@@ -203,9 +203,9 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus.save_dataset(ds, dataset_path)
     cfg.write_snapshot(out)
 
-    max_grounds = max(len(a) for a in ds.assignments)
     print(f"dataset written to {dataset_path}")
-    print(f"  tiles: {len(ds.tiles)}  pairs: {ds.n_pairs}  max grounds/tile: {max_grounds}")
+    print(f"  tiles: {len(ds.tiles)}  pairs: {ds.n_pairs}  "
+          f"max grounds/tile: {np.diff(ds.offsets).max()}")
     required = cfg.pair_min_sep_px * spec.resolution_m_per_px
     if len(ds.tiles) > 1:
         min_sep = _min_center_separation_m(ds.tiles.lat, ds.tiles.lon)

@@ -166,35 +166,35 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Every (tile, ground) pair of a dataset as flat arrays, tile-major.
+    """Where each of a dataset's P pairs falls in its tile, row-aligned with
+    the dataset's `ground`."""
 
-    The pairs of tile t occupy `offsets[t]:offsets[t + 1]`, in assignment order.
-    """
-
-    offsets: np.ndarray  # (T + 1,)
-    ground: np.ndarray  # (P,) index into the dataset's grounds
     pixel: np.ndarray  # (P, 2) raster (row, col) of the ground's geotag
     patch: np.ndarray  # (P,) flat patch index prow * grid_px + pcol
 
 
 @dataclass(eq=False)
 class PairedDataset:
+    """Tiles, grounds and the (tile, ground) pairs between them as CSR arrays:
+    tile t's grounds are `ground[offsets[t]:offsets[t + 1]]`, in pairing order."""
+
     tiles: TileTable
     grounds: GroundTable
-    assignments: list[list[int]]  # per tile, indices into `grounds`
+    offsets: np.ndarray  # (T + 1,) int64, from 0 up to P
+    ground: np.ndarray  # (P,) int64 index into `grounds`
     provenance: dict
     _pairs: PairIndex | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.assignments) != len(self.tiles):
-            raise ValueError("one assignment list per tile required")
+        if len(self.offsets) != len(self.tiles) + 1 or self.offsets[-1] != len(self.ground):
+            raise ValueError("one offset per tile and one more, the pair count, required")
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(a) for a in self.assignments)
+        return len(self.ground)
 
     def pair_index(self) -> PairIndex:
-        """The packed pair arrays, computed and checked on first use.
+        """Each pair's pixel and patch, computed and checked on first use.
 
         Datasets are read-only after construction, so the pack is kept.
         """
@@ -208,7 +208,8 @@ class PairedDataset:
         return (
             self.tiles == other.tiles
             and self.grounds == other.grounds
-            and self.assignments == other.assignments
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.ground, other.ground)
             and self.provenance == other.provenance
         )
 
@@ -222,20 +223,15 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
     assignment index out of range, a geotag outside the tile footprint or a
     pixel outside the patch grid.
     """
-    tiles, spec = ds.tiles, ds.tiles.spec
-    counts = np.array([len(a) for a in ds.assignments], dtype=np.int64)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    tiles, spec, ground = ds.tiles, ds.tiles.spec, ds.ground
+    counts = np.diff(ds.offsets)
 
     def fail(pair: int, what: str):
-        tile = int(np.searchsorted(offsets, pair, side="right")) - 1
+        tile = int(np.searchsorted(ds.offsets, pair, side="right")) - 1
         raise IntegrityError(f"tile {tiles.ids[tile]}: {what}")
 
     if not counts.all():  # every tile contrasts at least one ground
         raise IntegrityError(f"tile {tiles.ids[int(np.argmin(counts))]}: no grounds")
-    ground = np.fromiter(
-        (m for members in ds.assignments for m in members), dtype=np.int64, count=offsets[-1]
-    )
     bad = (ground < 0) | (ground >= len(ds.grounds))
     if bad.any():
         k = int(np.argmax(bad))
@@ -260,8 +256,7 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
     if off_grid.any():
         k = int(np.argmax(off_grid))
         fail(k, f"pixel ({row[k]}, {col[k]}) maps outside patch grid")
-    return PairIndex(offsets=offsets, ground=ground, pixel=np.stack([row, col], axis=1),
-                     patch=prow * spec.grid_px + pcol)
+    return PairIndex(pixel=np.stack([row, col], axis=1), patch=prow * spec.grid_px + pcol)
 
 
 def _parsed(convert, texts: Sequence[str]) -> list:
@@ -631,9 +626,9 @@ def build_pairs(
             f"{bad[:10]}{'...' if len(bad) > 10 else ''}"
         )
 
-    centers, assignment = geo.sample_tiles(grounds.lat, grounds.lon, spec, min_sep_px)
+    centers, offsets, members = geo.sample_tiles(grounds.lat, grounds.lon, spec, min_sep_px)
     cap_seed = int(np.random.SeedSequence([seed, _SALT_CAP]).generate_state(1)[0])
-    assignment = geo.cap_subsample(assignment, cap=cap, seed=cap_seed)
+    offsets, members = geo.cap_subsample(offsets, members, cap=cap, seed=cap_seed)
     lat, lon = grounds.lat[centers], grounds.lon[centers]
 
     # no tile is empty: each keeps at least the ground at its center
@@ -643,10 +638,8 @@ def build_pairs(
         raise IntegrityError(f"no snapshot region covers tile at ({lat[k]:.5f}, {lon[k]:.5f})")
     # mean ground timestamp per tile, summed exactly in Python ints (an object
     # array), so no sum of timestamps up to 2**62 can wrap
-    counts = np.fromiter(map(len, assignment), np.int64, len(assignment))
-    members = np.fromiter(itertools.chain.from_iterable(assignment), np.intp, counts.sum())
-    sums = np.add.reduceat(grounds.timestamp.astype(object)[members], np.cumsum(counts) - counts)
-    target = np.rint((sums / counts).astype(np.float64)).astype(np.int64)
+    sums = np.add.reduceat(grounds.timestamp.astype(object)[members], offsets[:-1])
+    target = np.rint((sums / np.diff(offsets)).astype(np.float64)).astype(np.int64)
     snap = select_snapshot([s.timestamp for s in snapshots], target, cover)
     timestamp = np.array([s.timestamp for s in snapshots], dtype=np.int64)[snap]
     blob = np.array([s.blob_ref for s in snapshots])[snap]
@@ -679,21 +672,27 @@ def build_pairs(
         "n_grounds": len(grounds),
         "n_pairs": len(members),
     }
-    return PairedDataset(
-        tiles=tiles, grounds=grounds, assignments=assignment, provenance=provenance
-    )
+    return PairedDataset(tiles, grounds, offsets, members, provenance)
+
+
+def _segments(offsets: np.ndarray, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes of the CSR segments of `tiles` and the positions of their
+    entries, concatenated in the order of `tiles`."""
+    sizes = offsets[tiles + 1] - offsets[tiles]
+    return sizes, np.arange(sizes.sum()) + np.repeat(offsets[tiles] - (np.cumsum(sizes) - sizes),
+                                                     sizes)
 
 
 def subset_tiles(ds: PairedDataset, indices: Sequence[int]) -> PairedDataset:
     """A dataset restricted to the given tile indices (ground list is shared)."""
     tiles = ds.tiles.take(indices)
-    assignments = [list(ds.assignments[i]) for i in indices]
+    sizes, rows = _segments(ds.offsets, np.asarray(indices, dtype=np.intp))
     provenance = dict(ds.provenance)
     provenance["subset_of"] = provenance.get("n_tiles", len(ds.tiles))
     provenance["n_tiles"] = len(tiles)
-    provenance["n_pairs"] = sum(len(a) for a in assignments)
-    return PairedDataset(tiles=tiles, grounds=ds.grounds, assignments=assignments,
-                         provenance=provenance)
+    provenance["n_pairs"] = len(rows)
+    return PairedDataset(tiles, ds.grounds, np.append(0, np.cumsum(sizes)), ds.ground[rows],
+                         provenance)
 
 
 def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[PairBatch]:
@@ -706,7 +705,6 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     pairs = ds.pair_index()
-    counts = np.diff(pairs.offsets)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds.tiles))
     batches: list[PairBatch] = []
@@ -714,12 +712,8 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
         chunk = order[start : start + batch_size]
         if len(chunk) < batch_size and len(chunk) < 2:
             break
-        sizes = counts[chunk]
-        # positions of the chunk's CSR segments, concatenated in chunk order
-        rows = np.arange(sizes.sum()) + np.repeat(
-            pairs.offsets[chunk] - (np.cumsum(sizes) - sizes), sizes
-        )
-        batches.append(PairBatch(tiles=chunk, sizes=sizes, ground=pairs.ground[rows],
+        sizes, rows = _segments(ds.offsets, chunk)
+        batches.append(PairBatch(tiles=chunk, sizes=sizes, ground=ds.ground[rows],
                                  patch=pairs.patch[rows], all_features=ds.tiles.features))
     return batches
 
@@ -1018,13 +1012,11 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     grounds.records([g.ids, point.view(np.uint8).reshape(len(g), point.itemsize), g.refs])
 
     # each list is its u32 length, then its u32 members
-    counts = np.fromiter(map(len, ds.assignments), np.int64, len(ds.assignments))
-    members = np.fromiter(itertools.chain.from_iterable(ds.assignments), np.int64, counts.sum())
-    if members.size and not 0 <= members.min() <= members.max() <= 0xFFFFFFFF:
+    if ds.ground.size and not 0 <= ds.ground.min() <= ds.ground.max() <= 0xFFFFFFFF:
         raise ValueError("assignment index outside [0, 2**32)")
     assigns = Writer()
-    assigns.pack("<I", len(counts))
-    assigns.array(np.insert(members, np.cumsum(counts) - counts, counts), "<u4")
+    assigns.pack("<I", len(ds.tiles))
+    assigns.array(np.insert(ds.ground, ds.offsets[:-1], np.diff(ds.offsets)), "<u4")
 
     prov = Writer()
     prov.json(ds.provenance)
@@ -1136,27 +1128,29 @@ def _read_grounds(r: Reader) -> GroundTable:
                        texts[1::2])
 
 
-def _read_assignments(r: Reader) -> list[list[int]]:
-    """The assignment section: a u32 count of lists, each a u32 length, then
-    its u32 members; one pass over the section's words splits the lists."""
+def _read_assignments(r: Reader) -> tuple[np.ndarray, np.ndarray]:
+    """The assignment section as CSR (offsets, ground): a u32 count of lists,
+    each a u32 length, then its u32 members. One walk over the length words
+    finds the lists; the members are the words left once those are deleted."""
     (count,) = r.unpack("<I")
     base, left = r.off, r.end - r.off
     if 4 * count > left:
         raise r.fail(f"{count} assignment lists of at least 4 bytes overrun the {left} bytes "
                      f"left", base - 4)
-    words = np.frombuffer(r.data, "<u4", left // 4, base).tolist()
-    lists: list[list[int]] = []
+    words = np.frombuffer(r.data, "<u4", left // 4, base)
+    starts = np.empty(count, dtype=np.int64)
     at = 0  # the word of the next list's length
-    for _ in range(count):
-        n = words[at] if at < len(words) else 0
+    for k in range(count):
+        n = int(words[at]) if at < len(words) else 0
         if at + 1 + n > len(words):  # cut off: fail as reading the list would
             r.advance(4 * at)
             r.advance(4 * r.unpack("<I")[0])
-        lists.append(words[at + 1 : at + 1 + n])
+        starts[k] = at
         at += 1 + n
     r.advance(4 * at)
     r.done()
-    return lists
+    return (np.append(0, np.cumsum(words[starts], dtype=np.int64)),
+            np.delete(words[:at], starts).astype(np.int64))
 
 
 def load_tiles(path: str | Path) -> TileTable:
@@ -1171,9 +1165,7 @@ def load_dataset(path: str | Path) -> PairedDataset:
     tiles = _read_tiles(tiles_r)
     grounds = _read_grounds(grounds_r)
     start = assigns_r.off
-    assignments = _read_assignments(assigns_r)
-    if len(assignments) != len(tiles):
-        raise assigns_r.fail(f"{len(assignments)} assignment lists for {len(tiles)} tiles", start)
-
-    return PairedDataset(tiles=tiles, grounds=grounds, assignments=assignments,
-                         provenance=prov_r.json())
+    offsets, ground = _read_assignments(assigns_r)
+    if len(offsets) - 1 != len(tiles):
+        raise assigns_r.fail(f"{len(offsets) - 1} assignment lists for {len(tiles)} tiles", start)
+    return PairedDataset(tiles, grounds, offsets, ground, prov_r.json())

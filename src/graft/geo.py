@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,8 +18,11 @@ METERS_PER_DEGREE = 111_320.0
 
 
 def wrap_lon(lon):
-    """Longitude normalized into [-180, 180), for floats and arrays with the same bits."""
-    return ((lon + 180.0) % 360.0) - 180.0
+    """Longitude normalized into [-180, 180), for floats and arrays with the same
+    bits; a longitude already in range is returned bit for bit."""
+    if isinstance(lon, np.ndarray):
+        return np.where((-180.0 <= lon) & (lon < 180.0), lon, ((lon + 180.0) % 360.0) - 180.0)
+    return lon if -180.0 <= lon < 180.0 else ((lon + 180.0) % 360.0) - 180.0
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def _neighbour_pairs(lats: np.ndarray, lons: np.ndarray, reach_m: float, queries
 
 def sample_tiles(
     lats: np.ndarray, lons: np.ndarray, spec: TileSpec, min_sep_px: int
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy minimum-separation tile sampling over geotags, in input order.
 
     A point spawns a tile centered on itself unless an already spawned tile
@@ -135,8 +137,9 @@ def sample_tiles(
     ground image can belong to several overlapping tiles. Both rules are tested
     on the pairs of neighbouring grid cells only, so time is linear in the points.
 
-    Returns the index of each tile's center point, ascending, and per tile the
-    ascending indices of its assigned points.
+    Returns the index of each tile's center point, ascending, and the
+    assignment as CSR: (T + 1,) `offsets` and (P,) `members`, tile t's
+    ascending point indices being `members[offsets[t]:offsets[t + 1]]`.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
@@ -166,27 +169,27 @@ def sample_tiles(
         inside = footprint_offsets(lats[p], lons[p], lats[c], lons[c], lon_cos[t], half)[2]
         found.append((t[inside], p[inside]))
     t, p = map(np.concatenate, zip(*found))
-    members = p[np.lexsort((p, t))].tolist()
-    ends = np.cumsum(np.bincount(t, minlength=len(centers))).tolist()
-    return centers, [members[a:b] for a, b in zip([0] + ends, ends)]
+    offsets = np.append(0, np.cumsum(np.bincount(t, minlength=len(centers))))
+    return centers, offsets, p[np.lexsort((p, t))]
 
 
 def cap_subsample(
-    assignment: Sequence[Sequence[int]], cap: int = 25, seed: int = 0
-) -> list[list[int]]:
-    """Uniformly subsample each tile's point list down to at most `cap` entries.
+    offsets: np.ndarray, members: np.ndarray, cap: int = 25, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly subsample each tile's CSR segment of `members` down to at most
+    `cap` entries; returns the capped (offsets, members).
 
     Tiles at or under the cap pass through unchanged. Retained entries keep
-    their original relative order; the draw is deterministic for a fixed seed.
+    their original relative order; the draw is deterministic for a fixed seed,
+    one `rng.choice` per over-cap tile, in tile order.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     rng = np.random.default_rng(seed)
-    capped: list[list[int]] = []
-    for members in assignment:
-        if len(members) <= cap:
-            capped.append(list(members))
-        else:
-            keep = np.sort(rng.choice(len(members), size=cap, replace=False))
-            capped.append([members[k] for k in keep])
-    return capped
+    counts = np.diff(offsets)
+    keep = np.ones(len(members), dtype=bool)
+    for t in np.flatnonzero(counts > cap).tolist():
+        segment = keep[offsets[t] : offsets[t + 1]]
+        segment[:] = False
+        segment[rng.choice(int(counts[t]), size=cap, replace=False)] = True
+    return np.append(0, np.cumsum(np.minimum(counts, cap))), members[keep]

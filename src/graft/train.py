@@ -152,7 +152,7 @@ def resolve_ground_embeddings(ds: PairedDataset, frozen: FrozenEncoder) -> np.nd
     ground's reference is never looked up.
     """
     embs = np.zeros((len(ds.grounds), frozen.dim))
-    paired = np.unique(ds.pair_index().ground)
+    paired = np.unique(ds.ground)
     embs[paired] = embed_grounds(frozen, list(map(ds.grounds.refs.__getitem__, paired.tolist())))
     return embs
 

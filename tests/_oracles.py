@@ -7,6 +7,7 @@ so they stay independent of the library code paths they check.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -576,6 +577,44 @@ def sample_tiles_scan(points, spec, min_sep_px):
     return centers, assignment
 
 
+def cap_subsample_lists(assignment, cap: int = 25, seed: int = 0) -> list[list[int]]:
+    """Uniformly subsample each tile's point list down to at most `cap` entries.
+
+    Tiles at or under the cap pass through unchanged. Retained entries keep
+    their original relative order; the draw is deterministic for a fixed seed.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    rng = np.random.default_rng(seed)
+    capped: list[list[int]] = []
+    for members in assignment:
+        if len(members) <= cap:
+            capped.append(list(members))
+        else:
+            keep = np.sort(rng.choice(len(members), size=cap, replace=False))
+            capped.append([members[k] for k in keep])
+    return capped
+
+
+def pairs_of(lists) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR `offsets` and `ground` of per-tile index lists."""
+    counts = np.array([len(a) for a in lists], dtype=np.int64)
+    return np.append(0, np.cumsum(counts)), np.array([m for a in lists for m in a], np.int64)
+
+
+def pair_lists(offsets, members) -> list[list[int]]:
+    """The per-tile index lists of a CSR pair table."""
+    return [members[a:b].tolist() for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def with_tile_pairs(ds: PairedDataset, tile: int, ground) -> PairedDataset:
+    """`ds` with tile `tile`'s grounds replaced by `ground`, spliced into its CSR arrays."""
+    a, b = ds.offsets[tile], ds.offsets[tile + 1]
+    shift = (np.arange(len(ds.offsets)) > tile) * (len(ground) - (b - a))
+    return dataclasses.replace(ds, offsets=ds.offsets + shift, ground=np.concatenate(
+        [ds.ground[:a], np.asarray(ground, dtype=np.int64), ds.ground[b:]]))
+
+
 def select_snapshot_scan(candidates, target: int) -> int:
     """Index of the timestamp closest to target; ties go to the earlier snapshot."""
     return min(range(len(candidates)),
@@ -779,8 +818,9 @@ def save_dataset_scan(ds, path) -> None:
         grounds.pack("<ddq", lat, lon, ts)
         grounds.string(ref)
     assigns = Writer()
-    assigns.pack("<I", len(ds.assignments))
-    for members in ds.assignments:
+    lists = pair_lists(ds.offsets, ds.ground)
+    assigns.pack("<I", len(lists))
+    for members in lists:
         assigns.pack(f"<I{len(members)}I", len(members), *members)
     prov = Writer()
     prov.json(ds.provenance)
@@ -815,5 +855,4 @@ def load_dataset_scan(path) -> PairedDataset:
     assigns_r.done()
     if len(assignments) != len(tiles):
         raise assigns_r.fail(f"{len(assignments)} assignment lists for {len(tiles)} tiles", start)
-    return PairedDataset(tiles=tiles, grounds=_grounds_of_points(rows), assignments=assignments,
-                         provenance=prov_r.json())
+    return PairedDataset(tiles, _grounds_of_points(rows), *pairs_of(assignments), prov_r.json())

@@ -336,7 +336,7 @@ def test_criterion_8_sampling_invariants():
     min_sep_px = 112
     min_sep_m = min_sep_px * spec.resolution_m_per_px
 
-    centers, assignment = geo.sample_tiles(lats, lons, spec, min_sep_px)
+    centers, offsets, assigned = geo.sample_tiles(lats, lons, spec, min_sep_px)
 
     # pairwise separation, exact metric on KD-tree candidate pairs
     cos0 = np.cos(np.radians(center.lat))
@@ -363,7 +363,7 @@ def test_criterion_8_sampling_invariants():
     radius = spec.half_extent_m * np.sqrt(2.0) * 1.01
     missing = extra = 0
     for ti, c in enumerate(centers):
-        members = set(assignment[ti])
+        members = set(assigned[offsets[ti] : offsets[ti + 1]].tolist())
         candidates = ptree.query_ball_point(txy[ti], radius)
         for pi in candidates:
             inside = tile_contains(spec, points[c], points[pi])
@@ -372,13 +372,16 @@ def test_criterion_8_sampling_invariants():
             if not inside and pi in members:
                 extra += 1
 
-    capped = geo.cap_subsample(assignment, cap=25, seed=99)
-    capped_again = geo.cap_subsample(assignment, cap=25, seed=99)
-    n_over = sum(1 for a in assignment if len(a) > 25)
+    cap_offsets, capped = geo.cap_subsample(offsets, assigned, cap=25, seed=99)
+    again = geo.cap_subsample(offsets, assigned, cap=25, seed=99)
+    n_over = int((np.diff(offsets) > 25).sum())
     cap_ok = (
-        all(len(a) <= 25 for a in capped)
-        and capped == capped_again
-        and all(set(c) <= set(a) for c, a in zip(capped, assignment))
+        bool((np.diff(cap_offsets) <= 25).all())
+        and np.array_equal(cap_offsets, again[0]) and np.array_equal(capped, again[1])
+        and len(cap_offsets) == len(offsets)
+        and all(set(capped[cap_offsets[t] : cap_offsets[t + 1]].tolist())
+                <= set(assigned[offsets[t] : offsets[t + 1]].tolist())
+                for t in range(len(centers)))
         and n_over > 0  # the dense cluster must actually exercise the cap
     )
 

@@ -16,7 +16,7 @@ import pytest
 import graft
 from _oracles import (class_grid_per_tile, density_scores_per_cell, encoder_forward,
                       load_density_grid, majority_class_per_tile,
-                      min_center_separation_per_tile)
+                      min_center_separation_per_tile, with_tile_pairs)
 from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
@@ -174,7 +174,7 @@ def test_build_corrupt_manifest_exits_4(pipeline, tmp_path):
 def test_train_out_of_range_assignment_exits_4(pipeline, tmp_path, capsys):
     _, world_dir, dataset, _ = pipeline
     ds = corpus.load_dataset(dataset)
-    ds.assignments[1].append(10**6)
+    ds = with_tile_pairs(ds, 1, [*ds.ground[ds.offsets[1] : ds.offsets[2]], 10**6])
     bad = tmp_path / "bad.grft"
     corpus.save_dataset(ds, bad)
     capsys.readouterr()
@@ -187,7 +187,7 @@ def test_train_out_of_range_assignment_exits_4(pipeline, tmp_path, capsys):
 def test_train_tile_without_grounds_exits_4(pipeline, tmp_path, capsys):
     _, world_dir, dataset, _ = pipeline
     ds = corpus.load_dataset(dataset)
-    ds.assignments[2] = []
+    ds = with_tile_pairs(ds, 2, [])
     bad = tmp_path / "bad.grft"
     corpus.save_dataset(ds, bad)
     capsys.readouterr()

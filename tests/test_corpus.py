@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_argmin,
                       class_grids_broadcast, geotag_to_pixel, ground_rows, ground_table,
-                      materialize_many_put, materialize_per_tile, pixel_to_patch,
-                      select_snapshot_scan, tile_contains)
+                      materialize_many_put, materialize_per_tile, pair_lists, pixel_to_patch,
+                      select_snapshot_scan, tile_contains, with_tile_pairs)
 from graft import corpus, geo
 from graft.corpus import (
     DatasetFormatError,
@@ -40,9 +40,10 @@ from graft.geo import GeoPoint, TileSpec
 
 def test_pair_index_of_a_dataset_without_tiles(small_dataset):
     ds = corpus.PairedDataset(tiles=small_dataset.tiles.take([]), grounds=ground_table([]),
-                              assignments=[], provenance={})
+                              offsets=np.zeros(1, np.int64), ground=np.empty(0, np.int64),
+                              provenance={})
     pairs = ds.pair_index()
-    assert pairs.offsets.tolist() == [0] and pairs.pixel.shape == (0, 2)
+    assert pairs.patch.shape == (0,) and pairs.pixel.shape == (0, 2)
     assert make_batches(ds, 4) == []
 
 
@@ -175,7 +176,7 @@ def test_build_pairs_single_ground(noiseless_world):
         embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
-    assert ds.assignments == [[0]]
+    assert pair_lists(ds.offsets, ds.ground) == [[0]]
     assert (ds.tiles.lat[0], ds.tiles.lon[0]) == g[1:3]
     assert ds.tiles.timestamp[0] == world.snapshots[0].timestamp
     assert ds.tiles.ids == ["t000000"]
@@ -191,7 +192,7 @@ def test_build_pairs_two_close_grounds(noiseless_world):
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
-    assert ds.assignments == [[0, 1]]
+    assert pair_lists(ds.offsets, ds.ground) == [[0, 1]]
     assert ds.n_pairs == 2
 
 
@@ -202,7 +203,7 @@ def test_build_pairs_mean_timestamp_at_top_of_domain(noiseless_world):
     grounds = ground_table([(f"g{i}", lat, lon, 2**62, ref) for i in range(3)])
     snaps = [SnapshotRecord("world", ts, "field.json") for ts in (0, 2**62)]
     ds = build_pairs(grounds, snaps, TileSpec(), fields={"field.json": world.field})
-    assert ds.assignments == [[0, 1, 2]]
+    assert pair_lists(ds.offsets, ds.ground) == [[0, 1, 2]]
     assert ds.tiles.timestamp.tolist() == [2**62]
 
 
@@ -261,7 +262,7 @@ def test_build_pairs_two_feature_fields(noiseless_world):
 def test_build_pairs_validates(small_dataset):
     small_dataset.pair_index()
     assert small_dataset.provenance["n_tiles"] == len(small_dataset.tiles)
-    assert max(len(a) for a in small_dataset.assignments) <= 25
+    assert np.diff(small_dataset.offsets).max() <= 25
 
 
 def test_build_pairs_picks_temporally_closest_snapshot(noiseless_world):
@@ -316,13 +317,13 @@ def test_pair_index_matches_scalar_geometry(small_dataset):
     pairs = ds.pair_index()
     k = 0
     spec = ds.tiles.spec
-    for t, members in enumerate(ds.assignments):
-        assert (pairs.offsets[t], pairs.offsets[t + 1]) == (k, k + len(members))
+    for t, members in enumerate(pair_lists(ds.offsets, ds.ground)):
+        assert (ds.offsets[t], ds.offsets[t + 1]) == (k, k + len(members))
         center = GeoPoint(ds.tiles.lat[t], ds.tiles.lon[t])
         for m in members:
             px = geotag_to_pixel(spec, center, GeoPoint(ds.grounds.lat[m], ds.grounds.lon[m]))
             patch = pixel_to_patch(px, spec.patch_px)
-            assert pairs.ground[k] == m
+            assert ds.ground[k] == m
             assert (pairs.pixel[k, 0], pairs.pixel[k, 1]) == (px.row, px.col)
             assert pairs.patch[k] == patch.prow * spec.grid_px + patch.pcol
             k += 1
@@ -333,16 +334,16 @@ def test_make_batches_gathers_each_tiles_pairs(small_dataset):
     ds = small_dataset
     pairs = ds.pair_index()
     for batch in make_batches(ds, 7, seed=5):
-        segments = [range(pairs.offsets[t], pairs.offsets[t + 1]) for t in batch.tiles]
+        segments = [range(ds.offsets[t], ds.offsets[t + 1]) for t in batch.tiles]
         assert list(batch.sizes) == [len(s) for s in segments]
         rows = [r for s in segments for r in s]
-        np.testing.assert_array_equal(batch.ground, pairs.ground[rows])
+        np.testing.assert_array_equal(batch.ground, ds.ground[rows])
         np.testing.assert_array_equal(batch.patch, pairs.patch[rows])
 
 
 def test_pair_index_rejects_bad_assignments(small_dataset):
     ds = subset_tiles(small_dataset, [0, 1])
-    ds.assignments[1].append(10**6)
+    ds = with_tile_pairs(ds, 1, [*ds.ground[ds.offsets[1] :], 10**6])
     with pytest.raises(IntegrityError, match=f"tile {ds.tiles.ids[1]}: assignment index 1000000"):
         make_batches(ds, 2)
 
@@ -350,7 +351,7 @@ def test_pair_index_rejects_bad_assignments(small_dataset):
     center = GeoPoint(ds.tiles.lat[1], ds.tiles.lon[1])
     outside = next(i for i, (lat, lon) in enumerate(zip(ds.grounds.lat, ds.grounds.lon))
                    if not tile_contains(ds.tiles.spec, center, GeoPoint(lat, lon)))
-    ds.assignments[1].append(outside)
+    ds = with_tile_pairs(ds, 1, [*ds.ground[ds.offsets[1] :], outside])
     with pytest.raises(IntegrityError,
                        match=f"tile {ds.tiles.ids[1]}: ground {outside} .* outside"):
         ds.pair_index()
@@ -642,7 +643,10 @@ def test_subset_tiles_keeps_integrity(small_dataset):
     assert sub.tiles.ids == [small_dataset.tiles.ids[i] for i in (3, 1, 4)]
     assert sub.tiles == small_dataset.tiles.take([3, 1, 4])
     sub.pair_index()
-    assert sub.provenance["n_tiles"] == 3
+    lists = pair_lists(small_dataset.offsets, small_dataset.ground)
+    assert pair_lists(sub.offsets, sub.ground) == [lists[i] for i in (3, 1, 4)]
+    assert sub.offsets.dtype == sub.ground.dtype == np.int64
+    assert sub.provenance["n_tiles"] == 3 and sub.provenance["n_pairs"] == len(sub.ground)
 
 
 def test_cap_applies_in_build(noiseless_world):
@@ -658,4 +662,4 @@ def test_cap_applies_in_build(noiseless_world):
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
     )
     assert len(ds.tiles) == 1
-    assert len(ds.assignments[0]) == 25
+    assert ds.offsets.tolist() == [0, 25]

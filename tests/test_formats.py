@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from graft import corpus
 from graft.codec import FormatError, Reader
-from _oracles import ground_table, section_at
+from _oracles import ground_table, pairs_of, section_at
 from graft.corpus import (
     DatasetFormatError,
     IntegrityError,
@@ -46,8 +46,7 @@ def tiny_dataset() -> PairedDataset:
                       1_600_000_000 + np.arange(2),
                       rng.standard_normal((2, 2, 2, 3)).astype(np.float32))
     grounds = ground_table([(f"g{j}", 45.0, 7.0, 1_600_000_000, f"g{j}") for j in range(3)])
-    return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[0, 1], [2]],
-                         provenance={"seed": 3, "note": "café"})
+    return PairedDataset(tiles, grounds, *pairs_of([[0, 1], [2]]), {"seed": 3, "note": "café"})
 
 
 def tiny_table() -> dict[str, np.ndarray]:
@@ -253,7 +252,8 @@ def wide_dataset(n: int = 200) -> PairedDataset:
     tiles = TileTable(spec, [f"t{i:06d}" for i in range(n)], np.full(n, 45.0), np.full(n, 7.0),
                       1_600_000_000 + np.arange(n), features)
     grounds = ground_table([(f"g{i}", 45.0, 7.0, 1_600_000_000, f"g{i}") for i in range(n)])
-    return PairedDataset(tiles=tiles, grounds=grounds, assignments=[[i] for i in range(n)],
+    return PairedDataset(tiles=tiles, grounds=grounds, offsets=np.arange(n + 1),
+                         ground=np.arange(n),
                          provenance={})
 
 

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from _oracles import (
     OutOfFootprintError,
     PixelCoord,
+    cap_subsample_lists,
     flat_earth_distance_m,
     flat_earth_offset_m,
     geotag_to_pixel,
     meters_per_degree,
     pixel_to_geotag,
+    pair_lists,
+    pairs_of,
     pixel_to_patch,
     sample_tiles_scan,
     tile_contains,
@@ -149,10 +152,11 @@ def test_roundtrip_pixel_geo_pixel_exact(lat, row, col):
 
 
 def sample(points, spec, min_sep_px):
-    """sample_tiles over GeoPoints: the center points and the assignment."""
-    centers, assignment = sample_tiles(np.array([p.lat for p in points]),
-                                       np.array([p.lon for p in points]), spec, min_sep_px)
-    return [points[c] for c in centers], assignment
+    """sample_tiles over GeoPoints: the center points and the per-tile lists."""
+    centers, offsets, members = sample_tiles(np.array([p.lat for p in points]),
+                                             np.array([p.lon for p in points]), spec, min_sep_px)
+    assert offsets.dtype == members.dtype == np.int64
+    return [points[c] for c in centers], pair_lists(offsets, members)
 
 
 def test_sample_tiles_single_point():
@@ -331,33 +335,38 @@ def test_sample_tiles_one_cell_memory_stays_chunked():
     lat, lon = np.array([p.lat for p in points]), np.array([p.lon for p in points])
     tracemalloc.start()
     try:
-        centers, assignment = sample_tiles(lat, lon, TileSpec(), 112)
+        centers, offsets, members = sample_tiles(lat, lon, TileSpec(), 112)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
     want_centers, want_assignment = sample_tiles_scan(points, TileSpec(), 112)
-    assert (centers.tolist(), assignment) == (want_centers, want_assignment)
+    assert (centers.tolist(), pair_lists(offsets, members)) == (want_centers, want_assignment)
+
+
+def cap_lists(assignment, cap, seed):
+    """cap_subsample over per-tile lists, its CSR input and output converted."""
+    return pair_lists(*cap_subsample(*pairs_of(assignment), cap=cap, seed=seed))
 
 
 def test_cap_subsample_under_cap_unchanged():
     assignment = [list(range(10))]
-    assert cap_subsample(assignment, cap=25, seed=0) == [list(range(10))]
+    assert cap_lists(assignment, cap=25, seed=0) == [list(range(10))]
 
 
 def test_cap_subsample_caps_and_subsets():
     assignment = [list(range(100, 140))]
-    capped = cap_subsample(assignment, cap=25, seed=3)
+    capped = cap_lists(assignment, cap=25, seed=3)
     assert len(capped[0]) == 25
     assert set(capped[0]) <= set(range(100, 140))
 
 
 def test_cap_subsample_deterministic():
     assignment = [list(range(40)), list(range(40, 120))]
-    a = cap_subsample(assignment, cap=25, seed=11)
-    b = cap_subsample(assignment, cap=25, seed=11)
+    a = cap_lists(assignment, cap=25, seed=11)
+    b = cap_lists(assignment, cap=25, seed=11)
     assert a == b
-    c = cap_subsample(assignment, cap=25, seed=12)
+    c = cap_lists(assignment, cap=25, seed=12)
     assert a != c  # overwhelmingly likely for these sizes
 
 
@@ -369,13 +378,39 @@ def test_cap_subsample_deterministic():
 )
 def test_cap_subsample_properties(sizes, cap, seed):
     assignment = [list(range(1000 * i, 1000 * i + n)) for i, n in enumerate(sizes)]
-    capped = cap_subsample(assignment, cap=cap, seed=seed)
+    capped = cap_lists(assignment, cap=cap, seed=seed)
     for orig, kept in zip(assignment, capped):
         assert len(kept) == min(len(orig), cap)
         assert set(kept) <= set(orig)
         assert kept == sorted(kept)  # original relative order preserved
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    lists=st.lists(st.lists(st.integers(0, 2**40), max_size=40), max_size=8),
+    cap=st.integers(1, 30),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_cap_subsample_keeps_the_list_oracles_members(lists, cap, seed):
+    # the same seed draws the same members, tile by tile, as the per-list version
+    offsets, members = cap_subsample(*pairs_of(lists), cap=cap, seed=seed)
+    assert offsets.dtype == members.dtype == np.int64
+    assert pair_lists(offsets, members) == cap_subsample_lists(lists, cap=cap, seed=seed)
+
+
 def test_cap_validation():
     with pytest.raises(ValueError):
-        cap_subsample([[1]], cap=0, seed=0)
+        cap_subsample(*pairs_of([[1]]), cap=0, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-180, 180, exclude_max=True) | st.sampled_from([-0.0, -180.0, 1.8985669713365354,
+                                                                  180.0 - 2**-45]))
+def test_wrap_lon_keeps_in_range_longitudes_bit_for_bit(lon):
+    assert math.copysign(1, geo.wrap_lon(lon)) == math.copysign(1, lon)
+    assert geo.wrap_lon(lon) == lon
+    arr = np.array([lon, lon + 360.0, lon - 720.0])
+    wrapped = geo.wrap_lon(arr)
+    assert wrapped[0].tobytes() == arr[0].tobytes()
+    assert wrapped[1:].tobytes() == (((arr[1:] + 180.0) % 360.0) - 180.0).tobytes()
+    assert [geo.wrap_lon(x) for x in arr.tolist()] == wrapped.tolist()
