@@ -103,9 +103,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         cfg.set_key("seed", str(args.seed))
     if getattr(args, "loss", None):
-        cfg.loss_variant = _LOSS_FLAG[args.loss]
+        cfg.set_key("loss.variant", _LOSS_FLAG[args.loss])
     if getattr(args, "epochs", None) is not None:
-        cfg.train_epochs = args.epochs
+        cfg.set_key("train.epochs", str(args.epochs))
+    cfg.check()
     return cfg
 
 
@@ -150,13 +151,13 @@ def _load_checkpoint_or_mismatch(path: str) -> tuple[SatEncoderParams, dict]:
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(args)
-    world = corpus.synth_world(cfg.world_config(), seed=cfg.seed)
+    world = corpus.synth_world(cfg.world_config(), seed=cfg["seed"])
     paths = world.write(out)
     cfg.write_snapshot(out)
     print(f"world written to {out}")
-    print(f"  classes (K={cfg.world_classes}): {', '.join(world.class_names)}")
+    print(f"  classes (K={cfg['world.classes']}): {', '.join(world.class_names)}")
     print(f"  ground images: {len(world.grounds)}  snapshots: {len(world.snapshots)}")
-    print(f"  seed: {cfg.seed}")
+    print(f"  seed: {cfg['seed']}")
     log.info("world files: %s", {k: str(p) for k, p in paths.items()})
     return 0
 
@@ -192,9 +193,9 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
         world.grounds,
         world.snapshots,
         spec,
-        cap=cfg.pair_cap,
-        min_sep_px=cfg.pair_min_sep_px,
-        seed=cfg.seed,
+        cap=cfg["pair.cap"],
+        min_sep_px=cfg["pair.min_sep_px"],
+        seed=cfg["seed"],
         fields=corpus.resolve_fields(world.snapshots, args.world),
         embeddings=world.ground_encoder,
     )
@@ -206,7 +207,7 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"dataset written to {dataset_path}")
     print(f"  tiles: {len(ds.tiles)}  pairs: {ds.n_pairs}  "
           f"max grounds/tile: {np.diff(ds.offsets).max()}")
-    required = cfg.pair_min_sep_px * spec.resolution_m_per_px
+    required = cfg["pair.min_sep_px"] * spec.resolution_m_per_px
     if len(ds.tiles) > 1:
         min_sep = _min_center_separation_m(ds.tiles.lat, ds.tiles.lon)
         status = "ok" if min_sep >= required else "VIOLATED"
@@ -224,8 +225,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         world.ground_encoder,
         loss_cfg,
         sched,
-        batch_size=cfg.train_batch_size,
-        hidden_dim=cfg.train_hidden_dim,
+        batch_size=cfg["train.batch_size"],
+        hidden_dim=cfg["train.hidden_dim"],
     )
     ckpt_path = out / "checkpoint.grcp"
     save_checkpoint(ckpt_path, result.params, result.provenance)
@@ -235,7 +236,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     cfg.write_snapshot(out)
     print(f"checkpoint written to {ckpt_path}")
-    print(f"  loss variant: {cfg.loss_variant}  epochs: {cfg.train_epochs}  seed: {cfg.seed}")
+    print(f"  loss variant: {cfg['loss.variant']}  epochs: {cfg['train.epochs']}  "
+          f"seed: {cfg['seed']}")
     if result.epoch_mean_loss:
         print(f"  epoch mean loss: {result.epoch_mean_loss[0]:.6f} -> {result.epoch_mean_loss[-1]:.6f}")
     else:
@@ -320,15 +322,15 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     query_emb = embed_text(world.text_encoder, args.query, cfg.prompt_set())
 
     lat_min, lat_max, lon_min, lon_max = fld.bounds
-    cell_m = cfg.map_cell_px * spec.resolution_m_per_px
+    cell_m = cfg["map.cell_px"] * spec.resolution_m_per_px
     lon_m_per_degree = geo.METERS_PER_DEGREE * math.cos(math.radians(fld.origin.lat))
     dlat = cell_m / geo.METERS_PER_DEGREE
     dlon = cell_m / lon_m_per_degree
     lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
     lon_centers = np.arange(lon_min + dlon / 2, lon_max, dlon)
     if not (len(lat_centers) and len(lon_centers)):
-        raise ConfigError(f"map.cell_px={cfg.map_cell_px} leaves no cell center inside the world's "
-                          f"{(lat_max - lat_min) * geo.METERS_PER_DEGREE:.0f} x "
+        raise ConfigError(f"map.cell_px={cfg['map.cell_px']} leaves no cell center inside the "
+                          f"world's {(lat_max - lat_min) * geo.METERS_PER_DEGREE:.0f} x "
                           f"{(lon_max - lon_min) * lon_m_per_degree:.0f} m extent")
 
     # cells row-major, materialized and embedded one field block at a time, so

@@ -4,13 +4,14 @@ A config file holds `key = value` lines (`#` starts a comment). Every key must
 be one the run understands; unknown keys are rejected rather than ignored so a
 typo cannot silently fall back to a default. Each command writes the resolved
 configuration snapshot next to its outputs.
+
+A key that sets a field of a config object takes its default, parse type and
+checks from that object; only the CLI's own keys state theirs here.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import SynthWorldConfig
@@ -24,71 +25,67 @@ class ConfigError(ValueError):
     """Bad key, unparsable or out-of-range value, or malformed config line."""
 
 
-@contextmanager
-def _rejected_as_config_error(section: str):
-    """Report a value rejected by a config object's own checks as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+# The config object each section builds, and the field each of its keys sets.
+_SECTIONS = {"world": SynthWorldConfig, "tile": TileSpec, "loss": LossConfig,
+             "train": TrainSchedule}
+_FIELDS = {
+    "world.classes": "n_classes",
+    "world.embed_dim": "embed_dim",
+    "world.feature_dim": "feature_dim",
+    "world.extent_km": "extent_km",
+    "world.n_ground": "n_ground",
+    "world.noise_sigma": "noise_sigma",
+    "world.snapshots": "n_snapshots",
+    "world.center_lat": "center_lat",
+    "world.center_lon": "center_lon",
+    "tile.resolution_m": "resolution_m_per_px",
+    "tile.size_px": "size_px",
+    "tile.patch_px": "patch_px",
+    "loss.variant": "variant",
+    "loss.tau": "tau",
+    "train.epochs": "epochs",
+    "train.peak_lr": "peak_lr",
+    "train.warmup_steps": "warmup_steps",
+    "train.weight_decay": "weight_decay",
+}
+# The CLI's own keys: (default, allowed values, test), checked when the key is set.
+_OWN = {
+    "seed": (0, ">= 0", lambda v: v >= 0),
+    "pair.cap": (25, ">= 1", lambda v: v >= 1),
+    "pair.min_sep_px": (112, ">= 0", lambda v: v >= 0),
+    "train.batch_size": (32, ">= 2, so every tile has negatives", lambda v: v >= 2),
+    "train.hidden_dim": (32, ">= 1", lambda v: v >= 1),
+    # density-map cell stride in pixels (cell spacing = stride x resolution)
+    "map.cell_px": (224, "> 0", lambda v: v > 0),
+}
+_DEFAULTS = {
+    **{key: getattr(_SECTIONS[key.split(".")[0]](), name) for key, name in _FIELDS.items()},
+    **{key: default for key, (default, _, _) in _OWN.items()},
+    # "|"-separated templates, each with one {label} slot; PromptSet checks them
+    "prompts": "|".join(DEFAULT_PROMPTS),
+}
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    """The value of every config key, by dotted key: `cfg["train.epochs"]`."""
 
-    world_classes: int = 8
-    world_embed_dim: int = 16
-    world_feature_dim: int = 16
-    world_extent_km: float = 10.0
-    world_n_ground: int = 2000
-    world_noise_sigma: float = 0.1
-    world_snapshots: int = 3
-    world_center_lat: float = 43.0
-    world_center_lon: float = -76.0
+    values: dict[str, object] = field(default_factory=_DEFAULTS.copy)
 
-    tile_resolution_m: float = 1.0
-    tile_size_px: int = 224
-    tile_patch_px: int = 16
-
-    pair_cap: int = 25
-    pair_min_sep_px: int = 112
-
-    loss_variant: str = "image_default"
-    loss_tau: float = 0.07
-
-    train_epochs: int = 10
-    train_peak_lr: float = 1e-3
-    train_warmup_steps: int = 0
-    train_weight_decay: float = 1e-2
-    train_batch_size: int = 32
-    train_hidden_dim: int = 32
-
-    # Prompt templates, "|"-separated; each must contain one {label} slot.
-    prompts: str = "|".join(DEFAULT_PROMPTS)
-
-    # Density-map cell stride in pixels (cell spacing = stride x resolution).
-    map_cell_px: int = 224
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def set_key(self, key: str, raw: str) -> None:
-        attr = _KEY_TO_ATTR.get(key)
-        if attr is None:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = _FIELD_TYPES[attr]
+        kind = type(_DEFAULTS[key])
         try:
-            if kind is int:
-                value = int(raw)
-            elif kind is float:
-                value = float(raw)
-            else:
-                value = raw
+            value = kind(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
-        if attr in _DOMAINS:
-            allowed, in_domain = _DOMAINS[attr]
-            if not in_domain(value):
-                raise ConfigError(f"key {key!r}: {raw!r} is out of range, must be {allowed}")
-        setattr(self, attr, value)
+        if key in _OWN and not _OWN[key][2](value):
+            raise ConfigError(f"key {key!r}: {raw!r} is out of range, must be {_OWN[key][1]}")
+        self.values[key] = value
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -114,12 +111,17 @@ class RunConfig:
             key, raw = (part.strip() for part in pair.split("=", 1))
             self.set_key(key, raw)
 
+    def check(self) -> None:
+        """Build every view once, so a value any config object rejects raises
+        ConfigError whichever objects a command uses; run it after the last key
+        is set, since an object checks its keys together."""
+        self.world_config()  # and the prompt set
+        self.tile_spec()
+        self.loss_config()
+        self.schedule()
+
     def to_text(self) -> str:
-        lines = [
-            f"{_ATTR_TO_KEY[f.name]} = {getattr(self, f.name)}"
-            for f in fields(self)
-        ]
-        return "\n".join(sorted(lines)) + "\n"
+        return "\n".join(sorted(f"{key} = {value}" for key, value in self.values.items())) + "\n"
 
     def write_snapshot(self, outdir: str | Path, name: str = "run_config.txt") -> Path:
         path = Path(outdir) / name
@@ -129,75 +131,29 @@ class RunConfig:
     # Views onto the module-level config objects. A value those objects reject
     # raises ConfigError.
 
+    def _view(self, section: str, **extra):
+        cls = _SECTIONS[section]
+        kwargs = {name: self[key] for key, name in _FIELDS.items()
+                  if key.startswith(section + ".")}
+        try:
+            return cls(**kwargs, **extra)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+
     def world_config(self) -> SynthWorldConfig:
-        prompts = tuple(self.prompt_set().templates)
-        with _rejected_as_config_error("world"):
-            return SynthWorldConfig(
-                n_classes=self.world_classes,
-                embed_dim=self.world_embed_dim,
-                feature_dim=self.world_feature_dim,
-                extent_km=self.world_extent_km,
-                n_ground=self.world_n_ground,
-                noise_sigma=self.world_noise_sigma,
-                n_snapshots=self.world_snapshots,
-                center_lat=self.world_center_lat,
-                center_lon=self.world_center_lon,
-                prompts=prompts,
-            )
+        return self._view("world", prompts=self.prompt_set().templates)
 
     def tile_spec(self) -> TileSpec:
-        with _rejected_as_config_error("tile"):
-            return TileSpec(self.tile_resolution_m, self.tile_size_px, self.tile_patch_px)
+        return self._view("tile")
 
     def loss_config(self) -> LossConfig:
-        with _rejected_as_config_error("loss"):
-            return LossConfig(tau=self.loss_tau, variant=self.loss_variant)
+        return self._view("loss")
 
     def schedule(self) -> TrainSchedule:
-        with _rejected_as_config_error("train"):
-            return TrainSchedule(
-                peak_lr=self.train_peak_lr,
-                warmup_steps=self.train_warmup_steps,
-                weight_decay=self.train_weight_decay,
-                epochs=self.train_epochs,
-                seed=self.seed,
-            )
+        return self._view("train", seed=self["seed"])
 
     def prompt_set(self) -> PromptSet:
-        templates = tuple(t for t in self.prompts.split("|") if t)
         try:
-            return PromptSet(templates)
+            return PromptSet(tuple(t for t in self["prompts"].split("|") if t))
         except ValueError as exc:
             raise ConfigError(f"prompts: {exc}") from exc
-
-
-def _dotted_key(attr: str) -> str:
-    for prefix in ("world", "tile", "pair", "loss", "train", "map"):
-        if attr.startswith(prefix + "_"):
-            return f"{prefix}.{attr[len(prefix) + 1:]}"
-    return attr
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FIELD_TYPES = {
-    name: {"int": int, "float": float, "str": str}[t if isinstance(t, str) else t.__name__]
-    for name, t in _FIELD_TYPES.items()
-}
-# Allowed values of a key, checked when the key is set: (description, test).
-# Keys not listed here are checked by the config object that takes them.
-_DOMAINS = {
-    "seed": (">= 0", lambda v: v >= 0),
-    "world_center_lat": ("finite, within [-90, 90]", lambda v: -90 <= v <= 90),
-    "world_extent_km": ("finite, > 0", lambda v: 0 < v < math.inf),
-    "world_noise_sigma": ("finite, >= 0", lambda v: 0 <= v < math.inf),
-    "world_center_lon": ("finite", math.isfinite),
-    "tile_resolution_m": ("finite, > 0", lambda v: 0 < v < math.inf),
-    "pair_cap": (">= 1", lambda v: v >= 1),
-    "pair_min_sep_px": (">= 0", lambda v: v >= 0),
-    "train_batch_size": (">= 2, so every tile has negatives", lambda v: v >= 2),
-    "train_hidden_dim": (">= 1", lambda v: v >= 1),
-    "train_warmup_steps": (">= 0 (0 = derive)", lambda v: v >= 0),
-    "map_cell_px": ("> 0", lambda v: v > 0),
-}
-_ATTR_TO_KEY = {f.name: _dotted_key(f.name) for f in fields(RunConfig)}
-_KEY_TO_ATTR = {v: k for k, v in _ATTR_TO_KEY.items()}

@@ -326,7 +326,7 @@ def parse_ground_manifest(path: str | Path) -> GroundTable:
     """Parse `id lat lon timestamp embedding_ref` lines; ids must be unique.
 
     `_manifest_lines` splits the lines; the id, latitude and longitude columns
-    are then checked at once, with `GeoPoint`'s rules. An error names the
+    are then checked at once, with `geo.on_globe`. An error names the
     first line that has one, as a line-by-line parse would.
     """
     linenos, (ids, lat_s, lon_s, timestamps, refs), late = _manifest_lines(path, 5, 3)
@@ -336,8 +336,7 @@ def parse_ground_manifest(path: str | Path) -> GroundTable:
     m = min(len(lat), len(lon))  # the first line whose lat or lon does not parse
     dup = first_repeat(ids)
     dup = n if dup is None else dup
-    i = min(dup, m, _first(~((-90.0 <= lat[:m]) & (lat[:m] <= 90.0)), n),
-            _first(~np.isfinite(lon[:m]), n))
+    i = min(dup, m, _first(~geo.on_globe(lat[:m], lon[:m]), n))
     if i < n:  # a line's checks run in this order
         where = f"{path}:{linenos[i]}"
         if i == dup:
@@ -346,9 +345,7 @@ def parse_ground_manifest(path: str | Path) -> GroundTable:
             float(lat_s[i]), float(lon_s[i])
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from exc
-        if not -90.0 <= lat[i] <= 90.0:
-            raise ManifestError(f"{where}: latitude {float(lat[i])} outside [-90, 90]")
-        raise ManifestError(f"{where}: longitude {float(lon[i])} is not finite")
+        raise ManifestError(f"{where}: {geo.off_globe_reason(lat[i], lon[i])}")
     if late is not None:
         raise late
     return GroundTable(list(ids), lat, geo.wrap_lon(lon), np.array(timestamps, dtype=np.int64),
@@ -736,8 +733,12 @@ class SynthWorldConfig:
             raise ValueError("need at least 2 classes")
         if self.embed_dim < self.n_classes or self.feature_dim < self.n_classes:
             raise ValueError("embed_dim and feature_dim must be >= n_classes")
-        if self.extent_km <= 0:
-            raise ValueError(f"degenerate extent {self.extent_km} km")
+        if not 0 < self.extent_km < math.inf:
+            raise ValueError(f"extent {self.extent_km} km is not positive and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and non-negative")
+        if not geo.on_globe(self.center_lat, self.center_lon):
+            raise ValueError(f"center {geo.off_globe_reason(self.center_lat, self.center_lon)}")
         half_deg = self.extent_km * 1000.0 / 2.0 / geo.METERS_PER_DEGREE
         if not -90.0 <= self.center_lat - half_deg <= self.center_lat + half_deg <= 90.0:
             raise ValueError(f"a {self.extent_km} km extent at latitude {self.center_lat} "
@@ -1098,7 +1099,7 @@ def _read_tiles(r: Reader) -> TileTable:
     # a signaling NaN or inf + -inf would also print numpy's "invalid" warning
     with np.errstate(invalid="ignore"):
         finite = np.isfinite(features.sum(axis=(1, 2, 3), dtype=np.float64))
-    for bad, what in ((~((np.abs(lat) <= 90) & np.isfinite(lon)), "center off the globe"),
+    for bad, what in ((~geo.on_globe(lat, lon), "center off the globe"),
                       (~finite, "non-finite patch features")):
         if bad.any():
             raise r.fail(f"tile {ids[int(np.argmax(bad))]!r}: {what}", at(bad))
@@ -1108,19 +1109,17 @@ def _read_tiles(r: Reader) -> TileTable:
 def _read_grounds(r: Reader) -> GroundTable:
     """The ground section: one scan of its string lengths, then columns.
 
-    A record whose geotag breaks `GeoPoint`'s rules fails at its offset.
+    A record whose geotag is not `geo.on_globe` fails at its offset.
     """
     (count,) = r.unpack("<I")
     texts, (point, _), starts, failure = r.records(count, (_GROUND_POINT.itemsize, 0))
     point = point.view(_GROUND_POINT)[:, 0]
     lat, lon = point["lat"], point["lon"]
-    off_globe = ~((-90.0 <= lat) & (lat <= 90.0))
-    bad = off_globe | ~np.isfinite(lon)
+    bad = ~geo.on_globe(lat, lon)
     if bad.any():
         i = int(np.argmax(bad))
-        why = (f"latitude {float(lat[i])} outside [-90, 90]" if off_globe[i]
-               else f"longitude {float(lon[i])} is not finite")
-        raise r.fail(f"invalid ground record ({why})", int(starts[i]))
+        raise r.fail(f"invalid ground record ({geo.off_globe_reason(lat[i], lon[i])})",
+                     int(starts[i]))
     if failure is not None:
         raise failure
     r.done()

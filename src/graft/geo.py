@@ -20,9 +20,26 @@ METERS_PER_DEGREE = 111_320.0
 def wrap_lon(lon):
     """Longitude normalized into [-180, 180), for floats and arrays with the same
     bits; a longitude already in range is returned bit for bit."""
+    wrapped = (lon + 180.0) % 360.0 - 180.0
+    # the modulo rounds a remainder within half an ulp of 360 up to 360: that is -180
+    wrapped = wrapped - 360.0 * (wrapped >= 180.0)
     if isinstance(lon, np.ndarray):
-        return np.where((-180.0 <= lon) & (lon < 180.0), lon, ((lon + 180.0) % 360.0) - 180.0)
-    return lon if -180.0 <= lon < 180.0 else ((lon + 180.0) % 360.0) - 180.0
+        return np.where((-180.0 <= lon) & (lon < 180.0), lon, wrapped)
+    return lon if -180.0 <= lon < 180.0 else wrapped
+
+
+def on_globe(lat, lon):
+    """Where a geotag is on the globe, for floats and arrays alike: its latitude
+    within [-90, 90] and its longitude finite (any finite one wraps)."""
+    return (-90.0 <= lat) & (lat <= 90.0) & np.isfinite(lon)
+
+
+def off_globe_reason(lat, lon) -> str:
+    """Why a geotag that is not `on_globe` is off it."""
+    lat, lon = float(lat), float(lon)
+    if not on_globe(lat, 0.0):
+        return f"latitude {lat} outside [-90, 90]"
+    return f"longitude {lon} is not finite"
 
 
 @dataclass(frozen=True)
@@ -35,10 +52,8 @@ class GeoPoint:
     def __post_init__(self):
         lat = float(self.lat)
         lon = float(self.lon)
-        if not (-90.0 <= lat <= 90.0):
-            raise ValueError(f"latitude {lat} outside [-90, 90]")
-        if not math.isfinite(lon):
-            raise ValueError(f"longitude {lon} is not finite")
+        if not on_globe(lat, lon):
+            raise ValueError(off_globe_reason(lat, lon))
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "lon", wrap_lon(lon))
 

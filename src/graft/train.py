@@ -70,9 +70,9 @@ class TrainSchedule:
 
     def __post_init__(self):
         if not (0 <= self.peak_lr < math.inf and 0 <= self.weight_decay < math.inf
-                and self.epochs >= 0):
+                and self.epochs >= 0 and self.warmup_steps >= 0):
             raise ValueError("peak_lr and weight_decay must be finite and non-negative, "
-                             "epochs non-negative")
+                             "epochs and warmup_steps non-negative")
         if self.total_steps > 0 and not (0 < self.resolved_warmup() <= self.total_steps):
             raise ValueError(
                 f"need 0 < warmup_steps <= total_steps, got "

@@ -91,6 +91,41 @@ def test_unknown_config_key_exits_2():
     assert main(["synth", "--out", "ignored", "--set", "world.bogus=1"]) == 2
 
 
+# One rejected value of every config key, each run through a command that does
+# not read that key: every command checks every key before it writes anything.
+UNREAD_KEY_REJECTS = {
+    "seed": ("map", "-1"),
+    "world.classes": ("map", "1"),
+    "world.embed_dim": ("build", "4"),  # fewer dims than the 8 classes
+    "world.feature_dim": ("train", "0"),
+    "world.extent_km": ("eval", "nan"),
+    "world.n_ground": ("map", "0"),
+    "world.noise_sigma": ("build", "-0.1"),
+    "world.snapshots": ("train", "0"),
+    "world.center_lat": ("eval", "inf"),
+    "world.center_lon": ("map", "nan"),
+    "tile.resolution_m": ("synth", "0"),
+    "tile.size_px": ("train", "-224"),
+    "tile.patch_px": ("synth", "0"),
+    "pair.cap": ("synth", "0"),
+    "pair.min_sep_px": ("map", "-1"),
+    "loss.variant": ("synth", "bogus"),
+    "loss.tau": ("build", "0"),
+    "train.epochs": ("synth", "-1"),
+    "train.peak_lr": ("synth", "nan"),
+    "train.warmup_steps": ("build", "-1"),
+    "train.weight_decay": ("map", "inf"),
+    "train.batch_size": ("synth", "1"),
+    "train.hidden_dim": ("eval", "0"),
+    "prompts": ("build", "no slot"),
+    "map.cell_px": ("synth", "0"),
+}
+
+
+def test_every_config_key_has_a_rejected_value():
+    assert set(UNREAD_KEY_REJECTS) == set(RunConfig().values)
+
+
 @pytest.mark.parametrize(
     "command, override",
     [
@@ -115,18 +150,25 @@ def test_unknown_config_key_exits_2():
         ("build", "pair.min_sep_px=-5"),
         ("train", "train.hidden_dim=0"),
         ("train", "train.warmup_steps=-1"),  # not "derive": only 0 is
+        *((command, f"{key}={value}") for key, (command, value) in UNREAD_KEY_REJECTS.items()),
     ],
 )
 def test_rejected_config_value_exits_2(pipeline, tmp_path, capsys, command, override):
-    _, world_dir, dataset, _ = pipeline
+    _, world_dir, dataset, ckpt = pipeline
+    world, data, checkpoint = (["--world", str(world_dir)], ["--dataset", str(dataset)],
+                               ["--checkpoint", str(ckpt)])
     inputs = {
         "synth": [],
-        "build": ["--world", str(world_dir)],
-        "train": ["--world", str(world_dir), "--dataset", str(dataset)],
+        "build": world,
+        "train": [*world, *data],
+        "eval": ["classify", *world, *data, *checkpoint],
+        "map": ["water", *world, *checkpoint],
     }[command]
     capsys.readouterr()
     assert main([command, *inputs, "--out", str(tmp_path / "o"), "--set", override]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_build_report(pipeline, capsys):
@@ -766,5 +808,5 @@ def test_resolved_config_snapshot_roundtrips(pipeline):
     _, world_dir, _, _ = pipeline
     snap = world_dir / "run_config.txt"
     cfg = RunConfig.from_file(snap)
-    assert cfg.world_noise_sigma == 0.0
-    assert cfg.world_n_ground == 150
+    assert cfg["world.noise_sigma"] == 0.0
+    assert cfg["world.n_ground"] == 150

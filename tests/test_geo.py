@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -414,3 +415,25 @@ def test_wrap_lon_keeps_in_range_longitudes_bit_for_bit(lon):
     assert wrapped[0].tobytes() == arr[0].tobytes()
     assert wrapped[1:].tobytes() == (((arr[1:] + 180.0) % 360.0) - 180.0).tobytes()
     assert [geo.wrap_lon(x) for x in arr.tolist()] == wrapped.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not -180 <= x < 180)
+       | st.sampled_from([-180.00000000000003, 180.0, 900.0, -1e300]))
+def test_wrap_lon_maps_out_of_range_longitudes_into_range(lon):
+    # (lon + 180) % 360 can round up to 360 for a longitude just below -180
+    wrapped = geo.wrap_lon(lon)
+    assert -180.0 <= wrapped < 180.0
+    arr = geo.wrap_lon(np.array([lon, -lon]))
+    assert np.all((-180.0 <= arr) & (arr < 180.0)) and arr[0] == wrapped
+    assert GeoPoint(0.0, lon).lon == wrapped
+
+
+@given(st.floats(), st.floats())
+def test_on_globe_scalar_and_array_agree(lat, lon):
+    on = bool(geo.on_globe(lat, lon))
+    assert on == (-90.0 <= lat <= 90.0 and math.isfinite(lon))
+    assert geo.on_globe(np.array([lat]), np.array([lon]))[0] == on
+    if not on:
+        with pytest.raises(ValueError, match=re.escape(geo.off_globe_reason(lat, lon))):
+            GeoPoint(lat, lon)

@@ -41,3 +41,18 @@ def test_script_runs_end_to_end(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert out.read_text().splitlines()[0] == TSV_HEADERS[script]
+
+
+def test_run_synth_pipeline_end_to_end(tmp_path):
+    # the one CLI path that evaluates on held-out tiles
+    out = tmp_path / "pipeline"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "run_synth_pipeline.py"), "--out", str(out),
+         "--n-ground", "500", "--extent-km", "8", "--epochs", "1", "--holdout", "20"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("classify_metrics.txt", "retrieval_metrics.txt", "segment_metrics.txt"):
+        assert (out / "eval" / name).is_file(), name
+    for name in ("density_water.grid", "density_water.pgm"):
+        assert (out / "maps" / name).is_file(), name
