@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--world", required=True)
     p.add_argument("--dataset", required=True, help="dataset container from `graft build`")
-    p.add_argument("--loss", choices=["image", "pixel", "sum_prob", "avg_rep", "l2"],
+    p.add_argument("--loss", choices=list(_LOSS_FLAG),
                    help="loss variant (shorthand for --set loss.variant=...)")
     p.add_argument("--epochs", type=int, help="shorthand for --set train.epochs=...")
 

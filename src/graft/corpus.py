@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -74,6 +74,15 @@ class DatasetVersionError(DatasetFormatError):
     """Container magic or version is not one this code can read."""
 
 
+def _fields_equal(a, b) -> bool:
+    """Whether two dataclasses of one type agree on every compared field,
+    arrays by shape and value: the equality of the column tables."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in dataclass_fields(a) if f.compare)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+
 @dataclass(eq=False)
 class GroundTable:
     """N ground images as columns.
@@ -88,15 +97,10 @@ class GroundTable:
     timestamp: np.ndarray  # (N,) int64
     refs: list[str]
 
+    __eq__ = _fields_equal
+
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundTable):
-            return NotImplemented
-        return (self.ids == other.ids and self.refs == other.refs
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("lat", "lon", "timestamp")))
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,8 @@ class TileTable:
     timestamp: np.ndarray  # (N,) int64
     features: np.ndarray  # (N, G, G, F) float32; loaded: a read-only view of the file
 
+    __eq__ = _fields_equal
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -130,13 +136,6 @@ class TileTable:
         idx = np.asarray(indices, dtype=np.intp)
         return TileTable(self.spec, [self.ids[i] for i in idx.tolist()], self.lat[idx],
                          self.lon[idx], self.timestamp[idx], self.features[idx])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TileTable):
-            return NotImplemented
-        return (self.spec == other.spec and self.ids == other.ids
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("lat", "lon", "timestamp", "features")))
 
 
 @dataclass
@@ -183,7 +182,9 @@ class PairedDataset:
     offsets: np.ndarray  # (T + 1,) int64, from 0 up to P
     ground: np.ndarray  # (P,) int64 index into `grounds`
     provenance: dict
-    _pairs: PairIndex | None = field(default=None, init=False, repr=False)
+    _pairs: PairIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if len(self.offsets) != len(self.tiles) + 1 or self.offsets[-1] != len(self.ground):
@@ -201,17 +202,6 @@ class PairedDataset:
         if self._pairs is None:
             self._pairs = _pack_pairs(self)
         return self._pairs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairedDataset):
-            return NotImplemented
-        return (
-            self.tiles == other.tiles
-            and self.grounds == other.grounds
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.ground, other.ground)
-            and self.provenance == other.provenance
-        )
 
 
 def _pack_pairs(ds: PairedDataset) -> PairIndex:
@@ -237,9 +227,8 @@ def _pack_pairs(ds: PairedDataset) -> PairIndex:
         k = int(np.argmax(bad))
         fail(k, f"assignment index {ground[k]} out of range")
 
-    lon_cos = np.array([math.cos(math.radians(lat)) for lat in tiles.lat.tolist()])
-    center_lat, center_lon, lon_cos = (np.repeat(a, counts) for a in (tiles.lat, tiles.lon,
-                                                                        lon_cos))
+    center_lat, center_lon, lon_cos = (np.repeat(a, counts) for a in (
+        tiles.lat, tiles.lon, geo.lon_cos(tiles.lat)))
     lat, lon = ds.grounds.lat[ground], ds.grounds.lon[ground]
 
     half, res = spec.half_extent_m, spec.resolution_m_per_px
@@ -441,8 +430,7 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
     """
     lat0 = np.asarray(lat, dtype=np.float64)[:, None]
     lon0 = np.asarray(lon, dtype=np.float64)[:, None]
-    lon_scale = np.array([geo.METERS_PER_DEGREE * math.cos(math.radians(v))
-                          for v in lat0[:, 0].tolist()]).reshape(-1, 1)
+    lon_scale = geo.METERS_PER_DEGREE * geo.lon_cos(lat0[:, 0])[:, None]
     # (G,) offsets of the patch-center rows; those of the columns are their negation
     north = (spec.size_px / 2 - (np.arange(spec.grid_px) + 0.5) * spec.patch_px) \
         * spec.resolution_m_per_px
@@ -473,7 +461,8 @@ def materialize_many(
     snapshot timestamp, quantized tile center), so its features equal, bit
     for bit, those of the tile materialized alone. The noise is drawn in place
     into one float64 block, scaled once, and the one-hot labels are added as
-    a 0/1 block: adding (not assigning) keeps `0 + (-0.0)` a positive zero.
+    a 0/1 block: adding (not assigning) keeps `0 + (-0.0)` a positive zero,
+    so a noise-free field (sigma 0) gives the bare one-hots.
     """
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     if not len(timestamps) == len(lat) == len(lon):
@@ -485,15 +474,12 @@ def materialize_many(
         rows = slice(start, start + FIELD_BLOCK_TILES)
         labels = class_grids(fld, spec, lat[rows], lon[rows])
         noise = block[:len(labels)]
-        if fld.noise_sigma > 0:
-            centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
-            for i, (c_lat, c_lon, ts) in enumerate(centers):
-                key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
-                       int(round((c_lon + 180.0) * 1e7))]
-                np.random.default_rng(np.random.SeedSequence(key)).standard_normal(out=noise[i])
-            noise *= fld.noise_sigma
-        else:
-            noise.fill(0.0)
+        centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
+        for i, (c_lat, c_lon, ts) in enumerate(centers):
+            key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
+                   int(round((c_lon + 180.0) * 1e7))]
+            np.random.default_rng(np.random.SeedSequence(key)).standard_normal(out=noise[i])
+        noise *= fld.noise_sigma
         noise += labels[..., None] == np.arange(f)
         features[rows] = noise
     return features
@@ -660,11 +646,7 @@ def build_pairs(
         "seed": seed,
         "cap": cap,
         "min_sep_px": min_sep_px,
-        "tile": {
-            "resolution_m_per_px": spec.resolution_m_per_px,
-            "size_px": spec.size_px,
-            "patch_px": spec.patch_px,
-        },
+        "tile": asdict(spec),
         "n_tiles": len(tiles),
         "n_grounds": len(grounds),
         "n_pairs": len(members),
@@ -804,47 +786,31 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     dlon = half_m / (geo.METERS_PER_DEGREE * math.cos(math.radians(center.lat)))
     bounds = (center.lat - dlat, center.lat + dlat, center.lon - dlon, center.lon + dlon)
 
-    # Class seeds: uniform draws, re-drawn (bounded) until the induced cell
-    # areas are balanced, so no class collapses into a sliver. A plain single
-    # draw routinely produces 5x area spreads, which would break the 3x bound
-    # on empirical class frequencies that downstream checks rely on.
-    rng_seeds = np.random.default_rng(np.random.SeedSequence([seed, _SALT_CLASS_SEEDS]))
-    raster = 48
-    grid_lat = np.linspace(bounds[0], bounds[1], raster)
-    grid_lon = np.linspace(bounds[2], bounds[3], raster)
-    glat, glon = np.meshgrid(grid_lat, grid_lon, indexing="ij")
-    cos0 = math.cos(math.radians(center.lat))
-    gx = (glon.ravel() - center.lon) * geo.METERS_PER_DEGREE * cos0
-    gy = (glat.ravel() - center.lat) * geo.METERS_PER_DEGREE
-    best = None
-    best_ratio = math.inf
-    for _ in range(500):
-        lat_cand = rng_seeds.uniform(bounds[0], bounds[1], size=k)
-        lon_cand = rng_seeds.uniform(bounds[2], bounds[3], size=k)
-        sx = (lon_cand - center.lon) * geo.METERS_PER_DEGREE * cos0
-        sy = (lat_cand - center.lat) * geo.METERS_PER_DEGREE
-        d2 = (gx[:, None] - sx) ** 2 + (gy[:, None] - sy) ** 2
-        counts = np.bincount(np.argmin(d2, axis=1), minlength=k)
-        ratio = math.inf if counts.min() == 0 else counts.max() / counts.min()
-        if ratio < best_ratio:
-            best, best_ratio = (lat_cand, lon_cand), ratio
-        if ratio <= 2.2:
-            break
-    seeds_lat, seeds_lon = best
-
     names = list(DEFAULT_CLASS_NAMES[:k])
     names += [f"landcover{i}" for i in range(len(names), k)]
     noise_key = int(np.random.SeedSequence([seed, _SALT_FIELD_NOISE]).generate_state(1)[0])
-    fld = VoronoiFeatureField(
-        class_names=names,
-        seeds_lat=seeds_lat,
-        seeds_lon=seeds_lon,
-        origin=center,
-        bounds=bounds,
-        feature_dim=cfg.feature_dim,
-        noise_sigma=cfg.noise_sigma,
-        noise_key=noise_key,
-    )
+
+    # Class seeds: uniform draws, re-drawn (bounded) until the induced cell
+    # areas are balanced, so no class collapses into a sliver. A plain single
+    # draw routinely produces 5x area spreads, which would break the 3x bound
+    # on empirical class frequencies that downstream checks rely on. When no
+    # draw gives every class a raster point, the first draw is kept.
+    rng_seeds = np.random.default_rng(np.random.SeedSequence([seed, _SALT_CLASS_SEEDS]))
+    raster = np.meshgrid(np.linspace(bounds[0], bounds[1], 48),
+                         np.linspace(bounds[2], bounds[3], 48), indexing="ij")
+    fld, best_ratio = None, math.inf
+    for _ in range(500):
+        cand = VoronoiFeatureField(
+            class_names=names, seeds_lat=rng_seeds.uniform(bounds[0], bounds[1], size=k),
+            seeds_lon=rng_seeds.uniform(bounds[2], bounds[3], size=k), origin=center,
+            bounds=bounds, feature_dim=cfg.feature_dim, noise_sigma=cfg.noise_sigma,
+            noise_key=noise_key)
+        counts = np.bincount(cand.class_at_many(*raster).ravel(), minlength=k)
+        ratio = math.inf if counts.min() == 0 else counts.max() / counts.min()
+        if fld is None or ratio < best_ratio:
+            fld, best_ratio = cand, ratio
+        if ratio <= 2.2:
+            break
 
     base_ts = 1_700_000_000
     snap_step = 10 * 86_400
@@ -869,10 +835,8 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     grounds = GroundTable(ids, lat_g, geo.wrap_lon(lon_g), timestamps, ids)
     # one noise row per ground, drawn in ground order from one stream; each
     # embedding is normalized on its own, then once more as a table entry
-    vecs = centroids[labels]
-    if cfg.noise_sigma > 0:
-        vecs = vecs + cfg.noise_sigma * rng_emb.standard_normal((cfg.n_ground, cfg.embed_dim))
-    vecs = FrozenEncoder.from_vectors(ids, vecs).vectors
+    noise = rng_emb.standard_normal((cfg.n_ground, cfg.embed_dim))
+    vecs = FrozenEncoder.from_vectors(ids, centroids[labels] + cfg.noise_sigma * noise).vectors
 
     prompt_set = PromptSet(cfg.prompts)
     text_table = {rendered: centroids[ci] for ci, name in enumerate(names)

@@ -93,14 +93,11 @@ def multilabel_map(scores: np.ndarray, labels: np.ndarray) -> float:
     aps: list[float] = []
     skipped: list[int] = []
     for c in range(scores.shape[1]):
-        positives = int(labels[:, c].sum())
-        if positives == 0:
+        if not labels[:, c].any():
             skipped.append(c)
             continue
-        order = np.argsort(-scores[:, c], kind="stable")
-        rel = labels[order, c].astype(np.float64)
-        precision = np.cumsum(rel) / (np.arange(len(rel)) + 1.0)
-        aps.append(float(np.sum(precision * rel) / positives))
+        rel = labels[np.argsort(-scores[:, c], kind="stable"), c]
+        aps.append(average_precision_at_k(rel, len(rel)))
     if skipped:
         log.warning("multilabel_map: skipped %d class(es) without positives: %s",
                     len(skipped), skipped)

@@ -19,13 +19,21 @@ METERS_PER_DEGREE = 111_320.0
 
 def wrap_lon(lon):
     """Longitude normalized into [-180, 180), for floats and arrays with the same
-    bits; a longitude already in range is returned bit for bit."""
-    wrapped = (lon + 180.0) % 360.0 - 180.0
-    # the modulo rounds a remainder within half an ulp of 360 up to 360: that is -180
-    wrapped = wrapped - 360.0 * (wrapped >= 180.0)
-    if isinstance(lon, np.ndarray):
-        return np.where((-180.0 <= lon) & (lon < 180.0), lon, wrapped)
-    return lon if -180.0 <= lon < 180.0 else wrapped
+    bits; a longitude already in range is returned bit for bit.
+
+    Both steps are exact, so the result is the exact wrap of any finite
+    longitude: fmod always is, and the one step of 360 falls under Sterbenz's
+    lemma, as the remainder's magnitude is then within [180, 360).
+    """
+    rem = np.fmod(lon, 360.0)  # in (-360, 360), with the sign of lon
+    wrapped = np.where(rem >= 180.0, rem - 360.0, np.where(rem < -180.0, rem + 360.0, rem))
+    return wrapped if isinstance(lon, np.ndarray) else float(wrapped)
+
+
+def lon_cos(lat: np.ndarray) -> np.ndarray:
+    """The scalar `math.cos` of each latitude, in degrees: the longitude scale of
+    a tile centered there, the same bits whether its tile is taken alone or not."""
+    return np.array([math.cos(math.radians(v)) for v in np.asarray(lat).tolist()])
 
 
 def on_globe(lat, lon):
@@ -96,7 +104,7 @@ class TileSpec:
 def footprint_offsets(lat, lon, center_lat, center_lon, lon_cos, half_m):
     """(north_m, east_m, strictly inside the footprint) of geotags from tile
     centers, for floats and aligned arrays alike, with the same rounding;
-    `lon_cos` is the scalar `math.cos` of each tile's center latitude."""
+    `lon_cos` is `geo.lon_cos` of each tile's center latitude."""
     north = (lat - center_lat) * METERS_PER_DEGREE
     east = (lon - center_lon) * METERS_PER_DEGREE * lon_cos
     return north, east, (abs(north) < half_m) & (abs(east) < half_m)
@@ -177,11 +185,11 @@ def sample_tiles(
     centers = np.flatnonzero(spawn)
 
     half = spec.half_extent_m
-    lon_cos = np.array([math.cos(math.radians(lat)) for lat in lats[centers].tolist()])
+    cos_t = lon_cos(lats[centers])
     found = []
     for t, p in _neighbour_pairs(lats, lons, half, centers):
         c = centers[t]
-        inside = footprint_offsets(lats[p], lons[p], lats[c], lons[c], lon_cos[t], half)[2]
+        inside = footprint_offsets(lats[p], lons[p], lats[c], lons[c], cos_t[t], half)[2]
         found.append((t[inside], p[inside]))
     t, p = map(np.concatenate, zip(*found))
     offsets = np.append(0, np.cumsum(np.bincount(t, minlength=len(centers))))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +41,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+#: Largest L2-norm deviation from 1 of an encoder output row that reaches a loss.
+UNIT_TOL = 1e-6
+
 
 class DivergenceError(RuntimeError):
     """Encoder output, loss, gradient or parameters degenerated during training."""
@@ -54,11 +57,11 @@ class DivergenceError(RuntimeError):
 class TrainSchedule:
     """Optimization schedule. Zero warmup_steps/total_steps mean "derive".
 
-    total_steps == 0 is resolved by `train` to epochs x batches-per-epoch, and
-    warmup_steps == 0 to 10% of the total (at least one step). The default peak
-    learning rate suits the small from-scratch encoder trained here; reference
-    runs that fine-tune a large pretrained backbone used 1e-5 (image level) and
-    5e-5 (pixel level) instead.
+    total_steps == 0 is resolved by `train` to epochs x batches-per-epoch; once
+    total_steps is set, warmup_steps == 0 becomes 10% of it (at least one step).
+    The default peak learning rate suits the small from-scratch encoder trained
+    here; reference runs that fine-tune a large pretrained backbone used 1e-5
+    (image level) and 5e-5 (pixel level) instead.
     """
 
     peak_lr: float = 1e-3
@@ -73,36 +76,26 @@ class TrainSchedule:
                 and self.epochs >= 0 and self.warmup_steps >= 0):
             raise ValueError("peak_lr and weight_decay must be finite and non-negative, "
                              "epochs and warmup_steps non-negative")
-        if self.total_steps > 0 and not (0 < self.resolved_warmup() <= self.total_steps):
-            raise ValueError(
-                f"need 0 < warmup_steps <= total_steps, got "
-                f"{self.resolved_warmup()} vs {self.total_steps}"
-            )
-
-    def resolved_warmup(self) -> int:
-        if self.warmup_steps > 0:
-            return self.warmup_steps
-        return max(1, self.total_steps // 10)
+        if self.total_steps > 0:
+            if not self.warmup_steps:
+                object.__setattr__(self, "warmup_steps", max(1, self.total_steps // 10))
+            if self.warmup_steps > self.total_steps:
+                raise ValueError(f"need 0 < warmup_steps <= total_steps, got "
+                                 f"{self.warmup_steps} vs {self.total_steps}")
 
     def resolve(self, batches_per_epoch: int) -> "TrainSchedule":
         """Concrete schedule with total_steps pinned for this dataset."""
         total = self.total_steps or max(1, self.epochs * batches_per_epoch)
-        warmup = self.warmup_steps if self.warmup_steps > 0 else max(1, total // 10)
-        return TrainSchedule(
-            peak_lr=self.peak_lr,
-            warmup_steps=min(warmup, total),
-            total_steps=total,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            seed=self.seed,
-        )
+        return replace(self, warmup_steps=min(self.warmup_steps, total), total_steps=total)
 
 
 def lr_at(step: int, sched: TrainSchedule) -> float:
     """Linear 0 -> peak over the warmup, then cosine decay to 0 at total_steps."""
+    if not sched.total_steps:
+        raise ValueError("a schedule has no steps until total_steps is set (see resolve)")
     if not (0 <= step <= sched.total_steps):
         raise ValueError(f"step {step} outside [0, {sched.total_steps}]")
-    warmup = sched.resolved_warmup()
+    warmup = sched.warmup_steps
     if step <= warmup:
         return sched.peak_lr * step / warmup
     progress = (step - warmup) / (sched.total_steps - warmup)
@@ -160,10 +153,19 @@ def resolve_ground_embeddings(ds: PairedDataset, frozen: FrozenEncoder) -> np.nd
 def _require_unit_output(embs: np.ndarray) -> None:
     """A diverged encoder (non-finite or non-unit output) must not reach the loss."""
     dev = np.abs(np.linalg.norm(embs, axis=1) - 1.0)
-    if not np.all(dev <= losses.UNIT_TOL):
+    if not np.all(dev <= UNIT_TOL):
         raise DegenerateOutputError(
             f"encoder output is non-finite or not unit-norm (deviation {np.max(dev):.3e})"
         )
+
+
+# The image-level loss of each variant, as (sat_embs, grounds, sizes, tau).
+_IMAGE_LOSSES = {
+    "image_default": losses.image_loss,
+    "sum_prob": losses.loss_sum_prob,
+    "avg_rep": losses.loss_avg_rep,
+    "l2": lambda sat_embs, grounds, sizes, tau: losses.loss_l2(sat_embs, grounds, sizes),
+}
 
 
 def _image_level_backward(
@@ -176,16 +178,7 @@ def _image_level_backward(
     with np.errstate(over="ignore", invalid="ignore"):
         sat_embs, cache = image_forward(params, batch.features)
         _require_unit_output(sat_embs)
-    if cfg.variant == "image_default":
-        value, d_sat = losses.image_loss(sat_embs, grounds, batch.sizes, cfg.tau)
-    elif cfg.variant == "sum_prob":
-        value, d_sat = losses.loss_sum_prob(sat_embs, grounds, batch.sizes, cfg.tau)
-    elif cfg.variant == "avg_rep":
-        value, d_sat = losses.loss_avg_rep(sat_embs, grounds, batch.sizes, cfg.tau)
-    elif cfg.variant == "l2":
-        value, d_sat = losses.loss_l2(sat_embs, grounds, batch.sizes)
-    else:  # pragma: no cover - guarded by LossConfig
-        raise ValueError(f"not an image-level variant: {cfg.variant}")
+    value, d_sat = _IMAGE_LOSSES[cfg.variant](sat_embs, grounds, batch.sizes, cfg.tau)
     return value, image_backward(params, cache, d_sat)
 
 
@@ -268,18 +261,7 @@ class TrainResult:
 
 
 def config_digest(cfg: LossConfig, sched: TrainSchedule, extra: dict | None = None) -> str:
-    payload = {
-        "loss": {"tau": cfg.tau, "variant": cfg.variant},
-        "schedule": {
-            "peak_lr": sched.peak_lr,
-            "warmup_steps": sched.warmup_steps,
-            "total_steps": sched.total_steps,
-            "weight_decay": sched.weight_decay,
-            "epochs": sched.epochs,
-            "seed": sched.seed,
-        },
-        "extra": extra or {},
-    }
+    payload = {"loss": asdict(cfg), "schedule": asdict(sched), "extra": extra or {}}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -305,14 +287,15 @@ def train(
     n_patches = ds.tiles.spec.grid_px ** 2
     params = init_params(feature_dim, hidden_dim, frozen.dim, n_patches, seed=sched.seed)
 
-    batches_per_epoch = len(make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, 0)))
-    sched = sched.resolve(batches_per_epoch)
+    batches = make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, 0))
+    sched = sched.resolve(len(batches))
     ground_embs = resolve_ground_embeddings(ds, frozen)
     state = AdamWState.zeros_like(params)
     history: list[float] = []
     step = 0
     for epoch in range(sched.epochs):
-        batches = make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, epoch))
+        if epoch:
+            batches = make_batches(ds, batch_size, seed=_epoch_seed(sched.seed, epoch))
         epoch_losses = []
         for batch in batches:
             step += 1

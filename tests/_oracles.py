@@ -273,7 +273,6 @@ def pixel_loss(
     sizes: np.ndarray,
     tau: float,
     patch_px: int,
-    validate: bool = True,
 ) -> tuple[float, list[np.ndarray]]:
     """Pixel-level multi-positive loss over patch-embedding grids.
 
@@ -297,9 +296,7 @@ def pixel_loss(
                 )
             anchors.append(grid[patch.prow, patch.pcol])
             locations.append((i, patch.prow, patch.pcol))
-    value, danchors = pixel_loss_anchors(
-        np.asarray(anchors), grounds, sizes, tau, validate=validate
-    )
+    value, danchors = pixel_loss_anchors(np.asarray(anchors), grounds, sizes, tau)
     grads = [np.zeros_like(np.asarray(grid, dtype=np.float64)) for grid in patch_grids]
     for row, (i, pr, pc) in enumerate(locations):
         grads[i][pr, pc] += danchors[row]

@@ -153,10 +153,10 @@ def test_criterion_1_gradient_correctness():
     started = time.monotonic()
     checked = {}
     cases = {
-        "image": lambda s, g, n: image_loss(s, g, n, TAU, validate=False),
-        "sum_prob": lambda s, g, n: loss_sum_prob(s, g, n, TAU, validate=False),
-        "avg_rep": lambda s, g, n: loss_avg_rep(s, g, n, TAU, validate=False),
-        "l2": lambda s, g, n: loss_l2(s, g, n, validate=False),
+        "image": lambda s, g, n: image_loss(s, g, n, TAU),
+        "sum_prob": lambda s, g, n: loss_sum_prob(s, g, n, TAU),
+        "avg_rep": lambda s, g, n: loss_avg_rep(s, g, n, TAU),
+        "l2": lambda s, g, n: loss_l2(s, g, n),
     }
     worst = 0.0
     for name, fn in cases.items():
@@ -177,9 +177,9 @@ def test_criterion_1_gradient_correctness():
     while done < 100:
         sat, grounds, sizes = _random_loss_instance(rng)
         anchors = rand_unit(rng, grounds.shape)
-        _, grad = pixel_loss_anchors(anchors, grounds, sizes, TAU, validate=False)
+        _, grad = pixel_loss_anchors(anchors, grounds, sizes, TAU)
         numeric = fd_gradient(
-            lambda x: pixel_loss_anchors(x, grounds, sizes, TAU, validate=False)[0],
+            lambda x: pixel_loss_anchors(x, grounds, sizes, TAU)[0],
             anchors, h=1e-5,
         )
         if np.linalg.norm(numeric) < 1e-6:

@@ -83,6 +83,15 @@ def test_synth_same_seed_identical_hashes(tmp_path):
         assert file_hash(a / name) == file_hash(b / name), name
 
 
+def test_synth_keeps_the_first_seed_draw_when_none_fills_every_class(tmp_path):
+    # 600 seeds on a 48 x 48 balancing raster: no draw of the 500 gives every
+    # class a raster point, so the first draw is the field's
+    assert main(["synth", "--out", str(tmp_path), "--set", "world.classes=600",
+                 "--set", "world.embed_dim=600", "--set", "world.feature_dim=600",
+                 "--set", "world.n_ground=20"]) == 0
+    assert len(corpus.load_feature_field(tmp_path / "field.json").class_names) == 600
+
+
 def test_synth_unwritable_dir():
     assert main(["synth", "--out", "/proc/definitely/forbidden"]) == 3
 

@@ -663,3 +663,31 @@ def test_cap_applies_in_build(noiseless_world):
     )
     assert len(ds.tiles) == 1
     assert ds.offsets.tolist() == [0, 25]
+
+
+def differing(value):
+    """A value of the same kind and shape as `value` that is not equal to it."""
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out.flat[0] += 1
+        return out
+    if isinstance(value, list):
+        return ["other", *value[1:]]
+    if isinstance(value, dict):
+        return {**value, "other": 1}
+    if isinstance(value, geo.TileSpec):
+        return dataclasses.replace(value, patch_px=2 * value.patch_px)
+    return dataclasses.replace(value, ids=differing(value.ids))  # a column table
+
+
+def test_column_tables_compare_every_field_but_the_pair_index(small_dataset):
+    ds = small_dataset
+    for table in (ds.tiles, ds.grounds, ds):
+        assert dataclasses.replace(table) == table
+        for f in dataclasses.fields(table):
+            if f.compare:
+                other = dataclasses.replace(table, **{f.name: differing(getattr(table, f.name))})
+                assert other != table and table != other, f.name
+    fresh = dataclasses.replace(ds)
+    ds.pair_index()
+    assert fresh._pairs is None and ds._pairs is not None and fresh == ds

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -413,15 +414,31 @@ def test_wrap_lon_keeps_in_range_longitudes_bit_for_bit(lon):
     arr = np.array([lon, lon + 360.0, lon - 720.0])
     wrapped = geo.wrap_lon(arr)
     assert wrapped[0].tobytes() == arr[0].tobytes()
-    assert wrapped[1:].tobytes() == (((arr[1:] + 180.0) % 360.0) - 180.0).tobytes()
+    assert [Fraction(w) for w in wrapped[1:].tolist()] == [exact_wrap(x) for x in arr[1:].tolist()]
     assert [geo.wrap_lon(x) for x in arr.tolist()] == wrapped.tolist()
+
+
+def exact_wrap(lon: float) -> Fraction:
+    """The longitude in [-180, 180) that differs from `lon` by a multiple of 360, exactly."""
+    return (Fraction(lon) + 180) % 360 - 180
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([3.6000000000000006e+17, 1e300, -1e300, 2.0**55 + 8, -(2.0**60),
+                          -180.00000000000003, 540.0, -540.0, 360.0, -360.0, 5e-324]))
+def test_wrap_lon_is_the_exact_wrap_of_every_finite_longitude(lon):
+    wrapped = geo.wrap_lon(lon)
+    assert type(wrapped) is float and Fraction(wrapped) == exact_wrap(lon)
+    assert geo.wrap_lon(np.array([lon, -lon])).tobytes() == \
+        np.array([wrapped, geo.wrap_lon(-lon)]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not -180 <= x < 180)
        | st.sampled_from([-180.00000000000003, 180.0, 900.0, -1e300]))
 def test_wrap_lon_maps_out_of_range_longitudes_into_range(lon):
-    # (lon + 180) % 360 can round up to 360 for a longitude just below -180
+    # a longitude just below -180 must land just below 180, not on 180
     wrapped = geo.wrap_lon(lon)
     assert -180.0 <= wrapped < 180.0
     arr = geo.wrap_lon(np.array([lon, -lon]))

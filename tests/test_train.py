@@ -47,6 +47,8 @@ def test_lr_schedule_shape():
     assert decay == sorted(decay, reverse=True)
     with pytest.raises(ValueError):
         lr_at(51, sched)
+    with pytest.raises(ValueError, match="no steps"):
+        lr_at(0, TrainSchedule())
 
 
 def test_schedule_validation_and_resolve():
@@ -56,6 +58,13 @@ def test_schedule_validation_and_resolve():
     assert sched.total_steps == 21
     assert sched.warmup_steps == 2  # 10% of total, floored, at least 1
     assert TrainSchedule(epochs=1).resolve(batches_per_epoch=1).warmup_steps == 1
+
+
+def test_derived_warmup_is_one_rule():
+    # a schedule given its total and one resolved from epochs derive the same warmup
+    for t in range(1, 201):
+        assert TrainSchedule(total_steps=t).warmup_steps == max(1, t // 10)
+        assert TrainSchedule(epochs=t).resolve(batches_per_epoch=1).warmup_steps == max(1, t // 10)
 
 
 def test_adamw_matches_hand_computed_step():
