@@ -280,8 +280,9 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             class_embs, tiles.ids, embed_images(params, tiles.features), gts, (100, 20)
         )
         lines = [
-            f"{name}\t{','.join(ranked.item_ids)}\t" + ",".join(f"{s:.6f}" for s in ranked.scores)
-            for name, ranked in zip(world.class_names, rankings)
+            f"{name}\t{','.join(tiles.ids[i] for i in order)}\t"
+            + ",".join(f"{s:.6f}" for s in scores)
+            for name, (order, scores) in zip(world.class_names, rankings)
         ]
         metric_lines = [f"{name} {float(a100)!r} {float(a20)!r}"
                         for name, a100, a20 in zip(world.class_names, ap100s, ap20s)]
@@ -346,12 +347,8 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
         features = corpus.materialize_many(fld, spec, lat, lon, [snapshot.timestamp] * len(lat))
         cell_embs[cells] = embed_images(params, features)
 
-    dmap = evaluation.density_map(
-        cell_embs.reshape(rows, cols, -1),
-        query_emb,
-        origin=geo.GeoPoint(lat_centers[0], lon_centers[0]),
-        cell_m=cell_m,
-    )
+    dmap = evaluation.DensityMap(cell_embs.reshape(rows, cols, -1) @ query_emb,
+                                 geo.GeoPoint(lat_centers[0], lon_centers[0]), cell_m)
     scores = dmap.scores
     safe = args.query.replace(" ", "_")
     grid_path = out / f"density_{safe}.grid"

@@ -64,7 +64,7 @@ class IntegrityError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """Pairing got no ground images to spawn tiles at."""
+    """A manifest or dataset holds too few records for the command."""
 
 
 DatasetFormatError = FormatError  # a container failed to parse; names the byte offset
@@ -721,12 +721,25 @@ class SynthWorldConfig:
             raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and non-negative")
         if not geo.on_globe(self.center_lat, self.center_lon):
             raise ValueError(f"center {geo.off_globe_reason(self.center_lat, self.center_lon)}")
-        half_deg = self.extent_km * 1000.0 / 2.0 / geo.METERS_PER_DEGREE
-        if not -90.0 <= self.center_lat - half_deg <= self.center_lat + half_deg <= 90.0:
+        lat_min, lat_max, lon_min, lon_max = self.bounds
+        if not -90.0 <= lat_min <= lat_max <= 90.0:
             raise ValueError(f"a {self.extent_km} km extent at latitude {self.center_lat} "
                              f"crosses a pole")
+        if not -180.0 <= lon_min <= lon_max < 180.0:
+            raise ValueError(f"a {self.extent_km} km extent at longitude {self.center_lon} "
+                             f"crosses the antimeridian")
         if self.n_ground < 1 or self.n_snapshots < 1:
             raise ValueError("need at least one ground image and one snapshot")
+
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(lat_min, lat_max, lon_min, lon_max) of the square extent around the
+        center, its longitude wrapped into [-180, 180)."""
+        half_m = self.extent_km * 1000.0 / 2.0
+        dlat = half_m / geo.METERS_PER_DEGREE
+        dlon = half_m / (geo.METERS_PER_DEGREE * math.cos(math.radians(self.center_lat)))
+        lon = geo.wrap_lon(self.center_lon)
+        return self.center_lat - dlat, self.center_lat + dlat, lon - dlon, lon + dlon
 
 
 @dataclass
@@ -781,10 +794,7 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     """Generate a verifiable synthetic world; bit-identical for a fixed seed."""
     k = cfg.n_classes
     center = GeoPoint(cfg.center_lat, cfg.center_lon)
-    half_m = cfg.extent_km * 1000.0 / 2.0
-    dlat = half_m / geo.METERS_PER_DEGREE
-    dlon = half_m / (geo.METERS_PER_DEGREE * math.cos(math.radians(center.lat)))
-    bounds = (center.lat - dlat, center.lat + dlat, center.lon - dlon, center.lon + dlon)
+    bounds = cfg.bounds
 
     names = list(DEFAULT_CLASS_NAMES[:k])
     names += [f"landcover{i}" for i in range(len(names), k)]
@@ -1008,9 +1018,10 @@ def _read_tiles(r: Reader) -> TileTable:
 
     Tile 0's id length and feature grid fix the record size, which is checked
     against the section's size before anything is mapped; every record must
-    then share tile 0's layout. The columns are views of the records, so the
-    features are a read-only view of the file's bytes, not a copy. An empty
-    section reads as a table of the default geometry.
+    then share tile 0's layout and have an id of its own. The columns are
+    views of the records, so the features are a read-only view of the file's
+    bytes, not a copy. An empty section reads as a table of the default
+    geometry.
     """
     (n,) = r.unpack("<I")
     at, first, left = r.off - 4, r.off, r.end - r.off
@@ -1057,6 +1068,8 @@ def _read_tiles(r: Reader) -> TileTable:
         lossy = np.char.decode(rec["id"], "utf-8", "replace")
         bad = np.char.encode(lossy, "utf-8") != rec["id"]
         raise r.fail(f"invalid UTF-8 string ({exc.reason})", at(bad) + 2) from None
+    if (i := first_repeat(ids)) is not None:
+        raise r.fail(f"tile id {ids[i]!r} repeats an earlier tile's", first + i * record)
     lat, lon, features = rec["lat"], rec["lon"], rec["features"]
     # a float64 sum of finite float32 values cannot overflow: it is finite
     # exactly when every feature of the tile is, and needs no (N, G, G, F) mask;

@@ -10,12 +10,8 @@ tile's hidden rows, and runs layer 2 once on the pooled (B, H) rows;
 `image_backward` mirrors it. Both normalizations are part of the forward map
 and are differentiated through in the manual backward passes.
 
-Every patch output must still have a norm of at least 1e-12, as in the
-patch-level forward, but the image-level pass never needs the per-patch
-outputs. It checks them by projection instead: one matrix-vector product
-gives each patch output's mean coordinate, whose size is at most the norm,
-and a block is put through layer 2 in full only when some row's projection
-is not clearly above the floor plus a bound on the rounding error.
+The image-level pass divides by no patch norm, so it checks only its pooled
+outputs against the 1e-12 norm floor; the patch-level pass checks each patch.
 """
 
 from __future__ import annotations
@@ -172,35 +168,11 @@ def forward_patch_rows(
     return cache.patch_embs, cache
 
 
-def _collapse_screen(params: SatEncoderParams) -> tuple[np.ndarray, float, float]:
-    """(v, c, threshold) such that a hidden row h with |h @ v + c| > threshold
-    has a patch output h @ w2.T + b2 whose computed norm is at least _NORM_FLOOR.
-
-    v and c project the output onto u = (1, ..., 1) / D, and |u.y| <= ||y||
-    since ||u|| <= 1. Because |h| <= 1 (tanh), every rounding error of v, c,
-    the projection, the output layer and the norm is below (D + 2H + 4) eps
-    times S = sum|w2| + sum|b2| or times the floor, which the slack doubles.
-    A non-finite S makes the threshold NaN or inf, so no row passes.
-    """
-    d, hidden = params.w2.shape
-    v = params.w2.sum(axis=0) / d
-    c = params.b2.sum() / d
-    s = np.abs(params.w2).sum() + np.abs(params.b2).sum()
-    gamma = 2 * (d + 2 * hidden + 4) * np.finfo(np.float64).eps
-    return v, c, _NORM_FLOOR + gamma * (s + _NORM_FLOOR)
-
-
 def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: np.ndarray):
-    """Layer 1 over whole tiles, IMAGE_BLOCK_ROWS patch rows at a time.
-
-    Yields (first tile, x, h, pooled h) per block. Every patch output is
-    still checked for zero norm, as the patch-level forward does, without
-    computing layer 2 per patch: a block whose rows all project clearly away
-    from zero cannot fail the check, and any other block is checked in full.
-    """
+    """Layer 1 over whole tiles, IMAGE_BLOCK_ROWS patch rows at a time; yields
+    (first tile, x, h, pooled h) per block."""
     n_patches = params.n_patches
     per_block = max(1, IMAGE_BLOCK_ROWS // n_patches)
-    v, c, threshold = _collapse_screen(params)
     for start in range(0, len(grids), per_block):
         block = np.array(grids[start : start + per_block], dtype=np.float64)
         if block.ndim != 4:
@@ -215,11 +187,6 @@ def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: 
             raise ValueError(f"grid has {g0 * g1} patches but params pool over {params.n_patches}")
         x = block.reshape(-1, params.feature_dim)
         h = _hidden(params, x)
-        proj = h @ v
-        proj += c
-        if not (np.abs(proj) > threshold).all():  # NaN rows land here too
-            if _norms(_output(params, h)).min() < _NORM_FLOOR:
-                raise DegenerateOutputError("patch output collapsed to zero norm; cannot normalize")
         yield start, x, h, alpha @ h.reshape(len(block), n_patches, -1)
 
 

@@ -21,26 +21,6 @@ from .geo import GeoPoint
 
 log = logging.getLogger(__name__)
 
-#: Marker for pixels excluded from segmentation scoring.
-IGNORE_LABEL = -1
-
-
-@dataclass
-class RankedResult:
-    """A query's ranking: item ids ordered by non-increasing cosine score."""
-
-    item_ids: list[str]
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if len(self.item_ids) != self.scores.shape[0]:
-            raise ValueError("item_ids and scores must align")
-        if len(set(self.item_ids)) != len(self.item_ids):
-            raise ValueError("item ids must be unique")
-        if np.any(np.diff(self.scores) > 1e-12):
-            raise ValueError("scores must be non-increasing")
-
 
 def class_embeddings(text_encoder: FrozenEncoder, class_names: Sequence[str],
                      prompts: PromptSet) -> np.ndarray:
@@ -110,14 +90,15 @@ def retrieve(
     query_emb: np.ndarray,
     item_ids: Sequence[str],
     item_embs: np.ndarray,
-) -> RankedResult:
-    """Rank items by cosine against the query; ties break by ascending id."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Item positions ranked by cosine against the query, ties by ascending id,
+    and the scores in that order."""
     item_embs = np.asarray(item_embs, dtype=np.float64)
     if len(item_ids) != item_embs.shape[0]:
         raise ValueError("item_ids and item_embs must align")
     scores = item_embs @ np.asarray(query_emb, dtype=np.float64)
-    order = sorted(range(len(item_ids)), key=lambda i: (-scores[i], item_ids[i]))
-    return RankedResult(item_ids=[item_ids[i] for i in order], scores=scores[order])
+    order = np.lexsort((np.asarray(item_ids), -scores))
+    return order, scores[order]
 
 
 def retrieval_ap(
@@ -126,13 +107,12 @@ def retrieval_ap(
     item_embs: np.ndarray,
     labels: np.ndarray,
     ks: Sequence[int],
-) -> tuple[list[RankedResult], np.ndarray]:
-    """Each class embedding's ranking of the items, and the (len(ks), K) AP@k
-    of each class at each k; an item is relevant to class c if its label is c."""
-    position = {item: i for i, item in enumerate(item_ids)}
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Each class embedding's `retrieve` ranking of the items, and the
+    (len(ks), K) AP@k of each class at each k; an item is relevant to class c
+    if its label is c."""
     rankings = [retrieve(query, item_ids, item_embs) for query in class_embs]
-    relevant = [np.asarray(labels)[[position[i] for i in ranked.item_ids]] == c
-                for c, ranked in enumerate(rankings)]
+    relevant = [np.asarray(labels)[order] == c for c, (order, _) in enumerate(rankings)]
     return rankings, np.array([[average_precision_at_k(rel, k) for rel in relevant] for k in ks])
 
 
@@ -162,26 +142,14 @@ def segment_tiles(params: encoder.SatEncoderParams, features: np.ndarray,
     return labels
 
 
-def per_class_accuracy(
-    pred: np.ndarray, gt: np.ndarray, ignore_label: int = IGNORE_LABEL
-) -> tuple[dict[int, float], float]:
-    """Accuracy per class present in the ground truth, and their mean.
-
-    Classes absent from the ground truth do not appear at all; ignore-marked
-    pixels are excluded from scoring.
-    """
+def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
+    """Accuracy per class present in the ground truth, and their mean; classes
+    absent from the ground truth do not appear at all."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"pred {pred.shape} and gt {gt.shape} must have equal dims")
-    valid = gt != ignore_label
-    present = np.unique(gt[valid])
-    if present.size == 0:
-        raise ValueError("ground truth contains no classes to score")
-    accs: dict[int, float] = {}
-    for c in present:
-        mask = valid & (gt == c)
-        accs[int(c)] = float(np.mean(pred[mask] == c))
+    accs = {int(c): float(np.mean(pred[gt == c] == c)) for c in np.unique(gt)}
     return accs, float(np.mean(list(accs.values())))
 
 
@@ -212,17 +180,3 @@ class DensityMap:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
             fh.write(gray.tobytes())
-
-
-def density_map(
-    cell_embs: np.ndarray,
-    query_emb: np.ndarray,
-    origin: GeoPoint,
-    cell_m: float,
-) -> DensityMap:
-    """Score a (rows, cols, D) grid of tile embeddings against one query."""
-    cell_embs = np.asarray(cell_embs, dtype=np.float64)
-    if cell_embs.ndim != 3:
-        raise ValueError(f"expected (rows, cols, D) embeddings, got {cell_embs.shape}")
-    scores = cell_embs @ np.asarray(query_emb, dtype=np.float64)
-    return DensityMap(scores=scores, origin=origin, cell_m=cell_m)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import losses
 from .codec import Reader, Writer
-from .corpus import PairBatch, PairedDataset, make_batches
+from .corpus import EmptyDatasetError, PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
     DegenerateOutputError,
@@ -279,8 +279,8 @@ def train(
     from (sched.seed, epoch). With zero epochs the seeded initialization is
     returned untouched.
     """
-    if not ds.tiles:
-        raise ValueError("cannot train on an empty dataset")
+    if len(ds.tiles) < 2:
+        raise EmptyDatasetError(f"dataset holds {len(ds.tiles)} tile(s); training needs at least 2")
     if batch_size < 2:
         raise ValueError(f"batch_size {batch_size} < 2 leaves every tile without negatives")
     feature_dim = ds.tiles.features.shape[-1]

@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 from pathlib import Path
 
-from graft import corpus, encoder, geo
+from graft import corpus, geo
 from graft.codec import Reader, Writer
 from graft.corpus import GroundTable, ManifestError, PairedDataset
 from graft.encoder import forward_patch_rows
@@ -360,24 +360,6 @@ def encoder_forward(params, patch_features):
     """One tile's (G, G, D) unit patch embeddings and unit image embedding: the
     per-tile reference for `embed_images` and `evaluation.segment_tiles`."""
     return forward_tile(params, patch_features)[:2]
-
-
-def patch_collapse_full(params, grids) -> bool:
-    """Whether the image-level pass must raise a patch collapse, by the check
-    as first written: layer 2 on every patch row of each block of
-    `encoder.IMAGE_BLOCK_ROWS` rows, then the smallest row norm against 1e-12
-    (a NaN norm makes the minimum NaN, which does not fail)."""
-    per_block = max(1, encoder.IMAGE_BLOCK_ROWS // params.n_patches)
-    for start in range(0, len(grids), per_block):
-        x = np.array(grids[start : start + per_block], dtype=np.float64)
-        h = x.reshape(-1, params.feature_dim) @ params.w1.T
-        h += params.b1
-        np.tanh(h, out=h)
-        y = h @ params.w2.T
-        y += params.b2
-        if np.sqrt(np.add.reduce(y * y, axis=1)).min() < 1e-12:
-            return True
-    return False
 
 
 # ---- the feature field one tile and one point at a time ---------------------

@@ -153,6 +153,9 @@ def test_every_config_key_has_a_rejected_value():
         ("synth", "world.extent_km=nan"),
         ("synth", "world.noise_sigma=inf"),
         ("synth", "world.center_lon=nan"),
+        ("synth", "world.center_lon=179.95"),  # the 10 km extent crosses the antimeridian
+        ("synth", "world.center_lon=-179.99"),
+        ("synth", "world.center_lon=540"),  # wraps to -180
         ("build", "tile.resolution_m=nan"),
         ("build", "tile.resolution_m=inf"),
         ("build", "pair.cap=0"),
@@ -257,6 +260,35 @@ def test_eval_empty_container_exits_4(pipeline, tmp_path, capsys):
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err and "holds no tiles" in err
+
+
+@pytest.mark.parametrize("command", [["eval", "retrieve"], ["eval", "classify"], ["train"]],
+                         ids=["retrieve", "classify", "train"])
+def test_repeated_tile_id_exits_4(pipeline, tmp_path, capsys, command):
+    _, world_dir, dataset, ckpt = pipeline
+    ds = corpus.load_dataset(dataset)
+    ds.tiles.ids[1] = ds.tiles.ids[0]
+    bad = tmp_path / "repeat.grft"
+    corpus.save_dataset(ds, bad)
+    inputs = ["--epochs", "1"] if command == ["train"] else ["--checkpoint", str(ckpt)]
+    capsys.readouterr()
+    assert main([*command, "--world", str(world_dir), "--dataset", str(bad), *inputs,
+                 "--out", str(tmp_path / "o"), *WORLD_ARGS]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"tile id {ds.tiles.ids[0]!r} repeats" in err
+
+
+@pytest.mark.parametrize("n_tiles", [0, 1])
+def test_train_on_fewer_than_two_tiles_exits_4(pipeline, tmp_path, capsys, n_tiles):
+    # a lone tile has no negative, so no batch would hold it
+    _, world_dir, dataset, _ = pipeline
+    small = tmp_path / "small.grft"
+    corpus.save_dataset(corpus.subset_tiles(corpus.load_dataset(dataset), range(n_tiles)), small)
+    capsys.readouterr()
+    assert train_on(world_dir, small, tmp_path / "run") == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"dataset holds {n_tiles} tile(s)" in err
+    assert not (tmp_path / "run" / "checkpoint.grcp").exists()
 
 
 def test_train_zero_epochs_equals_init(pipeline, tmp_path):
@@ -650,16 +682,13 @@ def test_map_scores_match_per_cell_oracle(world_dir, small_world, tmp_path, monk
     params = init_params(16, 32, 16, 196, seed=3)
     ckpt = tmp_path / "random.grcp"
     save_checkpoint(ckpt, params, {})
-    maps = []
-    density_map = evaluation.density_map
-    monkeypatch.setattr(evaluation, "density_map",
-                        lambda *a, **k: maps.append(density_map(*a, **k)) or maps[-1])
     outs = [tmp_path / "m5", tmp_path / "m64"]
     for out, block in zip(outs, (5, corpus.FIELD_BLOCK_TILES)):
         monkeypatch.setattr(corpus, "FIELD_BLOCK_TILES", block)
         assert main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
-    assert maps[0].scores.shape == (18, 18)
+    scores = load_density_grid(outs[0] / "density_water.grid").scores
+    assert scores.shape == (18, 18)
 
     grounds_ts = int(np.mean(small_world.grounds.timestamp.tolist()))
     snap_ts = [s.timestamp for s in small_world.snapshots]
@@ -667,7 +696,8 @@ def test_map_scores_match_per_cell_oracle(world_dir, small_world, tmp_path, monk
     query = embed_text(small_world.text_encoder, "water", PromptSet())
     want = density_scores_per_cell(small_world.field, params, query, RunConfig().tile_spec(),
                                    224, ts)
-    np.testing.assert_allclose(maps[0].scores, want, rtol=0, atol=1e-12)
+    # the grid holds float32 scores: each is the oracle's, rounded
+    np.testing.assert_array_equal(scores, want.astype(np.float32))
     for name in ("density_water.grid", "density_water.pgm"):
         assert file_hash(outs[0] / name) == file_hash(outs[1] / name), name
 

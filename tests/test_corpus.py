@@ -391,6 +391,16 @@ def test_synth_world_bit_identical_for_seed():
     assert w3.ground_encoder.content_hash() != w1.ground_encoder.content_hash()
 
 
+def test_synth_world_spans_its_config_bounds():
+    # the bounds that the antimeridian check reads are the field's, longitude wrapped
+    cfg = SynthWorldConfig(extent_km=2.0, n_ground=50, center_lon=180.02)
+    assert synth_world(cfg, seed=0).field.bounds == cfg.bounds
+    assert -180.0 < cfg.bounds[2] < -179.98 < cfg.bounds[3] < -179.96
+    for lon in (179.95, -179.99):  # a 10 km extent
+        with pytest.raises(ValueError, match="crosses the antimeridian"):
+            SynthWorldConfig(center_lon=lon)
+
+
 def test_synth_world_all_classes_present():
     cfg = SynthWorldConfig(n_classes=8, extent_km=10.0, n_ground=2000)
     world = synth_world(cfg, seed=0)

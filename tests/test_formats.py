@@ -228,9 +228,18 @@ def test_invalid_utf8_id_of_a_later_tile(samples, fmt):
         load_variant(fmt, path, data)
 
 
-@pytest.mark.parametrize("ids", [["", ""], ["é0", "é1"], ["t\x000", "t\x001"]])
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+def test_repeated_tile_id(samples, fmt):
+    raw, path = samples
+    data = patched(raw["container"], TILE_AT[1] + 3, "<B", ord("0"))  # "t1" -> "t0"
+    with pytest.raises(FormatError, match=f"tile id 't0' repeats .* at byte {TILE_AT[1]}"):
+        load_variant(fmt, path, data)
+
+
+# an empty id is unique in a one-tile container only
+@pytest.mark.parametrize("ids", [[""], ["é0", "é1"], ["t\x000", "t\x001"]])
 def test_container_roundtrip_of_ids(tmp_path, ids):
-    ds = tiny_dataset()
+    ds = corpus.subset_tiles(tiny_dataset(), range(len(ids)))
     ds.tiles.ids = ids
     corpus.save_dataset(ds, tmp_path / "ds")
     assert corpus.load_dataset(tmp_path / "ds") == ds

@@ -328,7 +328,7 @@ def test_collapsed_patch_output_is_divergence(tiny_setup):
     params.b2[:] = 0.0
     sched = TrainSchedule(peak_lr=1e-3, warmup_steps=1, total_steps=10)
     ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
-    with pytest.raises(ValueError, match="patch output collapsed"):
+    with pytest.raises(ValueError, match="output collapsed"):
         loss_and_param_grads(params, batch, ground_embs, LossConfig())
-    with pytest.raises(DivergenceError, match="step 3: patch output collapsed"):
+    with pytest.raises(DivergenceError, match="step 3: .*output collapsed"):
         train_step(params, batch, ground_embs, LossConfig(), sched, step=3)
