@@ -451,37 +451,140 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
     return labels
 
 
+# SeedSequence's hash constants and PCG64's 128-bit multiplier, for `pcg64_states`
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """(n + 1, 1) uint32 column of init * mult**t mod 2**32, t = 0..n."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def pcg64_states(key: int, parts) -> list[dict]:
+    """The `.state` of `np.random.PCG64(np.random.SeedSequence([key, *row]))`
+    for the non-negative int `key` and each row of the (N, P) non-negative ints
+    `parts`, derived for all rows at once.
+
+    SeedSequence splits each int into its little-endian uint32 words (0 is one
+    word) and hashes the first four into a pool, mixes the pool words into each
+    other, then mixes every further word into every pool word. Its
+    `generate_state(4, uint64)` hashes the pool twice over into PCG64's seed and
+    stream, and PCG64 sets `inc = (stream << 1) | 1` and
+    `state = (inc + seed) * MULT + inc` mod 2**128. The rows are grouped by
+    their number of words, and each group is hashed by uint32 array operations,
+    which wrap as SeedSequence's C code does. The 128-bit step is one product of
+    Python ints per row, the form the state setter takes.
+    """
+    parts = np.asarray(parts, dtype=np.int64)
+    if parts.size and parts.min() < 0:
+        raise ValueError(f"noise key part {parts.min()} is negative")
+    key_words = [key >> s & _MASK32 for s in range(0, max(key.bit_length(), 1), 32)]
+    n_key = len(key_words)
+    # each part's low word, then its high word when nonzero, packed to the left
+    words = np.stack([parts & _MASK32, parts >> 32], axis=-1).reshape(len(parts), -1)
+    kept = words != 0
+    kept[:, 0::2] = True
+    words = np.take_along_axis(words, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    lengths = kept.sum(axis=1)
+    states = [None] * len(parts)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        # a key shorter than the 4-word pool is padded with zeros, which
+        # SeedSequence hashes in place of the missing words
+        entropy = np.zeros((max(n_key + length, 4), len(rows)), dtype=np.uint32)
+        entropy[:n_key] = np.array(key_words, dtype=np.uint32)[:, None]
+        entropy[n_key:n_key + length] = words[rows, :length].T
+        for row, state in zip(rows.tolist(), _seed_pcg64(entropy)):
+            states[row] = state
+    return states
+
+
+def _seed_pcg64(entropy: np.ndarray) -> list[dict]:
+    """PCG64 states seeded by SeedSequence from each column of the (L, N)
+    uint32 `entropy`, L >= 4 (the pool size)."""
+    n_words, n = entropy.shape
+    a = _hash_consts(_SS_INIT_A, _SS_MULT_A, 4 * n_words)
+    calls = 0
+
+    def hashmix(v, k: int) -> np.ndarray:  # the next k hashmix calls, one per row of v
+        nonlocal calls
+        v = v ^ a[calls:calls + k]
+        v *= a[calls + 1:calls + k + 1]
+        v ^= v >> 16
+        calls += k
+        return v
+
+    def mix(x, y) -> np.ndarray:
+        x = x * np.uint32(_SS_MIX_L)
+        x -= y * np.uint32(_SS_MIX_R)
+        x ^= x >> 16
+        return x
+
+    pool = hashmix(entropy[:4], 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for src in range(4, n_words):
+        pool = mix(pool, hashmix(entropy[src], 4))
+    b = _hash_consts(_SS_INIT_B, _SS_MULT_B, 8)
+    w = np.vstack([pool, pool]) ^ b[:8]
+    w *= b[1:]
+    w ^= w >> 16
+    w = w.astype(np.uint64)
+    seed_hi, seed_lo, stream_hi, stream_lo = (w[0::2] | w[1::2] << 32).tolist()
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, stream_hi, stream_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def materialize_many(
     fld: VoronoiFeatureField, spec: TileSpec, lat, lon, timestamps
 ) -> np.ndarray:
     """(N, G, G, F) float32 raw features of the N tiles of geometry `spec`
     centered on (lat[i], lon[i]), tile i under snapshot `timestamps[i]`.
 
-    Each tile draws its noise from its own stream, keyed by (noise_key,
-    snapshot timestamp, quantized tile center), so its features equal, bit
-    for bit, those of the tile materialized alone. The noise is drawn in place
-    into one float64 block, scaled once, and the one-hot labels are added as
-    a 0/1 block: adding (not assigning) keeps `0 + (-0.0)` a positive zero,
-    so a noise-free field (sigma 0) gives the bare one-hots.
+    Each tile draws its noise from its own stream, `PCG64(SeedSequence(key))`
+    with key (noise_key, snapshot timestamp, quantized tile center), so its
+    features equal, bit for bit, those of the tile materialized alone. The
+    streams of a block of tiles are seeded at once (`pcg64_states`), and each
+    tile's noise is drawn in place into one float64 block and scaled. Then 1.0
+    is added at each patch's label, and 0.0 everywhere in the float32 cast:
+    adding (not assigning) keeps `0 + (-0.0)` a positive zero, so a noise-free
+    field (sigma 0) gives the bare one-hots.
     """
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     if not len(timestamps) == len(lat) == len(lon):
         raise ValueError(f"{len(lat)} lats, {len(lon)} lons and {len(timestamps)} timestamps")
+    centers = np.rint([(lat + 90.0) * 1e7, (lon + 180.0) * 1e7])
+    if not np.all((0 <= centers) & (centers < 2.0**63)):
+        raise ValueError("a tile center is not finite or lies off the globe")
+    parts = np.column_stack([np.asarray(timestamps, dtype=np.int64), *centers.astype(np.int64)])
     g, f = spec.grid_px, fld.feature_dim
     features = np.empty((len(lat), g, g, f), dtype=np.float32)
     block = np.empty((min(len(lat), FIELD_BLOCK_TILES), g, g, f))
+    bits = np.random.PCG64(0)  # set to each tile's own state before its draw
+    normals = np.random.Generator(bits)
     for start in range(0, len(lat), FIELD_BLOCK_TILES):
         rows = slice(start, start + FIELD_BLOCK_TILES)
         labels = class_grids(fld, spec, lat[rows], lon[rows])
         noise = block[:len(labels)]
-        centers = zip(lat[rows].tolist(), lon[rows].tolist(), timestamps[rows])
-        for i, (c_lat, c_lon, ts) in enumerate(centers):
-            key = [fld.noise_key, int(ts), int(round((c_lat + 90.0) * 1e7)),
-                   int(round((c_lon + 180.0) * 1e7))]
-            np.random.default_rng(np.random.SeedSequence(key)).standard_normal(out=noise[i])
+        for i, state in enumerate(pcg64_states(fld.noise_key, parts[rows])):
+            bits.state = state
+            normals.standard_normal(out=noise[i])
         noise *= fld.noise_sigma
-        noise += labels[..., None] == np.arange(f)
-        features[rows] = noise
+        np.add.at(noise.reshape(-1), np.arange(0, noise.size, f) + labels.ravel(), 1.0)
+        np.add(noise, 0.0, out=features[rows], casting="unsafe")
     return features
 
 
@@ -956,7 +1059,8 @@ def _tile_record(id_len: int, grid: Sequence[int] | None = None) -> np.dtype:
 def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     """Write the versioned binary container: magic, version, four sections.
 
-    Tile records are fixed-size, so all tile ids must have one UTF-8 byte length.
+    Tile records are fixed-size, so all tile ids must have one UTF-8 byte length;
+    they must also differ, as every reader requires.
     Every tile's id and header are packed as one record array; the section is
     its records' bytes, each followed by a byte view of that tile's features,
     not a copy.
@@ -965,6 +1069,9 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     ids = [tid.encode("utf-8") for tid in t.ids]
     if len({len(b) for b in ids}) > 1 or any(b.endswith(b"\0") for b in ids):
         raise ValueError("tile ids must share one UTF-8 byte length and not end in a NUL byte")
+    repeat = first_repeat(t.ids)
+    if repeat is not None:
+        raise ValueError(f"tile id {t.ids[repeat]!r} repeats an earlier tile's")
     tiles = Writer()
     tiles.pack("<I", len(t))
     if ids:

@@ -265,17 +265,19 @@ def test_eval_empty_container_exits_4(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("command", [["eval", "retrieve"], ["eval", "classify"], ["train"]],
                          ids=["retrieve", "classify", "train"])
 def test_repeated_tile_id_exits_4(pipeline, tmp_path, capsys, command):
+    # the writer refuses a repeated id, so tile 1's id is patched in a saved container
     _, world_dir, dataset, ckpt = pipeline
-    ds = corpus.load_dataset(dataset)
-    ds.tiles.ids[1] = ds.tiles.ids[0]
+    first, second = (tid.encode() for tid in corpus.load_dataset(dataset).tiles.ids[:2])
+    raw = dataset.read_bytes()
+    at = raw.index(struct.pack("<H", len(second)) + second) + 2  # tile 1's id, after its length
     bad = tmp_path / "repeat.grft"
-    corpus.save_dataset(ds, bad)
+    bad.write_bytes(raw[:at] + first + raw[at + len(first):])
     inputs = ["--epochs", "1"] if command == ["train"] else ["--checkpoint", str(ckpt)]
     capsys.readouterr()
     assert main([*command, "--world", str(world_dir), "--dataset", str(bad), *inputs,
                  "--out", str(tmp_path / "o"), *WORLD_ARGS]) == 4
     err = capsys.readouterr().err
-    assert "Traceback" not in err and f"tile id {ds.tiles.ids[0]!r} repeats" in err
+    assert "Traceback" not in err and f"tile id {first.decode()!r} repeats" in err
 
 
 @pytest.mark.parametrize("n_tiles", [0, 1])

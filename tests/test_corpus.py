@@ -545,6 +545,48 @@ def test_field_blocks_match_first_blocked_oracles(n, sigma, layout, k, seed):
         assert np.all(labels[:, 1] == i)
 
 
+key_part = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**62]) | st.integers(0, 2**62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.sampled_from([0, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**64),
+    parts=st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.tuples(*[key_part] * width), min_size=1, max_size=12)),
+)
+def test_pcg64_states_equal_numpy_seeding(key, parts):
+    # keys of 2 to 9 uint32 words (one to three for `key`, one or two per part):
+    # rows of several lengths share a call; a tile's key (three parts) has 4
+    # to 9 words, and shorter keys leave pool words to pad
+    states = corpus.pcg64_states(key, np.array(parts, dtype=np.int64).reshape(len(parts), -1))
+    assert states == [np.random.PCG64(np.random.SeedSequence([key, *row])).state
+                      for row in parts]
+
+
+def test_pcg64_states_reject_a_negative_part():
+    # as SeedSequence does; a noise key part is a timestamp or a quantized center
+    with pytest.raises(ValueError, match="noise key part -1 is negative"):
+        corpus.pcg64_states(0, np.array([[1, 2, 3], [4, -1, 6]]))
+
+
+@pytest.mark.parametrize("lat", [math.nan, -90.5])
+def test_materialize_many_rejects_a_center_off_the_globe(noiseless_world, lat):
+    with pytest.raises(ValueError, match="not finite or lies off the globe"):
+        corpus.materialize_many(noiseless_world.field, TileSpec(), [lat], [0.0], [0])
+
+
+@pytest.mark.parametrize("noise_key", [2**32, 2**64 + 1])
+def test_materialize_many_with_a_wide_noise_key_matches_oracle(small_world, noise_key):
+    # a noise key of two or three words, snapshot timestamp 0; two blocks of tiles
+    fld = dataclasses.replace(small_world.field, noise_key=noise_key)
+    lat_min, lat_max, lon_min, lon_max = fld.bounds
+    rng = np.random.default_rng(11)
+    lat, lon = rng.uniform(lat_min, lat_max, 70), rng.uniform(lon_min, lon_max, 70)
+    timestamps = np.zeros(70, dtype=np.int64)
+    got = corpus.materialize_many(fld, TileSpec(), lat, lon, timestamps)
+    assert got.tobytes() == materialize_many_put(fld, TileSpec(), lat, lon, timestamps).tobytes()
+
+
 def test_field_blocks_of_no_tiles(noiseless_world):
     fld, spec = noiseless_world.field, TileSpec()
     labels = corpus.class_grids(fld, spec, [], [])

@@ -253,6 +253,15 @@ def test_save_rejects_ids_unfit_for_fixed_records(tmp_path, ids):
         corpus.save_dataset(ds, tmp_path / "ds")
 
 
+def test_save_rejects_a_repeated_tile_id(tmp_path):
+    # no reader accepts a container whose tiles repeat an id, so none is written
+    ds = tiny_dataset()
+    ds.tiles.ids = ["t1", "t1"]
+    with pytest.raises(ValueError, match="tile id 't1' repeats"):
+        corpus.save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def wide_dataset(n: int = 200) -> PairedDataset:
     """n tiles of the default geometry, 16 features per patch (12.5 KB a tile)."""
     rng = np.random.default_rng(5)

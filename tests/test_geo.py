@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -64,6 +64,13 @@ def test_tilespec_rejects_resolution_outside_domain(res):
     # a finite positive resolution keeps every tile's spawning ground inside it
     with pytest.raises(ValueError, match="positive and finite"):
         TileSpec(resolution_m_per_px=res)
+
+
+@pytest.mark.parametrize("size_px, patch_px", [(0, 16), (224, 0)])
+def test_tilespec_rejects_an_empty_tile_or_patch(size_px, patch_px):
+    # a 0 px tile is divisible into 16 px patches, yet holds no patch
+    with pytest.raises(ValueError, match="must be positive"):
+        TileSpec(size_px=size_px, patch_px=patch_px)
 
 
 def test_tilespec_divisibility():
@@ -447,6 +454,8 @@ def test_wrap_lon_maps_out_of_range_longitudes_into_range(lon):
 
 
 @given(st.floats(), st.floats())
+@example(-90.0, 0.0)  # the latitude domain is closed: both poles are on the globe
+@example(90.0, 0.0)
 def test_on_globe_scalar_and_array_agree(lat, lon):
     on = bool(geo.on_globe(lat, lon))
     assert on == (-90.0 <= lat <= 90.0 and math.isfinite(lon))

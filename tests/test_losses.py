@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,9 @@ def random_instance(rng, n_b=None, d=None, max_grounds=3):
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(tau=0.0)
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            LossConfig(tau=tau)
     with pytest.raises(ValueError):
         LossConfig(variant="bogus")
     assert LossConfig().tau == 0.07
