@@ -280,8 +280,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             class_embs, tiles.ids, embed_images(params, tiles.features), gts, (100, 20)
         )
         lines = [
-            f"{name}\t{','.join(tiles.ids[i] for i in order)}\t"
-            + ",".join(f"{s:.6f}" for s in scores)
+            f"{name}\t{','.join(map(tiles.ids.__getitem__, order.tolist()))}\t"
+            + ",".join(["%.6f"] * len(scores)) % tuple(scores.tolist())
             for name, (order, scores) in zip(world.class_names, rankings)
         ]
         metric_lines = [f"{name} {float(a100)!r} {float(a20)!r}"

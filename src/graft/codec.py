@@ -1,8 +1,9 @@
 """Little-endian binary codec shared by every graft file format.
 
 The dataset container, the checkpoint and the embedding fixtures are written
-with `Writer` and read with `Reader`. Every read is bounds-checked, and every
-failure is a `FormatError` that names the absolute byte offset in the file.
+with `Writer` and read with `Reader`, over the one read-only buffer that
+`read_file` returns. Every read is bounds-checked, and every failure is a
+`FormatError` that names the absolute byte offset in the file.
 Tables of variable-length records (the fixture's entries, the container's
 grounds) are written by `Writer.records` and read by `Reader.records` a whole
 table at a time, in the layout `string` and `advance` give one record at a time.
@@ -102,10 +103,24 @@ class Writer:
             fh.writelines(self.parts)
 
 
-class Reader:
-    """Reads `data[off:end]` front to back; `what` names the file in errors."""
+def read_file(path: str | Path) -> memoryview:
+    """The file at `path` read into one read-only numpy buffer, which numpy
+    backs with huge pages when large; read, not mapped, so a file truncated
+    later cannot fault a reader. A pipe, which numpy cannot read, is read
+    into `bytes`."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            return memoryview(fh.read())
+        buf = np.fromfile(fh, np.uint8)
+    buf.flags.writeable = False
+    return memoryview(buf)
 
-    def __init__(self, data: bytes, what: str, off: int = 0, end: int | None = None):
+
+class Reader:
+    """Reads `data[off:end]` front to back, from a read-only bytes-like buffer
+    (`read_file`'s, or `bytes`); `what` names the file in errors."""
+
+    def __init__(self, data: bytes | memoryview, what: str, off: int = 0, end: int | None = None):
         self.data = data
         self.what = what
         self.off = off
@@ -143,7 +158,7 @@ class Reader:
         (n,) = self.unpack("<H")
         start = self.advance(n)
         try:
-            return self.data[start : start + n].decode("utf-8")
+            return str(self.data[start : start + n], "utf-8")
         except UnicodeDecodeError as exc:
             raise self.fail(f"invalid UTF-8 string ({exc.reason})", start) from None
 
@@ -174,7 +189,7 @@ class Reader:
         if count * least > left:
             raise self.fail(f"{count} records of at least {least} bytes overrun the {left} "
                             f"bytes left")
-        sec = self.data[base : self.end]
+        sec = bytes(self.data[base : self.end])  # indexes and slices far faster than a view
         at: list[int] = []  # the offset of each string's length, in `sec`
         off, failure = 0, None
         try:
@@ -220,7 +235,7 @@ class Reader:
         """The rest of this reader as a JSON object."""
         start = self.advance(self.end - self.off)
         try:
-            obj = json.loads(self.data[start : self.end].decode("utf-8"))
+            obj = json.loads(str(self.data[start : self.end], "utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise self.fail(f"invalid JSON ({exc})", start) from None
         if not isinstance(obj, dict):

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import frozen, geo
-from .codec import FormatError, Reader, Writer
+from .codec import FormatError, Reader, Writer, read_file
 from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, first_repeat, save_embeddings
 
@@ -422,10 +422,11 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
 
     Each tile's longitude scale is its own scalar `math.cos`, so its classes
     come from the same patch-center coordinates, bit for bit, as the tile's alone.
-    Squared seed distances are summed per block from one per patch column and
-    row, and the nearest seed is a running minimum over the K seeds: a seed
-    replaces the best so far only when strictly closer, so the first of equally
-    near seeds wins, as in `np.argmin`. (The distances come from finite
+    Squared seed distances are summed from one per patch column and row. A tile
+    that `_whole_tile_classes` finds to be of one class takes it; in the others
+    the nearest seed is a running minimum over the K seeds, per block of tiles:
+    a seed replaces the best so far only when strictly closer, so the first of
+    equally near seeds wins, as in `np.argmin`. (The distances come from finite
     coordinates and are never NaN.)
     """
     lat0 = np.asarray(lat, dtype=np.float64)[:, None]
@@ -436,19 +437,48 @@ def class_grids(fld: VoronoiFeatureField, spec: TileSpec, lat, lon) -> np.ndarra
         * spec.resolution_m_per_px
     x, y = fld._project(lat0 + north / geo.METERS_PER_DEGREE, lon0 - north / lon_scale)
     sx, sy = fld._project(fld.seeds_lat, fld.seeds_lon)
-    # (K, N, G) squared distances of the patch columns and rows to each seed
-    dx2, dy2 = (x - sx[:, None, None]) ** 2, (y - sy[:, None, None]) ** 2
-    g = spec.grid_px
-    labels = np.zeros((len(lat0), g, g), dtype=np.intp)
-    for i in range(0, len(lat0), FIELD_BLOCK_TILES):
-        b = slice(i, i + FIELD_BLOCK_TILES)
-        best = dx2[0, b, None] + dy2[0, b, :, None]
+    # (K, N, G) offsets of the patch columns and rows from each seed
+    ex, ey = x - sx[:, None, None], y - sy[:, None, None]
+    whole = _whole_tile_classes(ex, ey)
+    labels = np.broadcast_to(whole[:, None, None], (len(lat0), spec.grid_px, spec.grid_px)).copy()
+    rest = np.flatnonzero(whole < 0)
+    for i in range(0, len(rest), FIELD_BLOCK_TILES):
+        b = rest[i : i + FIELD_BLOCK_TILES]
+        dx2, dy2 = ex[:, b] ** 2, ey[:, b] ** 2
+        best = dx2[0, :, None] + dy2[0, :, :, None]
+        nearest = np.zeros(best.shape, dtype=np.intp)
         for k in range(1, len(sx)):
-            d = dx2[k, b, None] + dy2[k, b, :, None]
+            d = dx2[k, :, None] + dy2[k, :, :, None]
             closer = d < best
             np.copyto(best, d, where=closer)
-            np.copyto(labels[b], k, where=closer)
+            np.copyto(nearest, k, where=closer)
+        labels[b] = nearest
     return labels
+
+
+def _whole_tile_classes(ex, ey) -> np.ndarray:
+    """(N,) the class of each tile whose patches all have one nearest seed, -1
+    for the others, from the (K, N, G) offsets of its patch columns and rows
+    from each seed.
+
+    The offsets are monotone along each axis, and rounded subtraction, squaring
+    and addition are monotone, so the end patches of each axis give each
+    seed's farthest patch distance `far` exactly and bound its nearest `near`
+    from below (an axis whose ends lie on both sides of the seed adds 0). Seed
+    k0 = argmin(far) is nearest to every patch, ties included, when far[k0] is
+    below near[k] for every k < k0 and at most near[k] for every k > k0.
+    """
+    def ends(e):  # (K, N) largest and least squared offset along one axis
+        a, b = e[..., 0], e[..., -1]
+        return np.maximum(a * a, b * b), np.where((a < 0) == (b < 0), np.minimum(a * a, b * b), 0)
+
+    (far_x, near_x), (far_y, near_y) = ends(ex), ends(ey)
+    far, near = far_x + far_y, near_x + near_y
+    k0 = np.argmin(far, axis=0)
+    best = np.take_along_axis(far, k0[None], axis=0)
+    seed = np.arange(len(far))[:, None]
+    ok = np.where(seed < k0, best < near, best <= near) | (seed == k0)
+    return np.where(ok.all(axis=0), k0, -1)
 
 
 # SeedSequence's hash constants and PCG64's 128-bit multiplier, for `pcg64_states`
@@ -1113,7 +1143,7 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
 def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reader]:
     """Readers over a container's four sections, after checking magic, version,
     every section length and that no byte follows the last section."""
-    r = Reader(Path(path).read_bytes(), f"container {path}")
+    r = Reader(read_file(path), f"container {path}")
     r.header(CONTAINER_MAGIC, CONTAINER_VERSION, DatasetVersionError)
     sections = tuple(r.section() for _ in range(4))
     r.done()
@@ -1126,9 +1156,9 @@ def _read_tiles(r: Reader) -> TileTable:
     Tile 0's id length and feature grid fix the record size, which is checked
     against the section's size before anything is mapped; every record must
     then share tile 0's layout and have an id of its own. The columns are
-    views of the records, so the features are a read-only view of the file's
-    bytes, not a copy. An empty section reads as a table of the default
-    geometry.
+    views of the records, so the features are a read-only view of the buffer
+    the file was read into (`codec.read_file`), not a copy. An empty section
+    reads as a table of the default geometry.
     """
     (n,) = r.unpack("<I")
     at, first, left = r.off - 4, r.off, r.end - r.off

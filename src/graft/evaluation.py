@@ -144,12 +144,16 @@ def segment_tiles(params: encoder.SatEncoderParams, features: np.ndarray,
 
 def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
     """Accuracy per class present in the ground truth, and their mean; classes
-    absent from the ground truth do not appear at all."""
+    absent from the ground truth do not appear at all. Classes are indices >= 0."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"pred {pred.shape} and gt {gt.shape} must have equal dims")
-    accs = {int(c): float(np.mean(pred[gt == c] == c)) for c in np.unique(gt)}
+    gt = gt.ravel()
+    counts = np.bincount(gt)
+    hits = np.bincount(gt[pred.ravel() == gt], minlength=len(counts))
+    present = np.flatnonzero(counts)
+    accs = dict(zip(present.tolist(), (hits[present] / counts[present]).tolist()))
     return accs, float(np.mean(list(accs.values())))
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import Reader, Writer
+from .codec import Reader, Writer, read_file
 
 DEFAULT_PROMPTS = (
     "A photo of a {label}",
@@ -181,7 +181,7 @@ def load_embeddings(path: str | Path) -> FrozenEncoder:
     duplicate key, and an entry that is non-finite or has (near-)zero norm all
     raise FormatError naming the entry and its byte offset.
     """
-    r = Reader(Path(path).read_bytes(), f"embedding fixture {path}")
+    r = Reader(read_file(path), f"embedding fixture {path}")
     count, dim = r.unpack("<II")
     if count == 0:
         raise r.fail("empty table", 0)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses
-from .codec import Reader, Writer
+from .codec import Reader, Writer, read_file
 from .corpus import EmptyDatasetError, PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
@@ -339,7 +339,7 @@ def save_checkpoint(path: str | Path, params: SatEncoderParams, provenance: dict
 
 def load_checkpoint(path: str | Path) -> tuple[SatEncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; a bad file raises FormatError."""
-    r = Reader(Path(path).read_bytes(), f"checkpoint {path}")
+    r = Reader(read_file(path), f"checkpoint {path}")
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I")[0]):

@@ -464,34 +464,95 @@ def test_materialize_many_matches_per_tile_oracle(request, monkeypatch, world_na
                                   class_grid_per_tile(fld, spec, centers[5]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    k=st.integers(2, 12),
-    lat=st.floats(-80.0, 80.0),
-    n=st.integers(1, 150),
-    grid=st.sampled_from([(224, 16, 1.0), (64, 16, 10.0), (96, 8, 1.0)]),
-    tied=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_class_grids_match_broadcast_oracle(k, lat, n, grid, tied, seed):
-    # up to three blocks of tiles; a repeated seed ties two classes everywhere
-    rng = np.random.default_rng(seed)
-    dlat = 3000.0 / geo.METERS_PER_DEGREE
-    dlon = dlat / math.cos(math.radians(lat))
-    seeds_lat, seeds_lon = lat + rng.uniform(-dlat, dlat, k), 10.0 + rng.uniform(-dlon, dlon, k)
-    if tied:
-        seeds_lat[-1], seeds_lon[-1] = seeds_lat[0], seeds_lon[0]
-    bounds = (lat - dlat, lat + dlat, 10.0 - dlon, 10.0 + dlon)
-    fld = VoronoiFeatureField([f"c{i}" for i in range(k)], seeds_lat, seeds_lon,
-                              GeoPoint(lat, 10.0), bounds, feature_dim=k, noise_sigma=0.0,
-                              noise_key=0)
-    size, patch, res = grid
-    spec = TileSpec(res, size, patch)
-    lats, lons = lat + rng.uniform(-dlat, dlat, n), 10.0 + rng.uniform(-dlon, dlon, n)
-    got = corpus.class_grids(fld, spec, lats, lons)
-    np.testing.assert_array_equal(got, class_grids_broadcast(fld, spec, lats, lons))
-    if tied:
-        assert not np.any(got == k - 1)
+def test_class_grids_match_broadcast_oracle(monkeypatch):
+    # up to three blocks of tiles, in worlds from 300 m to 30 km across, so
+    # most tiles lie inside one class in some and few in others; a seed on a
+    # patch-centre row, column or both of the last tile (its offset there is
+    # exactly 0), a seed inside the first tile, a repeated seed (on 1x1-patch
+    # tiles its tie with the first copy meets the whole-tile test with
+    # equality); latitudes up to +-80, and a world whose west edge is the
+    # antimeridian
+    branches = {"whole": 0, "per patch": 0}
+    whole_tile_classes = corpus._whole_tile_classes
+
+    def spy(*args):
+        whole = whole_tile_classes(*args)
+        branches["whole"] += int(np.count_nonzero(whole >= 0))
+        branches["per patch"] += int(np.count_nonzero(whole < 0))
+        return whole
+
+    monkeypatch.setattr(corpus, "_whole_tile_classes", spy)
+
+    def lon_m(lat):  # metres per degree of longitude, as class_grids takes it
+        return geo.METERS_PER_DEGREE * math.cos(math.radians(lat))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        lat=st.sampled_from([-80.0, 0.0, 80.0]) | st.floats(-80.0, 80.0),
+        antimeridian=st.booleans(),
+        half_m=st.sampled_from([150.0, 1500.0, 15000.0]),
+        n=st.integers(1, 150),
+        grid=st.sampled_from([(224, 16, 1.0), (64, 16, 10.0), (96, 8, 1.0), (30, 10, 0.5),
+                              (48, 16, 10.0), (16, 16, 4.0)]),
+        on_line=st.sampled_from(["", "row", "column", "centre"]),
+        inside=st.booleans(),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(k, lat, antimeridian, half_m, n, grid, on_line, inside, tied, seed):
+        rng = np.random.default_rng(seed)
+        dlat = half_m / geo.METERS_PER_DEGREE
+        dlon = dlat / math.cos(math.radians(lat))
+        lon = -180.0 + dlon if antimeridian else 10.0
+        seeds_lat, seeds_lon = lat + rng.uniform(-dlat, dlat, k), lon + rng.uniform(-dlon, dlon, k)
+        lats, lons = lat + rng.uniform(-dlat, dlat, n), lon + rng.uniform(-dlon, dlon, n)
+        size, patch, res = grid
+        spec = TileSpec(res, size, patch)
+        north = (size / 2 - (np.arange(spec.grid_px) + 0.5) * patch) * res
+        r, c = rng.integers(spec.grid_px, size=2)
+        if on_line in ("row", "centre"):
+            seeds_lat[-1] = lats[-1] + north[r] / geo.METERS_PER_DEGREE
+        if on_line in ("column", "centre"):
+            seeds_lon[-1] = lons[-1] - north[c] / lon_m(lats[-1])
+        if inside:
+            h = spec.half_extent_m * rng.uniform(-1, 1, 2)
+            seeds_lat[0] = lats[0] + h[0] / geo.METERS_PER_DEGREE
+            seeds_lon[0] = lons[0] + h[1] / lon_m(lats[0])
+        i, j = np.sort(rng.choice(k, 2, replace=False)) if k > 1 else (0, 0)
+        if tied and i < j:
+            seeds_lat[j], seeds_lon[j] = seeds_lat[i], seeds_lon[i]
+        bounds = (lat - dlat, lat + dlat, lon - dlon, lon + dlon)
+        fld = VoronoiFeatureField([f"c{m}" for m in range(k)], seeds_lat, seeds_lon,
+                                  GeoPoint(lat, lon), bounds, feature_dim=k, noise_sigma=0.0,
+                                  noise_key=0)
+        got = corpus.class_grids(fld, spec, lats, lons)
+        np.testing.assert_array_equal(got, class_grids_broadcast(fld, spec, lats, lons))
+        if tied and i < j:
+            assert not np.any(got == j)
+
+    check()
+    assert branches["whole"] and branches["per patch"], branches
+
+
+@pytest.mark.parametrize("ex, ey, want", [
+    # 2x2 patches. Seed 1's farthest patch is 4 from it and seed 0's nearest,
+    # (column 0, row 0), is 4 too: that patch is equally near both, so it is
+    # seed 0's and the tile is not whole
+    ([[2.0, 3.0], [-2.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], -1),
+    # seed 0 a little farther: every patch is seed 1's
+    ([[2.5, 3.0], [-2.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 1),
+    # the tie with the seeds swapped: the whole tile is seed 0's, the one
+    # whose farthest patch is nearest
+    ([[-2.0, 0.0], [2.0, 3.0]], [[0.0, 0.0], [0.0, 1.0]], 0),
+    # 3x3 patches. Seed 0 lies between the end columns: its nearest patch is
+    # 9 away in the middle column, nearer than every patch of seed 1 (9.8125),
+    # though each of its end patches is at least 10 away
+    ([[-1.0, 0.0, 1.0], [1.5, 1.5, 1.5]], [[3.0, 4.0, 5.0], [-2.75, -2.75, -2.75]], -1),
+])
+def test_whole_tile_classes_bound_each_seed_from_the_end_patches(ex, ey, want):
+    ex, ey = np.array(ex)[:, None], np.array(ey)[:, None]  # (K, 1 tile, G)
+    assert corpus._whole_tile_classes(ex, ey).tolist() == [want]
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,18 +9,20 @@ either returns or raises `FormatError` naming a byte offset.
 from __future__ import annotations
 
 import math
+import os
 import shutil
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graft import corpus
-from graft.codec import FormatError, Reader
+from graft import corpus, frozen, train
+from graft.codec import FormatError, Reader, read_file
 from _oracles import ground_table, pairs_of, section_at
 from graft.corpus import (
     DatasetFormatError,
@@ -94,13 +96,28 @@ def test_samples_roundtrip(fmt, samples):
     load_variant(fmt, path, raw[fmt])
 
 
+# the module whose `read_file` each loader reads its file with
+READ_FILE_OF = {"container": corpus, "tiles": corpus, "checkpoint": train, "fixture": frozen}
+
+
 @pytest.mark.parametrize("fmt", LOADERS)
-def test_every_truncation_raises_format_error(fmt, samples):
-    # every prefix length, so a cut lands inside and at the end of every field
+def test_every_truncation_raises_format_error(fmt, samples, monkeypatch):
+    # every prefix length, so a cut lands inside and at the end of every field;
+    # each error, text and byte offset, is the one a Reader over the file's
+    # `bytes` gives
     raw, path = samples
-    for cut in range(len(raw[fmt])):
-        with pytest.raises(FormatError, match=r"byte \d+"):
-            load_variant(fmt, path, raw[fmt][:cut])
+
+    def errors() -> list[str]:
+        messages = []
+        for cut in range(len(raw[fmt])):
+            with pytest.raises(FormatError, match=r"byte \d+") as exc:
+                load_variant(fmt, path, raw[fmt][:cut])
+            messages.append(str(exc.value))
+        return messages
+
+    got = errors()
+    monkeypatch.setattr(READ_FILE_OF[fmt], "read_file", lambda p: Path(p).read_bytes())
+    assert got == errors()
 
 
 @pytest.mark.parametrize("fmt", LOADERS)
@@ -303,7 +320,35 @@ def test_load_maps_features_as_a_read_only_view_of_the_file(tmp_path, load):
     assert peak <= 1.1 * size, (peak, size)
     features = out.features if load is corpus.load_tiles else out.tiles.features
     np.testing.assert_array_equal(features, ds.tiles.features)
-    assert not features.flags.writeable
+    assert features.flags.writeable is False
+    with pytest.raises(ValueError, match="read-only"):
+        features[0, 0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="WRITEABLE"):  # the buffer under it is read-only too
+        features.flags.writeable = True
+
+
+def test_read_file_is_one_read_only_buffer_of_the_file(tmp_path):
+    for data in (b"", b"GRFT\x01\x00", bytes(range(256)) * 20_000):  # 5 MB: numpy's huge pages
+        (tmp_path / "f").write_bytes(data)
+        buf = read_file(tmp_path / "f")
+        assert isinstance(buf, memoryview) and buf.readonly and buf.tobytes() == data
+    with pytest.raises(FileNotFoundError):
+        read_file(tmp_path / "missing")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("fmt", LOADERS)
+def test_a_pipe_loads_as_its_file_does(fmt, samples):
+    # a pipe cannot seek, so numpy cannot read it (`--dataset <(...)` in a shell)
+    raw, path = samples
+    want = load_variant(fmt, path, raw[fmt])
+    r, w = os.pipe()
+    try:
+        os.write(w, raw[fmt])  # each sample fits in the pipe's buffer
+        os.close(w)
+        assert repr(LOADERS[fmt](f"/dev/fd/{r}")) == repr(want)  # they hold arrays
+    finally:
+        os.close(r)
 
 
 def test_container_error_is_the_codec_error():

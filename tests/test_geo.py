@@ -260,6 +260,19 @@ def test_lattice_hits_separation_and_edges_exactly():
     assert assignment == [[0, 1], [0, 1, 2]]
 
 
+def test_lattice_hits_the_east_edge_exactly_at_the_equator():
+    # at latitude 0 the longitude scale is exactly 1, so 7 longitude steps are
+    # exactly the half extent: each point lies on the other's east or west
+    # footprint edge, which is outside
+    a, c = GeoPoint(0.0, 7.0), GeoPoint(0.0, 7.0 + 7 * LATTICE_DEG)
+    tile = TileSpec(resolution_m_per_px=LATTICE_RES)
+    assert flat_earth_offset_m(a, c) == (0.0, tile.half_extent_m)
+    assert not tile_contains(tile, a, c) and not tile_contains(tile, c, a)
+    centers, assignment = assert_same_as_scan([a, c], tile, 64)
+    assert centers == [a, c]
+    assert assignment == [[0], [1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cells=st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1,
