@@ -9,7 +9,8 @@ environment variable sets log verbosity (debug/info/warning).
 Exit codes by failure class: 2 config, 3 I/O, 4 manifest/referential
 integrity or a corrupt container, fixture or world.json, 5 training
 divergence, 6 checkpoint/world mismatch, a corrupt checkpoint, a checkpoint
-whose encoder output collapses to zero norm, or missing fixture entries.
+whose encoder output collapses to zero norm, prompt embeddings that cancel,
+or missing fixture entries.
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, evaluation, geo
+from .codec import FormatError
 from .config import ConfigError, RunConfig
-from .corpus import (
-    DatasetFormatError,
-    EmptyDatasetError,
-    IntegrityError,
-    LoadedWorld,
-    ManifestError,
-)
-from .encoder import DegenerateOutputError, SatEncoderParams, embed_images
-from .frozen import MissingEmbeddingError, embed_text
+from .corpus import EmptyDatasetError, IntegrityError, LoadedWorld, ManifestError
+from .encoder import SatEncoderParams, embed_images
+from .frozen import DegenerateEmbeddingError, MissingEmbeddingError, embed_text
 from .train import DivergenceError, load_checkpoint, save_checkpoint, train
 
 log = logging.getLogger("graft")
@@ -389,13 +385,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ManifestError, IntegrityError, DatasetFormatError, EmptyDatasetError) as exc:
+    except (ManifestError, IntegrityError, FormatError, EmptyDatasetError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 5
-    except (MismatchError, MissingEmbeddingError, DegenerateOutputError) as exc:
+    except (MismatchError, MissingEmbeddingError, DegenerateEmbeddingError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 6
     except OSError as exc:

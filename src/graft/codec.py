@@ -21,6 +21,10 @@ from typing import Sequence
 import numpy as np
 
 
+# Longest string, in UTF-8 bytes, behind a u16 length.
+MAX_STRING_BYTES = 0xFFFF
+
+
 class FormatError(ValueError):
     """A binary file failed to parse; the message names the absolute byte offset."""
 
@@ -78,8 +82,8 @@ class Writer:
                 continue
             encoded = list(map(str.encode, f))
             lengths = np.fromiter(map(len, encoded), np.int64, n)
-            if (lengths > 0xFFFF).any():
-                raise ValueError("a string is longer than 65535 UTF-8 bytes")
+            if (lengths > MAX_STRING_BYTES).any():
+                raise ValueError(f"a string is longer than {MAX_STRING_BYTES} UTF-8 bytes")
             parts += [lengths.astype("<u2").view(np.uint8).reshape(n, 2), encoded]
         widths = np.stack([np.full(n, p.shape[1]) if isinstance(p, np.ndarray)
                            else np.fromiter(map(len, p), np.int64, n) for p in parts], axis=1)
@@ -146,13 +150,13 @@ class Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.data, self.advance(struct.calcsize(fmt)))
 
-    def header(self, magic: bytes, version: int, error: type[FormatError] = FormatError) -> None:
+    def header(self, magic: bytes, version: int) -> None:
         """Check the magic bytes and u16 version written by `Writer.header`."""
         got, ver = self.unpack(f"<{len(magic)}sH")
         if got != magic:
-            raise error(f"{self.what}: bad magic {got!r} at byte 0, expected {magic!r}")
+            raise FormatError(f"{self.what}: bad magic {got!r} at byte 0, expected {magic!r}")
         if ver != version:
-            raise error(f"{self.what}: unsupported version {ver} at byte {len(magic)}")
+            raise FormatError(f"{self.what}: unsupported version {ver} at byte {len(magic)}")
 
     def string(self) -> str:
         (n,) = self.unpack("<H")

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import frozen, geo
-from .codec import FormatError, Reader, Writer, read_file
+from .codec import MAX_STRING_BYTES, Reader, Writer, read_file
 from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, first_repeat, save_embeddings
 
@@ -45,6 +45,10 @@ DEFAULT_CLASS_NAMES = (
     "forest", "water", "farmland", "urban", "sand", "grassland",
     "wetland", "rock", "ice", "scrub", "quarry", "orchard",
 )
+
+# Largest world.noise_sigma: numpy's normals stay below 14 in magnitude, so
+# the float32 features and float64 ground-vector norms it scales stay finite.
+NOISE_SIGMA_MAX = 1e30
 
 # Seed salts so the independent random streams of a world never collide.
 _SALT_CLASS_SEEDS = 1
@@ -65,13 +69,6 @@ class IntegrityError(ValueError):
 
 class EmptyDatasetError(ValueError):
     """A manifest or dataset holds too few records for the command."""
-
-
-DatasetFormatError = FormatError  # a container failed to parse; names the byte offset
-
-
-class DatasetVersionError(DatasetFormatError):
-    """Container magic or version is not one this code can read."""
 
 
 def _fields_equal(a, b) -> bool:
@@ -323,11 +320,16 @@ def parse_ground_manifest(path: str | Path) -> GroundTable:
     lat = np.array(_parsed(float, lat_s), dtype=np.float64)
     lon = np.array(_parsed(float, lon_s), dtype=np.float64)
     m = min(len(lat), len(lon))  # the first line whose lat or lon does not parse
+    too_long = next((j for j, s in enumerate(ids)  # a str's UTF-8 takes 1 to 4 bytes a char
+                     if len(s) > MAX_STRING_BYTES // 4 and len(s.encode()) > MAX_STRING_BYTES), n)
     dup = first_repeat(ids)
     dup = n if dup is None else dup
-    i = min(dup, m, _first(~geo.on_globe(lat[:m], lon[:m]), n))
+    i = min(too_long, dup, m, _first(~geo.on_globe(lat[:m], lon[:m]), n))
     if i < n:  # a line's checks run in this order
         where = f"{path}:{linenos[i]}"
+        if i == too_long:
+            raise ManifestError(f"{where}: ground id of {len(ids[i].encode())} UTF-8 bytes; "
+                                f"the container holds at most {MAX_STRING_BYTES}")
         if i == dup:
             raise ManifestError(f"{where}: duplicate ground id {ids[i]!r}")
         try:
@@ -379,6 +381,8 @@ class VoronoiFeatureField:
             raise ValueError("feature_dim must be >= number of classes")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and >= 0")
+        if self.noise_sigma > NOISE_SIGMA_MAX:
+            raise ValueError(f"noise_sigma {self.noise_sigma} exceeds {NOISE_SIGMA_MAX:g}")
         if not (np.isfinite(self.seeds_lat).all() and np.isfinite(self.seeds_lon).all()):
             raise ValueError("class seed coordinates must be finite")
         if self.noise_key < 0:
@@ -830,6 +834,11 @@ def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[Pair
     return batches
 
 
+def _class_name(i: int) -> str:
+    """The name of class i of a synthetic world."""
+    return DEFAULT_CLASS_NAMES[i] if i < len(DEFAULT_CLASS_NAMES) else f"landcover{i}"
+
+
 @dataclass(frozen=True)
 class SynthWorldConfig:
     n_classes: int = 8
@@ -852,6 +861,8 @@ class SynthWorldConfig:
             raise ValueError(f"extent {self.extent_km} km is not positive and finite")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma {self.noise_sigma} is not finite and non-negative")
+        if self.noise_sigma > NOISE_SIGMA_MAX:
+            raise ValueError(f"noise_sigma {self.noise_sigma} exceeds {NOISE_SIGMA_MAX:g}")
         if not geo.on_globe(self.center_lat, self.center_lon):
             raise ValueError(f"center {geo.off_globe_reason(self.center_lat, self.center_lon)}")
         lat_min, lat_max, lon_min, lon_max = self.bounds
@@ -863,6 +874,15 @@ class SynthWorldConfig:
                              f"crosses the antimeridian")
         if self.n_ground < 1 or self.n_snapshots < 1:
             raise ValueError("need at least one ground image and one snapshot")
+        # each rendered prompt is a text fixture key; names past the defaults
+        # grow with their index, so the last class's is the longest of those
+        k = self.n_classes
+        label = max(map(len, map(_class_name, {*range(min(k, len(DEFAULT_CLASS_NAMES))), k - 1})))
+        for t in self.prompts:
+            size = len(t.encode("utf-8")) - len("{label}") + label
+            if size > MAX_STRING_BYTES:
+                raise ValueError(f"prompt {t[:30]!r}... renders to {size} UTF-8 bytes, more "
+                                 f"than the {MAX_STRING_BYTES} of a fixture key")
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -929,8 +949,7 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     center = GeoPoint(cfg.center_lat, cfg.center_lon)
     bounds = cfg.bounds
 
-    names = list(DEFAULT_CLASS_NAMES[:k])
-    names += [f"landcover{i}" for i in range(len(names), k)]
+    names = list(map(_class_name, range(k)))
     noise_key = int(np.random.SeedSequence([seed, _SALT_FIELD_NOISE]).generate_state(1)[0])
 
     # Class seeds: uniform draws, re-drawn (bounded) until the induced cell
@@ -1144,7 +1163,7 @@ def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reade
     """Readers over a container's four sections, after checking magic, version,
     every section length and that no byte follows the last section."""
     r = Reader(read_file(path), f"container {path}")
-    r.header(CONTAINER_MAGIC, CONTAINER_VERSION, DatasetVersionError)
+    r.header(CONTAINER_MAGIC, CONTAINER_VERSION)
     sections = tuple(r.section() for _ in range(4))
     r.done()
     return sections

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .frozen import DegenerateEmbeddingError
+
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "pool_logits")
 
 _NORM_FLOOR = 1e-12
@@ -56,9 +58,6 @@ class SatEncoderParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def copy(self) -> "SatEncoderParams":
-        return SatEncoderParams(**{k: v.copy() for k, v in self.arrays().items()})
-
     def check_finite(self) -> bool:
         return all(np.all(np.isfinite(v)) for v in self.arrays().values())
 
@@ -83,7 +82,6 @@ class ForwardCache:
 
     x: np.ndarray  # (P, F)
     h: np.ndarray  # (P, H) post-tanh
-    y: np.ndarray  # (P, D) pre-normalization patch outputs
     y_norms: np.ndarray  # (P,)
     patch_embs: np.ndarray  # (P, D) unit rows
 
@@ -99,20 +97,17 @@ class ImageCache:
     image_embs: np.ndarray  # (B, D) unit rows
 
 
-class DegenerateOutputError(ValueError):
-    """An encoder output has (near-)zero norm and cannot be normalized."""
-
-
 def _norms(y: np.ndarray) -> np.ndarray:
     """L2 norms of the rows of a real (N, D) array, as np.linalg.norm(y, axis=1)."""
     return np.sqrt(np.add.reduce(y * y, axis=1))
 
 
-def _normalize_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_rows(y: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of y and their norms; a norm below the floor raises with `message`."""
     norms = _norms(y)
     if np.any(norms < _NORM_FLOOR):
-        raise DegenerateOutputError("patch output collapsed to zero norm; cannot normalize")
-    return y / norms[..., None], norms
+        raise DegenerateEmbeddingError(message)
+    return y / norms[:, None], norms
 
 
 def _hidden(params: SatEncoderParams, x: np.ndarray) -> np.ndarray:
@@ -129,17 +124,6 @@ def _output(params: SatEncoderParams, h: np.ndarray) -> np.ndarray:
     return y
 
 
-def _forward_rows(params: SatEncoderParams, x: np.ndarray) -> ForwardCache:
-    if x.ndim != 2 or x.shape[1] != params.feature_dim:
-        raise ValueError(
-            f"features shape {x.shape} incompatible with feature_dim {params.feature_dim}"
-        )
-    h = _hidden(params, x)
-    y = _output(params, h)
-    patch_embs, y_norms = _normalize_rows(y)
-    return ForwardCache(x=x, h=h, y=y, y_norms=y_norms, patch_embs=patch_embs)
-
-
 def _pool_weights(params: SatEncoderParams) -> np.ndarray:
     alpha = np.exp(params.pool_logits - np.max(params.pool_logits))
     return alpha / alpha.sum()
@@ -153,19 +137,22 @@ def _pooled_head(
     Pooling the hidden layer before layer 2 equals pooling the patch outputs
     because layer 2 is affine and the pooling weights sum to 1.
     """
-    y_img = _output(params, h_img)
-    norms = _norms(y_img)
-    if norms.min() < _NORM_FLOOR:
-        raise DegenerateOutputError("pooled image output collapsed to zero norm")
-    return y_img / norms[:, None], norms
+    return _normalize_rows(_output(params, h_img), "pooled image output collapsed to zero norm")
 
 
 def forward_patch_rows(
     params: SatEncoderParams, features_rows: np.ndarray
 ) -> tuple[np.ndarray, ForwardCache]:
     """Embed a subset of patches (rows of raw features); no pooling involved."""
-    cache = _forward_rows(params, np.asarray(features_rows, dtype=np.float64))
-    return cache.patch_embs, cache
+    x = np.asarray(features_rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.feature_dim:
+        raise ValueError(
+            f"features shape {x.shape} incompatible with feature_dim {params.feature_dim}"
+        )
+    h = _hidden(params, x)
+    patch_embs, y_norms = _normalize_rows(
+        _output(params, h), "patch output collapsed to zero norm; cannot normalize")
+    return patch_embs, ForwardCache(x=x, h=h, y_norms=y_norms, patch_embs=patch_embs)
 
 
 def _image_blocks(params: SatEncoderParams, grids: Sequence[np.ndarray], alpha: np.ndarray):
@@ -233,11 +220,11 @@ def encoder_backward(
 ) -> dict[str, np.ndarray]:
     """Parameter gradients from upstream gradients on the unit patch embeddings.
 
-    `d_patch_embs` is (P, D) aligned with the cache's flattened patch rows (a
-    (G, G, D) grid is accepted and flattened). Pooling receives no gradient.
+    `d_patch_embs` is (P, D), aligned with the cache's patch rows. Pooling
+    receives no gradient.
     """
-    d_patch = np.asarray(d_patch_embs, dtype=np.float64).reshape(cache.y.shape)
-    d_y = _normalize_backprop(cache.patch_embs, cache.y_norms, d_patch)
+    d_y = _normalize_backprop(cache.patch_embs, cache.y_norms,
+                              np.asarray(d_patch_embs, dtype=np.float64))
     d_w2 = d_y.T @ cache.h
     d_b2 = d_y.sum(axis=0)
     d_h = d_y @ params.w2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frozen import DegenerateEmbeddingError
+from .frozen import UNIT_NORM_TOL, DegenerateEmbeddingError
 
 VARIANTS = ("image_default", "pixel_default", "sum_prob", "avg_rep", "l2")
 
@@ -177,7 +177,7 @@ def loss_avg_rep(
     sat_embs, grounds, sizes, owner = _positives(sat_embs, grounds, sizes)
     means = _group_means(grounds, owner, sizes)
     norms = np.linalg.norm(means, axis=1)
-    if np.any(norms < 1e-9):
+    if np.any(norms < UNIT_NORM_TOL):
         bad = int(np.argmin(norms))
         raise DegenerateEmbeddingError(
             f"ground group {bad} has degenerate mean (norm {norms[bad]:.3e})"

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .codec import Reader, Writer, read_file
 from .corpus import EmptyDatasetError, PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
-    DegenerateOutputError,
     SatEncoderParams,
     encoder_backward,
     forward_patch_rows,
@@ -31,7 +29,7 @@ from .encoder import (
     image_forward,
     init_params,
 )
-from .frozen import FrozenEncoder, embed_grounds
+from .frozen import DegenerateEmbeddingError, FrozenEncoder, embed_grounds
 from .losses import LossConfig
 
 CHECKPOINT_MAGIC = b"GRCP"
@@ -154,7 +152,7 @@ def _require_unit_output(embs: np.ndarray) -> None:
     """A diverged encoder (non-finite or non-unit output) must not reach the loss."""
     dev = np.abs(np.linalg.norm(embs, axis=1) - 1.0)
     if not np.all(dev <= UNIT_TOL):
-        raise DegenerateOutputError(
+        raise DegenerateEmbeddingError(
             f"encoder output is non-finite or not unit-norm (deviation {np.max(dev):.3e})"
         )
 
@@ -228,29 +226,23 @@ def train_step(
     cfg: LossConfig,
     sched: TrainSchedule,
     step: int,
-    state: Optional[AdamWState] = None,
-) -> tuple[SatEncoderParams, float]:
-    """One optimizer step at lr_at(step); returns updated params and the loss.
-
-    Functional: the input params are untouched. `state` (adaptive moments) is
-    updated in place when provided, fresh-zero otherwise.
-    """
+    state: AdamWState,
+) -> float:
+    """One optimizer step at lr_at(step), updating `params` and `state` in place;
+    returns the loss."""
     try:
         value, grads = loss_and_param_grads(params, batch, ground_embs, cfg)
-    except DegenerateOutputError as exc:
+    except DegenerateEmbeddingError as exc:
         raise DivergenceError(step, str(exc)) from exc
     if not math.isfinite(value):
         raise DivergenceError(step, f"non-finite loss {value}")
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(step, f"non-finite gradient in {name}")
-    new_params = params.copy()
-    if state is None:
-        state = AdamWState.zeros_like(params)
-    adamw_update(new_params, grads, state, lr_at(step, sched), sched.weight_decay)
-    if not new_params.check_finite():
+    adamw_update(params, grads, state, lr_at(step, sched), sched.weight_decay)
+    if not params.check_finite():
         raise DivergenceError(step, "non-finite parameters after update")
-    return new_params, value
+    return value
 
 
 @dataclass
@@ -299,9 +291,7 @@ def train(
         epoch_losses = []
         for batch in batches:
             step += 1
-            params, value = train_step(params, batch, ground_embs, cfg, sched,
-                                       min(step, sched.total_steps), state)
-            epoch_losses.append(value)
+            epoch_losses.append(train_step(params, batch, ground_embs, cfg, sched, step, state))
         history.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
 
     provenance = {

@@ -731,6 +731,9 @@ def parse_ground_manifest_scan(path) -> GroundTable:
     rows = []
     seen: set[str] = set()
     for lineno, (rid, lat_s, lon_s, ts, ref) in manifest_lines_scan(path, 5, 3):
+        if len(rid.encode()) > 65535:
+            raise ManifestError(f"{path}:{lineno}: ground id of {len(rid.encode())} UTF-8 bytes; "
+                                f"the container holds at most 65535")
         if rid in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate ground id {rid!r}")
         seen.add(rid)
@@ -780,6 +783,13 @@ def load_embeddings_scan(path) -> FrozenEncoder:
     return FrozenEncoder(keys=keys, vectors=vecs / norms[:, None])
 
 
+# The container layout as README states it (version 1): magic `GRFT`, u16 version, and
+# after a tile's u16 id length and UTF-8 id the header lat, lon, m/px (f64),
+# size and patch (u32), timestamp (i64), a u32 written as 3, then G, G, F (u32).
+CONTAINER_MAGIC, CONTAINER_VERSION = b"GRFT", 1
+TILE_HEADER = "<dddIIqIIII"
+
+
 def save_dataset_scan(ds, path) -> None:
     t, spec = ds.tiles, ds.tiles.spec
     tiles = Writer()
@@ -787,7 +797,7 @@ def save_dataset_scan(ds, path) -> None:
     for tid, lat, lon, ts, grid in zip(t.ids, t.lat.tolist(), t.lon.tolist(),
                                        t.timestamp.tolist(), t.features):
         tiles.string(tid)
-        tiles.pack(corpus._TILE_HEADER, lat, lon, spec.resolution_m_per_px, spec.size_px,
+        tiles.pack(TILE_HEADER, lat, lon, spec.resolution_m_per_px, spec.size_px,
                    spec.patch_px, ts, 3, *grid.shape)
         tiles.array(grid, "<f4")
     grounds = Writer()
@@ -804,7 +814,7 @@ def save_dataset_scan(ds, path) -> None:
     prov = Writer()
     prov.json(ds.provenance)
     out = Writer()
-    out.header(corpus.CONTAINER_MAGIC, corpus.CONTAINER_VERSION)
+    out.header(CONTAINER_MAGIC, CONTAINER_VERSION)
     for section in (tiles, grounds, assigns, prov):
         out.section(section)
     out.save(path)

@@ -21,7 +21,7 @@ from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
 from graft.encoder import SatEncoderParams, embed_images, init_params
-from graft.frozen import PromptSet, embed_text
+from graft.frozen import PromptSet, embed_text, load_embeddings, save_embeddings
 from graft.geo import GeoPoint, TileSpec
 from graft.train import load_checkpoint, save_checkpoint
 
@@ -789,6 +789,101 @@ def test_infinite_field_noise_exits_4(pipeline, tmp_path, capsys, command):
     assert code == 4
     assert "Traceback" not in err and "field.json: noise_sigma inf" in err
     assert not list((tmp_path / "o").glob("density_*"))
+
+
+@pytest.mark.parametrize("command", ["build", "map"])
+def test_field_noise_over_its_bound_exits_4(pipeline, tmp_path, capsys, command):
+    # a finite sigma this large overflows the float32 features
+    def huge_noise(text):
+        field = json.loads(text)
+        field["noise_sigma"] = 1e200
+        return json.dumps(field)
+
+    code, err = run_on_edited_world(command, pipeline, tmp_path, capsys, "field.json",
+                                    huge_noise)
+    assert code == 4
+    assert "Traceback" not in err and "field.json: noise_sigma 1e+200 exceeds 1e+30" in err
+    assert not list((tmp_path / "o").glob("*.grft")) + list((tmp_path / "o").glob("density_*"))
+
+
+def test_synth_noise_over_its_bound_exits_2(tmp_path, capsys):
+    out = tmp_path / "world"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--set", "world.n_ground=50",
+                 "--set", "world.extent_km=2", "--set", "world.noise_sigma=1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "noise_sigma 1e+200 exceeds 1e+30" in err
+    assert not out.exists()
+
+
+def test_ground_id_longer_than_a_container_string_exits_4(pipeline, tmp_path, capsys):
+    def long_first_id(text):
+        first, rest = text.split("\n", 1)
+        return " ".join(["x" * 70_000, *first.split()[1:]]) + "\n" + rest
+
+    code, err = run_on_edited_world("build", pipeline, tmp_path, capsys, "ground_manifest.txt",
+                                    long_first_id)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "ground_manifest.txt:1: ground id of 70000 UTF-8 bytes" in err
+    assert not list((tmp_path / "o").glob("*.grft"))
+
+
+def test_prompt_longer_than_a_fixture_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "world"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--set", "world.n_ground=50",
+                 "--set", "prompts=" + "x" * 70_000 + " {label}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert "renders to 70010 UTF-8 bytes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["map", "water"], ["eval", "classify"],
+                                     ["eval", "retrieve"], ["eval", "segment"]],
+                         ids=["map", "classify", "retrieve", "segment"])
+def test_cancelling_prompt_embeddings_exit_6(pipeline, tmp_path, capsys, command):
+    # every class's two prompts embed to opposite vectors, so no ensemble
+    # mean can be normalized
+    _, world_dir, dataset, ckpt = pipeline
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    names = corpus.load_feature_field(world / "field.json").class_names
+    keys = [f"{side} {name}" for name in names for side in ("up", "down")]
+    basis = np.eye(16)[: len(names)]
+    save_embeddings(world / "text_embeddings.bin", keys,
+                    np.stack([basis, -basis], axis=1).reshape(len(keys), 16))
+    inputs = [] if command[0] == "map" else ["--dataset", str(dataset)]
+    capsys.readouterr()
+    assert main([*command, "--world", str(world), *inputs, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "o"), *WORLD_ARGS,
+                 "--set", "prompts=up {label}|down {label}"]) == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "mismatch: cannot normalize vector with norm 0.000e+00\n"
+
+
+def test_cancelling_ground_group_under_avg_rep_exits_5(pipeline, tmp_path, capsys):
+    # a tile's two grounds embed to opposite vectors: their mean has no direction
+    _, world_dir, dataset, _ = pipeline
+    ds = corpus.load_dataset(dataset)
+    tile = int(np.flatnonzero(np.diff(ds.offsets) == 2)[0])
+    a, b = (ds.grounds.refs[g] for g in ds.ground[ds.offsets[tile] : ds.offsets[tile] + 2])
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    fixture = load_embeddings(world / "ground_embeddings.bin")
+    vectors = fixture.vectors.copy()
+    vectors[fixture.index[b]] = -vectors[fixture.index[a]]
+    save_embeddings(world / "ground_embeddings.bin", fixture.keys, vectors)
+    capsys.readouterr()
+    assert main(["train", "--world", str(world), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run"), "--epochs", "1", "--loss", "avg_rep"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("training diverged: step ") and "has degenerate mean" in err
+    assert not (tmp_path / "run" / "checkpoint.grcp").exists()
 
 
 # field.json values of the wrong JSON type or out of their domain: each names its key

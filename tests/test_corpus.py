@@ -14,9 +14,8 @@ from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grid
                       materialize_many_put, materialize_per_tile, pair_lists, pixel_to_patch,
                       select_snapshot_scan, tile_contains, with_tile_pairs)
 from graft import corpus, geo
+from graft.codec import FormatError
 from graft.corpus import (
-    DatasetFormatError,
-    DatasetVersionError,
     EmptyDatasetError,
     IntegrityError,
     ManifestError,
@@ -719,7 +718,7 @@ def test_dataset_container_truncated(tmp_path, small_dataset):
     save_dataset(small_dataset, path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(DatasetFormatError, match="byte"):
+    with pytest.raises(FormatError, match="byte"):
         load_dataset(path)
 
 
@@ -729,7 +728,7 @@ def test_dataset_container_bad_magic(tmp_path, small_dataset):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
-    with pytest.raises(DatasetVersionError, match="magic"):
+    with pytest.raises(FormatError, match="magic"):
         load_dataset(path)
 
 
@@ -739,7 +738,7 @@ def test_dataset_container_bad_version(tmp_path, small_dataset):
     raw = bytearray(path.read_bytes())
     raw[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(DatasetVersionError, match="version"):
+    with pytest.raises(FormatError, match="version"):
         load_dataset(path)
 
 

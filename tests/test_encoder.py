@@ -160,13 +160,6 @@ def test_backward_patch_only_leaves_pooling_untouched(rng):
     np.testing.assert_array_equal(grads["pool_logits"], 0.0)
 
 
-def test_params_copy_independent():
-    params = init_params(4, 4, 4, 4, seed=8)
-    clone = params.copy()
-    clone.w1[0, 0] += 1.0
-    assert params.w1[0, 0] != clone.w1[0, 0]
-
-
 def test_init_deterministic():
     a = init_params(4, 4, 4, 4, seed=9)
     b = init_params(4, 4, 4, 4, seed=9)

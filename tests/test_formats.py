@@ -24,12 +24,7 @@ from hypothesis import strategies as st
 from graft import corpus, frozen, train
 from graft.codec import FormatError, Reader, read_file
 from _oracles import ground_table, pairs_of, section_at
-from graft.corpus import (
-    DatasetFormatError,
-    IntegrityError,
-    PairedDataset,
-    TileTable,
-)
+from graft.corpus import IntegrityError, PairedDataset, TileTable
 from graft.encoder import init_params
 from graft.frozen import (
     DegenerateEmbeddingError,
@@ -151,7 +146,7 @@ def test_container_invalid_utf8_id(samples):
     raw, path = samples
     bad = bytearray(raw["container"])
     bad[20] = 0xFF  # first byte of the first tile id: magic, version, length, count, id length
-    with pytest.raises(DatasetFormatError, match="UTF-8.* at byte 20"):
+    with pytest.raises(FormatError, match="UTF-8.* at byte 20"):
         load_variant("container", path, bytes(bad))
 
 
@@ -349,11 +344,6 @@ def test_a_pipe_loads_as_its_file_does(fmt, samples):
         assert repr(LOADERS[fmt](f"/dev/fd/{r}")) == repr(want)  # they hold arrays
     finally:
         os.close(r)
-
-
-def test_container_error_is_the_codec_error():
-    assert DatasetFormatError is FormatError
-    assert issubclass(corpus.DatasetVersionError, FormatError)
 
 
 @pytest.mark.parametrize("name, shape", [("b1", (5,)), ("w2", (4, 2)), ("pool_logits", (2, 2))])

@@ -19,7 +19,7 @@ from _oracles import (
     split_groups,
     sum_prob_oracle,
 )
-from graft.frozen import DegenerateEmbeddingError
+from graft.frozen import UNIT_NORM_TOL, DegenerateEmbeddingError
 from graft.losses import (
     LossConfig,
     image_loss,
@@ -161,6 +161,15 @@ def test_avg_rep_degenerate_mean():
     antipodal = np.stack([np.eye(4)[1], -np.eye(4)[1]])
     with pytest.raises(DegenerateEmbeddingError):
         loss_avg_rep(s, *groups_of(antipodal), TAU)
+
+
+def test_avg_rep_mean_with_norm_at_the_floor_is_normalized():
+    # the group mean is (0, 1e-9), whose norm equals the floor exactly: only a
+    # norm below the floor is degenerate
+    grounds = np.array([[1.0, 0.0], [-1.0, 2e-9]])
+    assert np.linalg.norm(grounds.mean(axis=0)) == UNIT_NORM_TOL
+    value, grad = loss_avg_rep(np.array([[0.0, 1.0]]), *groups_of(grounds), TAU)
+    assert np.isfinite(value) and np.isfinite(grad).all()
 
 
 def test_l2_identical_pairs_zero():

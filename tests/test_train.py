@@ -100,12 +100,12 @@ def test_zero_lr_keeps_params_bit_identical(tiny_setup):
     batch = corpus.make_batches(ds, 4, seed=0)[0]
     params = init_params(8, 6, 8, 16, seed=1)
     sched = TrainSchedule(peak_lr=0.0, warmup_steps=1, total_steps=10)
-    new_params, value = train_step(params, batch,
-                                   resolve_ground_embeddings(ds, world.ground_encoder),
-                                   LossConfig(), sched, step=5)
+    before = {name: arr.tobytes() for name, arr in params.arrays().items()}
+    value = train_step(params, batch, resolve_ground_embeddings(ds, world.ground_encoder),
+                       LossConfig(), sched, 5, AdamWState.zeros_like(params))
     assert np.isfinite(value)
     for name, arr in params.arrays().items():
-        assert arr.tobytes() == new_params.arrays()[name].tobytes()
+        assert arr.tobytes() == before[name]
 
 
 @pytest.mark.parametrize("variant", ["image_default", "pixel_default", "sum_prob",
@@ -120,8 +120,8 @@ def test_repeated_batch_reduces_loss(tiny_setup, variant):
     first = None
     value = None
     for step in range(1, 51):
-        params, value = train_step(params, batch, ground_embs,
-                                   LossConfig(variant=variant), sched, step, state)
+        value = train_step(params, batch, ground_embs, LossConfig(variant=variant), sched,
+                           step, state)
         if first is None:
             first = value
     assert value < first
@@ -170,7 +170,8 @@ def test_divergence_raises_with_step(tiny_setup):
     sched = TrainSchedule(peak_lr=1e-3, warmup_steps=1, total_steps=10)
     ground_embs = resolve_ground_embeddings(ds, world.ground_encoder)
     with pytest.raises(DivergenceError, match="step 7"):
-        train_step(params, batch, ground_embs, LossConfig(), sched, step=7)
+        train_step(params, batch, ground_embs, LossConfig(), sched, 7,
+                   AdamWState.zeros_like(params))
 
 
 def test_train_zero_epochs_returns_init(tiny_setup):
@@ -331,4 +332,5 @@ def test_collapsed_patch_output_is_divergence(tiny_setup):
     with pytest.raises(ValueError, match="output collapsed"):
         loss_and_param_grads(params, batch, ground_embs, LossConfig())
     with pytest.raises(DivergenceError, match="step 3: .*output collapsed"):
-        train_step(params, batch, ground_embs, LossConfig(), sched, step=3)
+        train_step(params, batch, ground_embs, LossConfig(), sched, 3,
+                   AdamWState.zeros_like(params))
