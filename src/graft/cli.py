@@ -251,8 +251,17 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     _check_compatible(params, world, tiles.features.shape[-1], tiles.spec.grid_px ** 2)
     class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
                                              cfg.prompt_set())
-    gt_grids = corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon)
-    gts = evaluation.majority_labels(gt_grids, len(world.class_names))
+    n_classes = len(world.class_names)
+
+    def ground_truth():  # each block of tiles and its (B, G, G) ground-truth class grids
+        for start in range(0, len(tiles), corpus.FIELD_BLOCK_TILES):
+            rows = slice(start, start + corpus.FIELD_BLOCK_TILES)
+            yield rows, corpus.class_grids(world.field, tiles.spec, tiles.lat[rows],
+                                           tiles.lon[rows])
+
+    if args.task != "segment":
+        gts = np.concatenate([evaluation.majority_labels(grids, n_classes)
+                              for _, grids in ground_truth()])
     cfg.write_snapshot(out)
 
     if args.task == "classify":
@@ -292,7 +301,11 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 0
 
     pred = evaluation.segment_tiles(params, tiles.features, class_embs)
-    accs, mean_acc = evaluation.per_class_accuracy(pred.reshape(1, -1), gt_grids.reshape(1, -1))
+    counts = hits = np.zeros(n_classes, dtype=np.int64)
+    for rows, grids in ground_truth():
+        block = evaluation.class_hits(pred[rows], grids.reshape(len(grids), -1), n_classes)
+        counts, hits = counts + block[0], hits + block[1]
+    accs, mean_acc = evaluation.hit_accuracy(counts, hits)
     table = "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)
     )

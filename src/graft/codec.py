@@ -1,9 +1,15 @@
 """Little-endian binary codec shared by every graft file format.
 
 The dataset container, the checkpoint and the embedding fixtures are written
-with `Writer` and read with `Reader`, over the one read-only buffer that
-`read_file` returns. Every read is bounds-checked, and every failure is a
-`FormatError` that names the absolute byte offset in the file.
+with `Writer` and read with `Reader`. A reader reads its file by position
+(`FileBytes`): each read fetches only the bytes it decodes, so a container's
+tile records are read a block at a time and never held whole. A pipe, which
+cannot seek, is first spooled into memory and read the same way. Every read
+is bounds-checked against the file's size when it was opened, and checks its
+byte count, so a file truncated after it was opened fails too. Every failure
+is a `FormatError` that names the absolute byte offset in the file.
+`Writer.save` writes to a temporary sibling and renames it over the target
+after the last byte, so a failed write leaves no partial file.
 Tables of variable-length records (the fixture's entries, the container's
 grounds) are written by `Writer.records` and read by `Reader.records` a whole
 table at a time, in the layout `string` and `advance` give one record at a time.
@@ -11,12 +17,15 @@ table at a time, in the layout `string` and `advance` give one record at a time.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 import struct
+import weakref
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +47,16 @@ def _spans(buf: np.ndarray, starts: np.ndarray, widths) -> np.ndarray:
     return np.cumsum(edge[:-1], dtype=np.int8).view(bool)
 
 
+class _Stream:
+    """`size` bytes that `parts` yields as buffers once, as the file is written."""
+
+    def __init__(self, size: int, parts: Iterable):
+        self.size, self.parts = size, parts
+
+    def __len__(self) -> int:
+        return self.size
+
+
 class Writer:
     """Collects the parts of a file; `save` writes them without joining.
 
@@ -46,7 +65,7 @@ class Writer:
     """
 
     def __init__(self):
-        self.parts: list[bytes | memoryview] = []
+        self.parts: list[bytes | memoryview | _Stream] = []
 
     def pack(self, fmt: str, *values) -> None:
         self.parts.append(struct.pack(fmt, *values))
@@ -97,34 +116,79 @@ class Writer:
     def json(self, obj) -> None:
         self.parts.append(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
+    def stream(self, size: int, parts: Iterable) -> None:
+        """`size` bytes that `parts` yields as buffers, drawn only as `save`
+        writes them, so they need never be in memory at once."""
+        self.parts.append(_Stream(size, parts))
+
     def section(self, body: Writer, length_fmt: str = "<Q") -> None:
         """`body` behind its byte length."""
         self.pack(length_fmt, sum(map(len, body.parts)))
         self.parts += body.parts
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.writelines(self.parts)
+        """Write the parts to a temporary sibling of `path`, then rename it to
+        `path`; on any failure the temporary file is removed. A symlinked
+        `path` is resolved first, so the link keeps pointing at the file."""
+        path = Path(path).resolve()
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                for part in self.parts:
+                    if not isinstance(part, _Stream):
+                        fh.write(part)
+                    elif sum(map(fh.write, part.parts)) != part.size:
+                        raise ValueError(f"a streamed part is not its declared {part.size} bytes")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
-def read_file(path: str | Path) -> memoryview:
-    """The file at `path` read into one read-only numpy buffer, which numpy
-    backs with huge pages when large; read, not mapped, so a file truncated
-    later cannot fault a reader. A pipe, which numpy cannot read, is read
-    into `bytes`."""
-    with open(path, "rb") as fh:
+class FileBytes:
+    """The bytes of the file at `path`, read by position: `[a:b]` reads
+    those bytes and `readinto` fills a buffer, and each fails with a
+    `FormatError` naming its offset when the file holds fewer bytes than
+    asked for. `len` is the file's size when it was opened. A pipe, which
+    cannot seek, is spooled into memory first. The file is closed by `close`
+    or once the object is collected."""
+
+    def __init__(self, path: str | Path, what: str):
+        fh = open(path, "rb", buffering=0)
         if not fh.seekable():
-            return memoryview(fh.read())
-        buf = np.fromfile(fh, np.uint8)
-    buf.flags.writeable = False
-    return memoryview(buf)
+            with fh:
+                fh = io.BytesIO(fh.readall())
+        self.fh, self.what = fh, what
+        self.size = fh.seek(0, os.SEEK_END)
+        self.close = weakref.finalize(self, fh.close)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _short(self, start: int, wanted: int, got: int) -> FormatError:
+        return FormatError(f"{self.what} truncated at byte {start}: wanted {wanted} bytes, "
+                           f"{got} left")
+
+    def __getitem__(self, key: slice) -> bytes:
+        self.fh.seek(key.start)
+        data = self.fh.read(key.stop - key.start)
+        if len(data) < key.stop - key.start:
+            raise self._short(key.start, key.stop - key.start, len(data))
+        return data
+
+    def readinto(self, start: int, buf: np.ndarray) -> None:
+        """Fill the contiguous array `buf` with the bytes from `start` on."""
+        self.fh.seek(start)
+        got = self.fh.readinto(buf)
+        if got < buf.nbytes:
+            raise self._short(start, buf.nbytes, got)
 
 
 class Reader:
-    """Reads `data[off:end]` front to back, from a read-only bytes-like buffer
-    (`read_file`'s, or `bytes`); `what` names the file in errors."""
+    """Reads `data[off:end]` front to back, from `bytes` or a `FileBytes`;
+    `what` names the file in errors."""
 
-    def __init__(self, data: bytes | memoryview, what: str, off: int = 0, end: int | None = None):
+    def __init__(self, data: bytes | FileBytes, what: str, off: int = 0, end: int | None = None):
         self.data = data
         self.what = what
         self.off = off
@@ -148,7 +212,9 @@ class Reader:
         return start
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self.advance(struct.calcsize(fmt)))
+        n = struct.calcsize(fmt)
+        start = self.advance(n)
+        return struct.unpack(fmt, self.data[start : start + n])
 
     def header(self, magic: bytes, version: int) -> None:
         """Check the magic bytes and u16 version written by `Writer.header`."""
@@ -169,9 +235,10 @@ class Reader:
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         """A writable copy of the next array of `dtype` and `shape`."""
         dt = np.dtype(dtype)
-        start = self.advance(math.prod(shape) * dt.itemsize)
+        n = math.prod(shape) * dt.itemsize
+        start = self.advance(n)
         try:
-            return np.ndarray(shape, dt, self.data, start).copy()
+            return np.ndarray(shape, dt, self.data[start : start + n]).copy()
         except ValueError:  # an empty shape whose other sides overflow numpy's size limit
             raise self.fail(f"array shape {shape} too large", start) from None
 

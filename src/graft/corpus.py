@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import frozen, geo
-from .codec import MAX_STRING_BYTES, Reader, Writer, read_file
+from .codec import MAX_STRING_BYTES, FileBytes, Reader, Writer
 from .geo import GeoPoint, TileSpec
 from .frozen import DEFAULT_PROMPTS, FrozenEncoder, PromptSet, first_repeat, save_embeddings
 
@@ -77,7 +77,8 @@ def _fields_equal(a, b) -> bool:
     if type(a) is not type(b):
         return NotImplemented
     pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in dataclass_fields(a) if f.compare)
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+    return all(np.array_equal(x, y) if isinstance(x, (np.ndarray, TileFeatures)) else x == y
+               for x, y in pairs)
 
 
 @dataclass(eq=False)
@@ -121,7 +122,7 @@ class TileTable:
     lat: np.ndarray  # (N,) float64
     lon: np.ndarray  # (N,) float64, in [-180, 180)
     timestamp: np.ndarray  # (N,) int64
-    features: np.ndarray  # (N, G, G, F) float32; loaded: a read-only view of the file
+    features: np.ndarray | TileFeatures  # (N, G, G, F) float32
 
     __eq__ = _fields_equal
 
@@ -129,10 +130,108 @@ class TileTable:
         return len(self.ids)
 
     def take(self, indices) -> TileTable:
-        """The tiles at `indices`, in that order."""
+        """The tiles at `indices`, in that order, their features in memory."""
         idx = np.asarray(indices, dtype=np.intp)
         return TileTable(self.spec, [self.ids[i] for i in idx.tolist()], self.lat[idx],
                          self.lon[idx], self.timestamp[idx], self.features[idx])
+
+
+class TileFeatures:
+    """(N, G, G, F) float32 tile features that are not held as one array.
+
+    `[i]`, `[a:b]` and `[index array]` give a fresh ndarray, as indexing the
+    array would; a run of consecutive tiles is read with one `_span`, any
+    other index tile by tile with `_rows`. This base reads the records of a
+    container's tile section: tile 0's features start at byte `first` of
+    `data`, and each tile's `record` bytes after the one before.
+    """
+
+    dtype = np.dtype("<f4")  # the file's byte order: float32 on a little-endian host
+
+    def __init__(self, shape: tuple[int, ...], data: FileBytes | None = None, first: int = 0,
+                 record: int = 0):
+        self.shape, self.data, self.first, self.record = shape, data, first, record
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step == 1:
+                return self._span(start, max(start, stop))
+        rows = np.arange(len(self))[key]  # numpy's bounds checks and negative indices
+        return self._rows(rows.ravel()).reshape(rows.shape + self.shape[1:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def copy(self) -> np.ndarray:
+        return self[:]
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+    def _empty(self, n: int) -> np.ndarray:
+        return np.empty((n, *self.shape[1:]), dtype=self.dtype)
+
+    def _span(self, start: int, stop: int) -> np.ndarray:
+        """Tiles start..stop-1, their records read READ_BLOCK_BYTES at a time
+        into one buffer, whose pages fault once, and copied out byte for byte."""
+        out = self._empty(stop - start)
+        rows = out.view(np.uint8).reshape(len(out), math.prod(out.shape[1:]) * 4)
+        per_read = max(1, READ_BLOCK_BYTES // self.record)
+        buf = np.empty(min(len(out), per_read) * self.record, dtype=np.uint8)
+        for i in range(0, len(out), per_read):
+            n = min(per_read, len(out) - i)
+            raw = buf[: (n - 1) * self.record + rows.shape[1]]
+            self.data.readinto(self.first + (start + i) * self.record, raw)
+            rows[i : i + n] = np.ndarray((n, rows.shape[1]), np.uint8, raw,
+                                         strides=(self.record, 1))
+        return out
+
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """The tiles `rows`, each read into its row of the result."""
+        out = self._empty(len(rows))
+        for grid, i in zip(out, rows.tolist()):
+            self.data.readinto(self.first + i * self.record, grid)
+        return out
+
+
+class FieldFeatures(TileFeatures):
+    """The features of tiles drawn from their snapshots' feature fields.
+
+    A run of tiles (`save_dataset` writes a block at a time) is materialized
+    on its own and not kept; any other index materializes every tile once and
+    keeps them, so the batches of an epoch in memory draw no tile twice.
+    """
+
+    def __init__(self, fields: Mapping[str, VoronoiFeatureField], blob: np.ndarray,
+                 spec: TileSpec, lat: np.ndarray, lon: np.ndarray, timestamp: np.ndarray,
+                 feature_dim: int):
+        super().__init__((len(lat), spec.grid_px, spec.grid_px, feature_dim))
+        self.fields, self.blob, self.spec = fields, blob, spec
+        self.lat, self.lon, self.timestamp = lat, lon, timestamp
+        self.kept: np.ndarray | None = None
+
+    def _span(self, start: int, stop: int) -> np.ndarray:
+        if self.kept is not None:
+            return self.kept[start:stop].copy()
+        rows = slice(start, stop)
+        blob, lat, lon, ts = self.blob[rows], self.lat[rows], self.lon[rows], self.timestamp[rows]
+        refs = dict.fromkeys(blob.tolist())
+        if len(refs) == 1:  # as in every synth world: no copy
+            return materialize_many(self.fields[blob[0]], self.spec, lat, lon, ts)
+        out = self._empty(stop - start)
+        for ref in refs:
+            idx = np.flatnonzero(blob == ref)
+            out[idx] = materialize_many(self.fields[ref], self.spec, lat[idx], lon[idx], ts[idx])
+        return out
+
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        if self.kept is None:
+            self.kept = self._span(0, len(self))
+        return self.kept[rows]
 
 
 @dataclass
@@ -147,12 +246,13 @@ class PairBatch:
     sizes: np.ndarray  # (B,) grounds per tile, each >= 1
     ground: np.ndarray  # (M,) index into the dataset's grounds
     patch: np.ndarray  # (M,) flat patch index (prow * grid_px + pcol) under the geotag
-    all_features: np.ndarray = field(repr=False)  # the dataset's (N, G, G, F) features
+    all_features: np.ndarray | TileFeatures = field(repr=False)  # the dataset's features
 
     @property
     def features(self) -> np.ndarray:
         """(B, G, G, F) float32 features of the batch's tiles, gathered on each
-        access, so an epoch of batches holds no copy of the dataset's features."""
+        access (from a loaded container, read by position), so an epoch of
+        batches holds no copy of the dataset's features."""
         return self.all_features[self.tiles]
 
     @property
@@ -729,7 +829,8 @@ def build_pairs(
     Tiles spawn at ground geotags under the minimum-separation rule, each keeps
     at most `cap` grounds (seeded uniform subsample), and each picks the
     snapshot temporally closest to the mean timestamp of its grounds. Tile
-    features come from the snapshot's feature field.
+    features come from the snapshot's feature field, materialized on use
+    (`FieldFeatures`).
     """
     if not len(grounds):
         raise EmptyDatasetError("ground manifest is empty")
@@ -764,19 +865,10 @@ def build_pairs(
     timestamp = np.array([s.timestamp for s in snapshots], dtype=np.int64)[snap]
     blob = np.array([s.blob_ref for s in snapshots])[snap]
 
-    # one blocked materialization per feature field; with one field, as in every
-    # synth world, its result is the feature array itself, never copied
-    tiles_of = {ref: np.flatnonzero(blob == ref) for ref in dict.fromkeys(blob.tolist())}
-    dims = sorted({fields[ref].feature_dim for ref in tiles_of})
+    dims = sorted({fields[ref].feature_dim for ref in set(blob.tolist())})
     if len(dims) > 1:
         raise IntegrityError(f"the feature fields of one dataset differ in feature_dim: {dims}")
-    grids = [materialize_many(fields[ref], spec, lat[idx], lon[idx], timestamp[idx])
-             for ref, idx in tiles_of.items()]
-    features = grids[0]
-    if len(grids) > 1:
-        features = np.empty((len(lat), *features.shape[1:]), dtype=np.float32)
-        for idx, part in zip(tiles_of.values(), grids):
-            features[idx] = part
+    features = FieldFeatures(fields, blob, spec, lat, lon, timestamp, dims[0])
     w = _tile_id_width(len(lat))
     tiles = TileTable(spec, [f"t{i:0{w}d}" for i in range(len(lat))], lat, lon, timestamp, features)
     provenance = {
@@ -1091,6 +1183,9 @@ def resolve_fields(
 _TILE_HEADER = "<dddIIqIIII"
 _TILE_FIELDS = ("lat", "lon", "resolution", "size_px", "patch_px", "timestamp", "channels",
                 "grid_rows", "grid_cols", "feature_dim")
+# the fields every tile record shares with tile 0
+_TILE_LAYOUT = ("id_len", "resolution", "size_px", "patch_px", "grid_rows", "grid_cols",
+                "feature_dim")
 
 
 # a ground record is its id, this geotag and timestamp, then its embedding ref
@@ -1110,9 +1205,10 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
 
     Tile records are fixed-size, so all tile ids must have one UTF-8 byte length;
     they must also differ, as every reader requires.
-    Every tile's id and header are packed as one record array; the section is
-    its records' bytes, each followed by a byte view of that tile's features,
-    not a copy.
+    Every tile's id and header are packed as one record array. The tile
+    section is drawn as it is written, one `FIELD_BLOCK_TILES` block of
+    features at a time (materialized, read or viewed, as the table holds
+    them), each tile's header followed by a byte view of its features.
     """
     t, spec = ds.tiles, ds.tiles.spec
     ids = [tid.encode("utf-8") for tid in t.ids]
@@ -1130,10 +1226,8 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
         head["resolution"], head["size_px"], head["patch_px"] = (
             spec.resolution_m_per_px, spec.size_px, spec.patch_px)
         head["grid_rows"], head["grid_cols"], head["feature_dim"] = t.features.shape[1:]
-        packed, w = head.tobytes(), head.itemsize
-        features = np.asarray(t.features, dtype="<f4").reshape(len(t), -1).view(np.uint8)
-        heads = (packed[i : i + w] for i in range(0, len(packed), w))
-        tiles.parts += itertools.chain.from_iterable(zip(heads, map(memoryview, features)))
+        tiles.stream(len(t) * _tile_record(len(ids[0]), t.features.shape[1:]).itemsize,
+                     _tile_parts(head, t.features))
 
     g = ds.grounds
     point = np.empty(len(g), dtype=_GROUND_POINT)
@@ -1159,25 +1253,43 @@ def save_dataset(ds: PairedDataset, path: str | Path) -> None:
     out.save(path)
 
 
+def _tile_parts(head: np.ndarray, features):
+    """Each tile's packed header, then its features' bytes, a block of tiles at a time."""
+    packed, w = head.tobytes(), head.itemsize
+    for start in range(0, len(head), FIELD_BLOCK_TILES):
+        block = np.asarray(features[start : start + FIELD_BLOCK_TILES], dtype="<f4")
+        for i, grid in enumerate(block.reshape(len(block), -1).view(np.uint8), start):
+            yield packed[i * w : (i + 1) * w]
+            yield memoryview(grid)
+
+
 def _container_sections(path: str | Path) -> tuple[Reader, Reader, Reader, Reader]:
     """Readers over a container's four sections, after checking magic, version,
-    every section length and that no byte follows the last section."""
-    r = Reader(read_file(path), f"container {path}")
+    every section length and that no byte follows the last section. The file
+    is read by position and stays open while a reader or `TileFeatures` uses it."""
+    what = f"container {path}"
+    r = Reader(FileBytes(path, what), what)
     r.header(CONTAINER_MAGIC, CONTAINER_VERSION)
     sections = tuple(r.section() for _ in range(4))
     r.done()
     return sections
 
 
+# Bytes of tile records per read of the validating pass.
+READ_BLOCK_BYTES = 1 << 18
+
+
 def _read_tiles(r: Reader) -> TileTable:
-    """The tile section as one record array over the file's bytes.
+    """The tile section's columns, from one pass over its records that checks
+    each; the features stay in the file (`TileFeatures`).
 
     Tile 0's id length and feature grid fix the record size, which is checked
-    against the section's size before anything is mapped; every record must
-    then share tile 0's layout and have an id of its own. The columns are
-    views of the records, so the features are a read-only view of the buffer
-    the file was read into (`codec.read_file`), not a copy. An empty section
-    reads as a table of the default geometry.
+    against the section's size before any record is read; every record must
+    then share tile 0's layout and have an id of its own. The records are read
+    READ_BLOCK_BYTES at a time into one buffer; the layout is checked on each
+    read, and the other checks on the kept columns once all are read, so the
+    error raised is the one a check of all records at once, in this order,
+    would raise. An empty section reads as a table of the default geometry.
     """
     (n,) = r.unpack("<I")
     at, first, left = r.off - 4, r.off, r.end - r.off
@@ -1206,37 +1318,52 @@ def _read_tiles(r: Reader) -> TileTable:
                      f"{spec.grid_px}x{spec.grid_px} patch layout", first)
     record = head + id_len + 4 * math.prod(grid)
     fits(record)  # before the dtype, whose size numpy bounds
-    rec = np.frombuffer(r.data, _tile_record(id_len, grid), n, r.advance(n * record))
+    dtype = _tile_record(id_len, grid)
+    r.advance(n * record)
 
-    def at(bad: np.ndarray) -> int:  # the byte offset of the first flagged record
-        return first + int(np.argmax(bad)) * record
+    def at(bad: np.ndarray, start: int = 0) -> int:  # the byte offset of the first flagged record
+        return first + (start + int(np.argmax(bad))) * record
 
-    differs = np.zeros(n, dtype=bool)
-    for name in ("id_len", "resolution", "size_px", "patch_px", "grid_rows", "grid_cols",
-                 "feature_dim"):
-        differs |= rec[name] != rec[name][0]
-    if differs.any():
-        raise r.fail("tile id length, geometry or feature grid differs from tile 0's", at(differs))
+    # the columns, and whether each tile's features are finite: a few bytes a tile
+    raw_ids = np.empty(n, f"S{id_len}")
+    lat, lon, timestamp = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+    finite = np.empty(n, dtype=bool)
+    per_read = max(1, READ_BLOCK_BYTES // record)
+    buf = np.empty(min(n, per_read), dtype)  # every read fills this one buffer
+    for start in range(0, n, per_read):
+        rec = buf[: min(per_read, n - start)]
+        r.data.readinto(first + start * record, rec)
+        if not start:  # tile 0's values of the fields every record shares
+            layout = [(name, rec[name][0]) for name in _TILE_LAYOUT]
+        differs = np.zeros(len(rec), dtype=bool)
+        for name, value in layout:
+            differs |= rec[name] != value
+        if differs.any():
+            raise r.fail("tile id length, geometry or feature grid differs from tile 0's",
+                         at(differs, start))
+        rows = slice(start, start + len(rec))
+        raw_ids[rows], lat[rows], lon[rows] = rec["id"], rec["lat"], rec["lon"]
+        timestamp[rows] = rec["timestamp"]
+        # a float64 sum of finite float32 values cannot overflow: it is finite
+        # exactly when every feature of the tile is, and needs no (N, G, G, F) mask;
+        # a signaling NaN or inf + -inf would also print numpy's "invalid" warning
+        with np.errstate(invalid="ignore"):
+            finite[rows] = np.isfinite(rec["features"].sum(axis=(1, 2, 3), dtype=np.float64))
     r.done()
     try:
-        ids = np.char.decode(rec["id"], "utf-8").tolist()
+        ids = np.char.decode(raw_ids, "utf-8").tolist()
     except UnicodeDecodeError as exc:  # the bad ids are those that do not round-trip
-        lossy = np.char.decode(rec["id"], "utf-8", "replace")
-        bad = np.char.encode(lossy, "utf-8") != rec["id"]
+        lossy = np.char.decode(raw_ids, "utf-8", "replace")
+        bad = np.char.encode(lossy, "utf-8") != raw_ids
         raise r.fail(f"invalid UTF-8 string ({exc.reason})", at(bad) + 2) from None
     if (i := first_repeat(ids)) is not None:
         raise r.fail(f"tile id {ids[i]!r} repeats an earlier tile's", first + i * record)
-    lat, lon, features = rec["lat"], rec["lon"], rec["features"]
-    # a float64 sum of finite float32 values cannot overflow: it is finite
-    # exactly when every feature of the tile is, and needs no (N, G, G, F) mask;
-    # a signaling NaN or inf + -inf would also print numpy's "invalid" warning
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(features.sum(axis=(1, 2, 3), dtype=np.float64))
     for bad, what in ((~geo.on_globe(lat, lon), "center off the globe"),
                       (~finite, "non-finite patch features")):
         if bad.any():
             raise r.fail(f"tile {ids[int(np.argmax(bad))]!r}: {what}", at(bad))
-    return TileTable(spec, ids, lat, geo.wrap_lon(lon), rec["timestamp"], features)
+    features = TileFeatures((n, *grid), r.data, first + head + id_len, record)
+    return TileTable(spec, ids, lat, geo.wrap_lon(lon), timestamp, features)
 
 
 def _read_grounds(r: Reader) -> GroundTable:
@@ -1269,7 +1396,7 @@ def _read_assignments(r: Reader) -> tuple[np.ndarray, np.ndarray]:
     if 4 * count > left:
         raise r.fail(f"{count} assignment lists of at least 4 bytes overrun the {left} bytes "
                      f"left", base - 4)
-    words = np.frombuffer(r.data, "<u4", left // 4, base)
+    words = np.frombuffer(r.data[base : base + left // 4 * 4], "<u4")
     starts = np.empty(count, dtype=np.int64)
     at = 0  # the word of the next list's length
     for k in range(count):
@@ -1287,12 +1414,13 @@ def _read_assignments(r: Reader) -> tuple[np.ndarray, np.ndarray]:
 
 def load_tiles(path: str | Path) -> TileTable:
     """The tiles of a container; its frames are checked as by load_dataset, but
-    only the tile section is decoded."""
+    only the tile section is decoded. The features stay in the open file."""
     return _read_tiles(_container_sections(path)[0])
 
 
 def load_dataset(path: str | Path) -> PairedDataset:
-    """Read a container written by save_dataset; round-trips structurally."""
+    """Read a container written by save_dataset; round-trips structurally.
+    The tiles' features stay in the open file (`TileFeatures`)."""
     tiles_r, grounds_r, assigns_r, prov_r = _container_sections(path)
     tiles = _read_tiles(tiles_r)
     grounds = _read_grounds(grounds_r)

@@ -142,19 +142,30 @@ def segment_tiles(params: encoder.SatEncoderParams, features: np.ndarray,
     return labels
 
 
-def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
-    """Accuracy per class present in the ground truth, and their mean; classes
-    absent from the ground truth do not appear at all. Classes are indices >= 0."""
+def class_hits(pred: np.ndarray, gt: np.ndarray,
+               n_classes: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """How often each class index (>= 0) occurs in the ground truth, and how
+    often `pred` matches it there; at least `n_classes` entries each."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"pred {pred.shape} and gt {gt.shape} must have equal dims")
     gt = gt.ravel()
-    counts = np.bincount(gt)
-    hits = np.bincount(gt[pred.ravel() == gt], minlength=len(counts))
+    counts = np.bincount(gt, minlength=n_classes)
+    return counts, np.bincount(gt[pred.ravel() == gt], minlength=len(counts))
+
+
+def hit_accuracy(counts: np.ndarray, hits: np.ndarray) -> tuple[dict[int, float], float]:
+    """Accuracy per class that occurs (counts > 0), and their mean, from `class_hits`."""
     present = np.flatnonzero(counts)
     accs = dict(zip(present.tolist(), (hits[present] / counts[present]).tolist()))
     return accs, float(np.mean(list(accs.values())))
+
+
+def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
+    """Accuracy per class present in the ground truth, and their mean; classes
+    absent from the ground truth do not appear at all. Classes are indices >= 0."""
+    return hit_accuracy(*class_hits(pred, gt))
 
 
 @dataclass

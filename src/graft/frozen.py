@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import Reader, Writer, read_file
+from .codec import FileBytes, Reader, Writer
 
 DEFAULT_PROMPTS = (
     "A photo of a {label}",
@@ -48,7 +48,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PromptSet:
-    """Non-empty prompt templates, each with exactly one {label} slot."""
+    """Non-empty prompt templates, each with exactly one {label} slot that
+    `str.format` fills."""
 
     templates: tuple[str, ...] = DEFAULT_PROMPTS
 
@@ -58,6 +59,12 @@ class PromptSet:
         for t in self.templates:
             if t.count("{label}") != 1:
                 raise ValueError(f"template {t!r} must contain exactly one {{label}}")
+            try:  # the one {label} is a slot, not the escaped {{label}}, if labels differ
+                fills = t.format(label="a") != t.format(label="b")
+            except (KeyError, IndexError, ValueError) as exc:
+                raise ValueError(f"template {t!r} does not render: {exc!r}") from None
+            if not fills:
+                raise ValueError(f"template {t!r} renders no label: its {{label}} is escaped")
 
     def render(self, label: str) -> list[str]:
         return [t.format(label=label) for t in self.templates]
@@ -181,7 +188,8 @@ def load_embeddings(path: str | Path) -> FrozenEncoder:
     duplicate key, and an entry that is non-finite or has (near-)zero norm all
     raise FormatError naming the entry and its byte offset.
     """
-    r = Reader(read_file(path), f"embedding fixture {path}")
+    what = f"embedding fixture {path}"
+    r = Reader(FileBytes(path, what), what)
     count, dim = r.unpack("<II")
     if count == 0:
         raise r.fail("empty table", 0)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .codec import Reader, Writer, read_file
+from .codec import FileBytes, Reader, Writer
 from .corpus import EmptyDatasetError, PairBatch, PairedDataset, make_batches
 from .encoder import (
     PARAM_NAMES,
@@ -329,7 +329,8 @@ def save_checkpoint(path: str | Path, params: SatEncoderParams, provenance: dict
 
 def load_checkpoint(path: str | Path) -> tuple[SatEncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; a bad file raises FormatError."""
-    r = Reader(read_file(path), f"checkpoint {path}")
+    what = f"checkpoint {path}"
+    r = Reader(FileBytes(path, what), what)
     r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I")[0]):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -162,6 +163,8 @@ def test_every_config_key_has_a_rejected_value():
         ("build", "pair.min_sep_px=-5"),
         ("train", "train.hidden_dim=0"),
         ("train", "train.warmup_steps=-1"),  # not "derive": only 0 is
+        ("synth", "prompts=a {x} {label}"),  # a slot str.format cannot fill
+        ("synth", "prompts=a {{label}}|b {label}"),  # an escaped slot renders no label
         *((command, f"{key}={value}") for key, (command, value) in UNREAD_KEY_REJECTS.items()),
     ],
 )
@@ -377,10 +380,13 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
     ds = corpus.load_dataset(dataset)
     block = 7  # tiles per patch-level forward
     assert len(ds.tiles) > block and len(ds.tiles) % block  # ends in a partial block
-    seen = {}
-    score = evaluation.per_class_accuracy
-    monkeypatch.setattr(evaluation, "per_class_accuracy",
-                        lambda pred, gt: seen.update(pred=pred, gt=gt) or score(pred, gt))
+    # the labels, and the ground-truth grids, which eval takes a block of tiles at a time
+    seen = {"gt": []}
+    segment, class_grids = evaluation.segment_tiles, corpus.class_grids
+    monkeypatch.setattr(evaluation, "segment_tiles",
+                        lambda *args: seen.setdefault("pred", segment(*args)))
+    monkeypatch.setattr(corpus, "class_grids",
+                        lambda *args: seen["gt"].append(class_grids(*args)) or seen["gt"][-1])
     monkeypatch.setattr(encoder, "IMAGE_BLOCK_ROWS", block * 196)
     assert main(["eval", "segment", "--world", str(world_dir), "--dataset", str(dataset),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "seg")]) == 0
@@ -391,7 +397,12 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
     np.testing.assert_array_equal(seen["pred"].ravel(), np.concatenate(want, axis=None))
     gt = [class_grid_per_tile(world.field, ds.tiles.spec, GeoPoint(lat, lon))
           for lat, lon in zip(ds.tiles.lat, ds.tiles.lon)]
-    np.testing.assert_array_equal(seen["gt"].ravel(), np.concatenate(gt, axis=None))
+    np.testing.assert_array_equal(np.concatenate(seen["gt"], axis=None),
+                                  np.concatenate(gt, axis=None))
+    # the per-block counts give the accuracies of the whole arrays
+    accs, mean = evaluation.per_class_accuracy(np.concatenate(want), np.concatenate(gt))
+    assert (tmp_path / "seg" / "segment_metrics.txt").read_text() == "".join(
+        f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)) + f"mean {mean!r}\n"
 
 
 def test_eval_ground_truth_is_each_tiles_majority_class(pipeline, tmp_path, monkeypatch):
@@ -413,7 +424,7 @@ def test_eval_ground_truth_is_each_tiles_majority_class(pipeline, tmp_path, monk
     assert main(["eval", "classify", "--world", str(world_dir), "--dataset", str(dataset),
                  "--checkpoint", str(ckpt), "--out", str(out)]) == 0
     gts = [int(line.split()[2]) for line in (out / "classify_results.txt").read_text().splitlines()]
-    assert gts == majority_class_per_tile(grids[0]).tolist()
+    assert gts == majority_class_per_tile(np.concatenate(grids)).tolist()
 
 
 def test_eval_random_encoder_near_chance(pipeline):
@@ -946,3 +957,55 @@ def test_resolved_config_snapshot_roundtrips(pipeline):
     cfg = RunConfig.from_file(snap)
     assert cfg["world.noise_sigma"] == 0.0
     assert cfg["world.n_ground"] == 150
+
+
+@pytest.mark.parametrize("command, loader", [("train", "load_dataset"),
+                                             ("classify", "load_tiles")])
+def test_container_truncated_after_loading_exits_4(pipeline, tmp_path, capsys, monkeypatch,
+                                                    command, loader):
+    # the features stay in the file, and each read checks its byte count
+    _, world_dir, dataset, ckpt = pipeline
+    copy = tmp_path / "dataset.grft"
+    shutil.copyfile(dataset, copy)
+    load = getattr(corpus, loader)
+
+    def load_then_truncate(path):
+        loaded = load(path)
+        os.truncate(path, copy.stat().st_size // 2)
+        return loaded
+
+    monkeypatch.setattr(corpus, loader, load_then_truncate)
+    inputs = ["--world", str(world_dir), "--dataset", str(copy), "--out", str(tmp_path / "o")]
+    argv = (["train", *inputs, "--epochs", "1"] if command == "train"
+            else ["eval", "classify", *inputs, "--checkpoint", str(ckpt)])
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    match = re.fullmatch(rf"data error: container {re.escape(str(copy))} truncated at byte "
+                         rf"(\d+): wanted (\d+) bytes, (\d+) left\n", err)
+    start, wanted, left = map(int, match.groups())
+    assert wanted > left and start + left == max(start, copy.stat().st_size)  # past the cut
+    assert not list((tmp_path / "o").glob("*.grcp")) + list((tmp_path / "o").glob("classify_*"))
+
+
+def test_build_failing_mid_write_leaves_no_container(pipeline, tmp_path, capsys, monkeypatch):
+    # the container is written to a temporary file and renamed only once whole
+    _, world_dir, _, _ = pipeline
+    blocks = []
+    materialize = corpus.materialize_many
+
+    def full_disk_in_the_second_block(fld, spec, lat, lon, timestamps):
+        blocks.append(len(lat))
+        if len(blocks) == 2:
+            raise OSError(28, "No space left on device")
+        return materialize(fld, spec, lat, lon, timestamps)
+
+    monkeypatch.setattr(corpus, "materialize_many", full_disk_in_the_second_block)
+    out = tmp_path / "data"
+    capsys.readouterr()
+    assert main(["build", "--world", str(world_dir), "--out", str(out), *WORLD_ARGS]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert blocks == [corpus.FIELD_BLOCK_TILES] * 2
+    assert list(out.iterdir()) == []  # no dataset.grft, no temporary file, no run_config.txt

@@ -779,7 +779,7 @@ def test_cap_applies_in_build(noiseless_world):
 
 def differing(value):
     """A value of the same kind and shape as `value` that is not equal to it."""
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, corpus.TileFeatures)):  # features not in memory: an array
         out = value.copy()
         out.flat[0] += 1
         return out

@@ -8,6 +8,7 @@ either returns or raises `FormatError` naming a byte offset.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import shutil
@@ -15,14 +16,16 @@ import struct
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graft import corpus, frozen, train
-from graft.codec import FormatError, Reader, read_file
+from graft import codec, corpus
+from graft.cli import main
+from graft.codec import FileBytes, FormatError, Reader
 from _oracles import ground_table, pairs_of, section_at
 from graft.corpus import IntegrityError, PairedDataset, TileTable
 from graft.encoder import init_params
@@ -91,15 +94,24 @@ def test_samples_roundtrip(fmt, samples):
     load_variant(fmt, path, raw[fmt])
 
 
-# the module whose `read_file` each loader reads its file with
-READ_FILE_OF = {"container": corpus, "tiles": corpus, "checkpoint": train, "fixture": frozen}
+class Unseekable(io.RawIOBase):
+    """A file's bytes behind a file object that cannot seek, as a pipe's."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.data = io.BytesIO(Path(path).read_bytes())
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        return self.data.readinto(buf)
 
 
 @pytest.mark.parametrize("fmt", LOADERS)
 def test_every_truncation_raises_format_error(fmt, samples, monkeypatch):
     # every prefix length, so a cut lands inside and at the end of every field;
-    # each error, text and byte offset, is the one a Reader over the file's
-    # `bytes` gives
+    # each error, text and byte offset, is the one the file gives when it is
+    # spooled into memory first, as a pipe is
     raw, path = samples
 
     def errors() -> list[str]:
@@ -111,7 +123,7 @@ def test_every_truncation_raises_format_error(fmt, samples, monkeypatch):
         return messages
 
     got = errors()
-    monkeypatch.setattr(READ_FILE_OF[fmt], "read_file", lambda p: Path(p).read_bytes())
+    monkeypatch.setattr(codec, "open", Unseekable, raising=False)
     assert got == errors()
 
 
@@ -248,6 +260,41 @@ def test_repeated_tile_id(samples, fmt):
         load_variant(fmt, path, data)
 
 
+def load_error(fmt: str, path, data: bytes) -> str:
+    try:
+        load_variant(fmt, path, data)
+    except FormatError as exc:
+        return str(exc)
+    return "loads"
+
+
+# one defect of each kind a record check flags, in check order, for the tile
+# record at `at`: its resolution, its id's UTF-8, its id (repeating tile 0's
+# when at tile 1), its latitude and a feature
+RECORD_DEFECTS = {
+    "geometry": lambda at: (at + 4 + 16, "<d", 2.0),
+    "utf8": lambda at: (at + 2, "<B", 0xFF),
+    "repeat": lambda at: (at + 3, "<B", ord("0")),
+    "off globe": lambda at: (at + 4, "<d", 95.0),
+    "non-finite": lambda at: (at + 4 + 56, "<f", math.nan),
+}
+
+
+@pytest.mark.parametrize("fmt", ["container", "tiles"])
+@pytest.mark.parametrize("first", RECORD_DEFECTS)
+@pytest.mark.parametrize("second", RECORD_DEFECTS)
+def test_error_does_not_depend_on_the_read_block(samples, fmt, first, second):
+    # the records are checked a read block at a time; with one tile per block,
+    # a defect of tile 1 that an earlier check flags still wins over a defect
+    # of tile 0 that a later check flags, as with both tiles in one block
+    raw, path = samples
+    data = patched(raw["container"], *RECORD_DEFECTS[first](TILE_AT[0]))
+    data = patched(data, *RECORD_DEFECTS[second](TILE_AT[1]))
+    whole = load_error(fmt, path, data)
+    with mock.patch.object(corpus, "READ_BLOCK_BYTES", 1):
+        assert load_error(fmt, path, data) == whole
+
+
 # an empty id is unique in a one-tile container only
 @pytest.mark.parametrize("ids", [[""], ["é0", "é1"], ["t\x000", "t\x001"]])
 def test_container_roundtrip_of_ids(tmp_path, ids):
@@ -304,31 +351,90 @@ def test_save_dataset_writes_features_without_copying(tmp_path):
     assert corpus.load_dataset(tmp_path / "ds") == ds
 
 
+def test_save_through_a_symlink_replaces_the_file_it_points_at(tmp_path):
+    (tmp_path / "real").write_bytes(b"old")
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    save_embeddings(tmp_path / "link", ["a"], np.ones((1, 4)))
+    assert (tmp_path / "link").is_symlink()
+    assert load_embeddings(tmp_path / "real").keys == ["a"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+
 @pytest.mark.parametrize("load", [corpus.load_tiles, corpus.load_dataset],
                          ids=["tiles", "container"])
-def test_load_maps_features_as_a_read_only_view_of_the_file(tmp_path, load):
+def test_load_reads_features_by_position_within_a_quarter_of_their_bytes(tmp_path, load):
+    # the validating pass reads a block of records at a time and keeps only
+    # the id, lat, lon and timestamp columns; the features stay in the file
     ds = wide_dataset()
     corpus.save_dataset(ds, tmp_path / "ds")
-    size = (tmp_path / "ds").stat().st_size
     load(tmp_path / "ds")  # the first load also imports numpy's string functions
     out, peak = traced_peak(load, tmp_path / "ds")
-    assert peak <= 1.1 * size, (peak, size)
+    assert peak < ds.tiles.features.nbytes / 4, (peak, ds.tiles.features.nbytes)
     features = out.features if load is corpus.load_tiles else out.tiles.features
-    np.testing.assert_array_equal(features, ds.tiles.features)
-    assert features.flags.writeable is False
-    with pytest.raises(ValueError, match="read-only"):
-        features[0, 0, 0, 0] = 0.0
-    with pytest.raises(ValueError, match="WRITEABLE"):  # the buffer under it is read-only too
-        features.flags.writeable = True
+    np.testing.assert_array_equal(features[:], ds.tiles.features)
+    order = np.random.default_rng(0).permutation(len(ds.tiles))[:40]
+    for key in (order, 7, -1, slice(3, 90, 4), slice(150, None), slice(5, 5)):
+        got = features[key]
+        np.testing.assert_array_equal(got, ds.tiles.features[key])
+        assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.aligned
+    with pytest.raises(IndexError):
+        features[len(ds.tiles)]
 
 
-def test_read_file_is_one_read_only_buffer_of_the_file(tmp_path):
-    for data in (b"", b"GRFT\x01\x00", bytes(range(256)) * 20_000):  # 5 MB: numpy's huge pages
-        (tmp_path / "f").write_bytes(data)
-        buf = read_file(tmp_path / "f")
-        assert isinstance(buf, memoryview) and buf.readonly and buf.tobytes() == data
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory, world_dir, small_world):
+    """A 2000-tile container (25 MB of features) whose grounds embed with the
+    world's fixture, a checkpoint for it, and its feature bytes."""
+    root = tmp_path_factory.mktemp("wide")
+    ds = wide_dataset(2000)
+    keys = small_world.ground_encoder.keys
+    ds.grounds.refs = [keys[i % len(keys)] for i in range(len(ds.grounds))]
+    corpus.save_dataset(ds, root / "ds.grft")
+    save_checkpoint(root / "ck.grcp", init_params(16, 32, 16, 196, seed=0), {})
+    inputs = ["--world", str(world_dir), "--dataset", str(root / "ds.grft"), "--out", str(root)]
+    return root, inputs, ds.tiles.features.nbytes
+
+
+@pytest.mark.parametrize("command", [["train", "--epochs", "1"], ["eval", "classify"],
+                                     ["eval", "segment"]], ids=" ".join)
+def test_command_peak_stays_under_a_quarter_of_the_features(wide_run, command):
+    # train gathers each batch's records and eval scores a block of them at a
+    # time, so neither holds the container's features
+    root, inputs, feature_bytes = wide_run
+    checkpoint = ["--checkpoint", str(root / "ck.grcp")] if command[0] == "eval" else []
+    code, peak = traced_peak(main, [*command, *inputs, *checkpoint])
+    assert code == 0
+    assert peak < feature_bytes / 4, (peak, feature_bytes)
+
+
+def test_build_peak_stays_under_a_quarter_of_the_features(tmp_path):
+    # the sparse_image bench world: build writes its tiles a block at a time
+    world = ["--set", "world.extent_km=30", "--set", "world.n_ground=3200"]
+    assert main(["synth", "--out", str(tmp_path / "world"), *world]) == 0
+    code, peak = traced_peak(main, ["build", "--world", str(tmp_path / "world"),
+                                    "--out", str(tmp_path / "data"), *world])
+    assert code == 0
+    tiles = corpus.load_tiles(tmp_path / "data" / "dataset.grft")
+    feature_bytes = 4 * math.prod(tiles.features.shape)
+    assert peak < feature_bytes / 4, (peak, feature_bytes)
+
+
+def test_file_bytes_reads_by_position_and_checks_each_count(tmp_path):
+    data = bytes(range(256)) * 40
+    (tmp_path / "f").write_bytes(data)
+    fb = FileBytes(tmp_path / "f", "sample")
+    assert len(fb) == len(data) and fb[0:0] == b"" and fb[5:300] == data[5:300]
+    buf = np.empty(3, dtype="<f4")
+    fb.readinto(17, buf)
+    assert buf.tobytes() == data[17:29]
+    os.truncate(tmp_path / "f", 100)  # after opening: the reads fail with their offset
+    with pytest.raises(FormatError, match="sample truncated at byte 90: wanted 20 bytes, 10 left"):
+        fb[90:110]
+    with pytest.raises(FormatError, match="sample truncated at byte 96: wanted 12 bytes, 4 left"):
+        fb.readinto(96, buf)
+    fb.close()
     with pytest.raises(FileNotFoundError):
-        read_file(tmp_path / "missing")
+        FileBytes(tmp_path / "missing", "sample")
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")

@@ -212,6 +212,24 @@ def test_frozen_encoder_untouched_by_training(tiny_setup):
     assert world.ground_encoder.content_hash() == before
 
 
+def test_training_in_memory_materializes_the_tiles_once(tiny_setup, monkeypatch):
+    # an unsaved dataset draws its tiles from the feature field on first use
+    # and keeps them, so no later batch or epoch materializes a tile again
+    world, ds = tiny_setup
+    fresh = corpus.build_pairs(
+        world.grounds, world.snapshots, ds.tiles.spec, cap=25, min_sep_px=16, seed=3,
+        fields={"field.json": world.field}, embeddings=world.ground_encoder,
+    )
+    calls = []
+    materialize = corpus.materialize_many
+    monkeypatch.setattr(corpus, "materialize_many",
+                        lambda *args: calls.append(len(args[2])) or materialize(*args))
+    train(fresh, world.ground_encoder, LossConfig(), TrainSchedule(epochs=3, seed=6),
+          batch_size=4, hidden_dim=6)
+    assert calls == [len(fresh.tiles)]
+    np.testing.assert_array_equal(fresh.tiles.features, ds.tiles.features)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(5, 7, 6, 9, seed=11)
     provenance = {"seed": 11, "loss_variant": "image_default"}
