@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Loss-formulation ablation on a synthetic world.
+"""Loss-formulation ablation on synthetic worlds, run through the `graft` CLI.
 
-Trains every loss variant under an identical budget and reports held-out
-zero-shot accuracy, retrieval mAP@20 and patch segmentation accuracy per
-variant, averaged over seeds.
+For each seed, `graft synth` and `graft build` write a world and its dataset
+container; the world at seed + 1, built with the same settings, is held out.
+Every loss variant trains on the first container under an identical budget
+(`graft train`) and is scored zero-shot on the held-out one (`graft eval
+classify`, `retrieve` and `segment`). The table reports accuracy, retrieval
+mAP@20 and patch segmentation accuracy per variant, read from the metrics
+files and averaged over seeds.
 
 A desk-scale caveat worth knowing before reading the numbers: on gaussian
 Voronoi worlds the pure-attraction (l2) variant is a strong baseline - its
@@ -16,7 +20,10 @@ in the repository's README).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,44 +31,30 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from graft import corpus, evaluation, geo  # noqa: E402
-from graft.encoder import embed_images  # noqa: E402
-from graft.frozen import PromptSet  # noqa: E402
-from graft.losses import VARIANTS, LossConfig  # noqa: E402
-from graft.train import TrainSchedule, train  # noqa: E402
+from graft import cli  # noqa: E402
+from graft.losses import VARIANTS  # noqa: E402
 
 
-def build(seed: int, noise: float, n_ground: int, extent_km: float):
-    cfg = corpus.SynthWorldConfig(extent_km=extent_km, n_ground=n_ground,
-                                  noise_sigma=noise)
-    world = corpus.synth_world(cfg, seed=seed)
-    spec = geo.TileSpec()
-    ds = corpus.build_pairs(
-        world.grounds, world.snapshots, spec, seed=seed,
-        fields={"field.json": world.field}, embeddings=world.ground_encoder,
-    )
-    order = np.random.default_rng(seed + 777).permutation(len(ds.tiles))
-    n_eval = max(100, len(ds.tiles) // 5)
-    return (
-        world,
-        corpus.subset_tiles(ds, order[: len(ds.tiles) - n_eval]),
-        corpus.subset_tiles(ds, order[len(ds.tiles) - n_eval :]),
-    )
+def graft(*argv) -> None:
+    """Run one `graft` command quietly; a failure ends the script with its exit code."""
+    argv = list(map(str, argv))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"`graft {' '.join(argv)}` exited with {rc}")
 
 
-def evaluate(world, params, ds_eval):
-    class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
-                                             PromptSet())
-    tiles = ds_eval.tiles
-    grids = tiles.features
-    seg_gt = corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon)
-    gts = evaluation.majority_labels(seg_gt, len(world.class_names))
-    embs = embed_images(params, grids)
-    preds, _ = evaluation.classify(embs, class_embs)
-    _, (ap20s,) = evaluation.retrieval_ap(class_embs, tiles.ids, embs, gts, (20,))
-    seg_pred = evaluation.segment_tiles(params, grids, class_embs)
-    _, seg_acc = evaluation.per_class_accuracy(seg_pred.reshape(1, -1), seg_gt.reshape(1, -1))
-    return float(np.mean(preds == gts)), float(np.mean(ap20s)), seg_acc
+def metrics(path: Path) -> dict[str, list[str]]:
+    """The lines of an eval metrics file, keyed by their first field."""
+    return {name: values for name, *values in map(str.split, path.read_text().splitlines())}
+
+
+def build_world(root: Path, seed: int, world_args: list[str]) -> tuple[Path, Path]:
+    """`graft synth` and `graft build` at `seed`: the world and its container."""
+    world, data = root / f"world{seed}", root / f"data{seed}"
+    graft("synth", "--out", world, "--seed", seed, *world_args)
+    graft("build", "--world", world, "--out", data, "--seed", seed, *world_args)
+    return world, data / "dataset.grft"
 
 
 def main() -> None:
@@ -74,27 +67,34 @@ def main() -> None:
     parser.add_argument("--peak-lr", type=float, default=1e-3)
     parser.add_argument("--out", default="runs/ablation.tsv")
     args = parser.parse_args()
+    world_args = ["--set", f"world.n_ground={args.n_ground}",
+                  "--set", f"world.extent_km={args.extent_km}",
+                  "--set", f"world.noise_sigma={args.noise}"]
 
     rows = []
-    setups = {seed: build(seed, args.noise, args.n_ground, args.extent_km)
-              for seed in args.seeds}
-    for variant in VARIANTS:
-        accs, maps, segs = [], [], []
-        t0 = time.monotonic()
-        for seed in args.seeds:
-            world, ds_train, ds_eval = setups[seed]
-            result = train(
-                ds_train, world.ground_encoder, LossConfig(variant=variant),
-                TrainSchedule(peak_lr=args.peak_lr, epochs=args.epochs, seed=seed),
-            )
-            acc, map20, seg = evaluate(world, result.params, ds_eval)
-            accs.append(acc)
-            maps.append(map20)
-            segs.append(seg)
-        rows.append((variant, np.mean(accs), np.mean(maps), np.mean(segs),
-                     time.monotonic() - t0))
-        print(f"{variant:14s} acc={rows[-1][1]:.4f} mAP@20={rows[-1][2]:.4f} "
-              f"seg={rows[-1][3]:.4f} ({rows[-1][4]:.0f}s)")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        worlds = {seed: build_world(root, seed, world_args)
+                  for seed in sorted({*args.seeds, *(s + 1 for s in args.seeds)})}
+        for variant in VARIANTS:
+            accs, maps, segs = [], [], []
+            t0 = time.monotonic()
+            for seed in args.seeds:
+                (world, dataset), (held_world, held_dataset) = worlds[seed], worlds[seed + 1]
+                run = root / f"{variant}{seed}"
+                graft("train", "--world", world, "--dataset", dataset, "--out", run,
+                      "--seed", seed, "--epochs", args.epochs,
+                      "--set", f"loss.variant={variant}", "--set", f"train.peak_lr={args.peak_lr}")
+                for task in ("classify", "retrieve", "segment"):
+                    graft("eval", task, "--world", held_world, "--dataset", held_dataset,
+                          "--checkpoint", run / "checkpoint.grcp", "--out", run)
+                accs.append(float(metrics(run / "classify_metrics.txt")["accuracy"][0]))
+                maps.append(float(metrics(run / "retrieval_metrics.txt")["mean"][1]))
+                segs.append(float(metrics(run / "segment_metrics.txt")["mean"][0]))
+            rows.append((variant, np.mean(accs), np.mean(maps), np.mean(segs),
+                         time.monotonic() - t0))
+            print(f"{variant:14s} acc={rows[-1][1]:.4f} mAP@20={rows[-1][2]:.4f} "
+                  f"seg={rows[-1][3]:.4f} ({rows[-1][4]:.0f}s)")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthesize a world, pair it, train, evaluate, map.
 
-Drives the `graft` CLI exactly as a user would, with a held-out split for the
-evaluation stages. Outputs land under --out (default: runs/pipeline).
+Drives the `graft` CLI exactly as a user would. The evaluation stages score a
+held-out world: the world at seed + 1, synthesized and built with the same
+settings. Outputs land under --out (default: runs/pipeline).
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from graft import corpus  # noqa: E402
 from graft.cli import main as graft  # noqa: E402
 
 
@@ -34,34 +32,22 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--loss", default="image", choices=["image", "pixel", "sum_prob",
                                                             "avg_rep", "l2"])
-    parser.add_argument("--holdout", type=int, default=200,
-                        help="tiles reserved for evaluation")
     args = parser.parse_args()
 
     out = Path(args.out)
-    world_dir = out / "world"
-    overrides = [
+    world_dir, holdout_dir = out / "world", out / "holdout_world"
+    world_args = [
         "--set", f"world.n_ground={args.n_ground}",
         "--set", f"world.extent_km={args.extent_km}",
-        "--seed", str(args.seed),
     ]
-
-    run(["synth", "--out", str(world_dir), *overrides])
-    run(["build", "--world", str(world_dir), "--out", str(out / "data"), *overrides])
-
-    # split the built dataset into train/holdout containers
-    ds = corpus.load_dataset(out / "data" / "dataset.grft")
-    order = np.random.default_rng(args.seed + 777).permutation(len(ds.tiles))
-    if len(ds.tiles) <= args.holdout + 2:
-        raise SystemExit(f"only {len(ds.tiles)} tiles; lower --holdout")
-    train_ds = corpus.subset_tiles(ds, order[: len(ds.tiles) - args.holdout])
-    eval_ds = corpus.subset_tiles(ds, order[len(ds.tiles) - args.holdout :])
-    corpus.save_dataset(train_ds, out / "data" / "train.grft")
-    corpus.save_dataset(eval_ds, out / "data" / "holdout.grft")
-    print(f"split: {len(train_ds.tiles)} train / {len(eval_ds.tiles)} holdout tiles")
+    for world, data, seed in ((world_dir, out / "data", args.seed),
+                              (holdout_dir, out / "holdout_data", args.seed + 1)):
+        run(["synth", "--out", str(world), *world_args, "--seed", str(seed)])
+        run(["build", "--world", str(world), "--out", str(data), *world_args,
+             "--seed", str(seed)])
 
     run([
-        "train", "--world", str(world_dir), "--dataset", str(out / "data" / "train.grft"),
+        "train", "--world", str(world_dir), "--dataset", str(out / "data" / "dataset.grft"),
         "--out", str(out / "run"), "--loss", args.loss, "--epochs", str(args.epochs),
         "--seed", str(args.seed),
     ])
@@ -73,7 +59,7 @@ def main() -> None:
     if args.loss != "pixel":
         run([
             "train", "--world", str(world_dir),
-            "--dataset", str(out / "data" / "train.grft"),
+            "--dataset", str(out / "data" / "dataset.grft"),
             "--out", str(out / "run_pixel"), "--loss", "pixel",
             "--epochs", str(args.epochs), "--seed", str(args.seed),
         ])
@@ -82,12 +68,12 @@ def main() -> None:
     for task, task_ckpt in (("classify", ckpt), ("retrieve", ckpt),
                             ("segment", seg_ckpt)):
         run([
-            "eval", task, "--world", str(world_dir),
-            "--dataset", str(out / "data" / "holdout.grft"),
+            "eval", task, "--world", str(holdout_dir),
+            "--dataset", str(out / "holdout_data" / "dataset.grft"),
             "--checkpoint", task_ckpt, "--out", str(out / "eval"),
         ])
     run(["map", "water", "--world", str(world_dir), "--checkpoint", ckpt,
-         "--out", str(out / "maps"), *overrides])
+         "--out", str(out / "maps"), *world_args, "--seed", str(args.seed)])
     print(f"\nall outputs under {out}/")
 
 

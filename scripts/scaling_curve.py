@@ -1,25 +1,50 @@
 #!/usr/bin/env python3
-"""Data-budget scaling: train on growing fractions of one paired dataset and
-track held-out zero-shot accuracy. With a fixed epoch count, larger budgets
-also mean more optimization steps, so the curve reflects the full effect of
-collecting more pairs.
+"""Data-budget scaling, run through the `graft` CLI: train on worlds holding
+growing fractions of `--n-ground` ground images in one extent and track
+zero-shot accuracy on a held-out world.
+
+For each seed, a budget's world is `graft synth` at that seed with the
+fraction's share of the grounds: the same land-cover field, fewer paired
+tiles. It is built and trained with the default loss, then scored by `graft
+eval classify` on the full world at seed + 1; the accuracy is read from the
+metrics file. With a fixed epoch count, larger budgets also mean more
+optimization steps, so the curve reflects the full effect of collecting more
+pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from graft import corpus, evaluation, geo  # noqa: E402
-from graft.encoder import embed_images  # noqa: E402
-from graft.frozen import PromptSet  # noqa: E402
-from graft.losses import LossConfig  # noqa: E402
-from graft.train import TrainSchedule, train  # noqa: E402
+from graft import cli  # noqa: E402
+
+
+def graft(*argv) -> None:
+    """Run one `graft` command quietly; a failure ends the script with its exit code."""
+    argv = list(map(str, argv))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"`graft {' '.join(argv)}` exited with {rc}")
+
+
+def build_world(root: Path, seed: int, n_ground: int, extent_km: float) -> tuple[Path, Path]:
+    """`graft synth` and `graft build` at `seed`: the world and its container."""
+    world, data = root / f"world{seed}_{n_ground}", root / f"data{seed}_{n_ground}"
+    world_args = ["--seed", seed, "--set", f"world.n_ground={n_ground}",
+                  "--set", f"world.extent_km={extent_km}"]
+    graft("synth", "--out", world, *world_args)
+    graft("build", "--world", world, "--out", data, *world_args)
+    return world, data / "dataset.grft"
 
 
 def main() -> None:
@@ -34,36 +59,24 @@ def main() -> None:
     args = parser.parse_args()
 
     accs = {frac: [] for frac in args.fractions}
-    for seed in args.seeds:
-        cfg = corpus.SynthWorldConfig(extent_km=args.extent_km, n_ground=args.n_ground)
-        world = corpus.synth_world(cfg, seed=seed)
-        spec = geo.TileSpec()
-        ds = corpus.build_pairs(
-            world.grounds, world.snapshots, spec, seed=seed,
-            fields={"field.json": world.field}, embeddings=world.ground_encoder,
-        )
-        order = np.random.default_rng(seed + 777).permutation(len(ds.tiles))
-        n_eval = max(100, len(ds.tiles) // 5)
-        ds_train = corpus.subset_tiles(ds, order[: len(ds.tiles) - n_eval])
-        ds_eval = corpus.subset_tiles(ds, order[len(ds.tiles) - n_eval :])
-
-        class_embs = evaluation.class_embeddings(world.text_encoder, world.class_names,
-                                                 PromptSet())
-        tiles = ds_eval.tiles
-        gts = evaluation.majority_labels(
-            corpus.class_grids(world.field, tiles.spec, tiles.lat, tiles.lon),
-            len(world.class_names),
-        )
-        for frac in args.fractions:
-            sub = corpus.subset_tiles(ds_train, range(int(len(ds_train.tiles) * frac)))
-            result = train(sub, world.ground_encoder, LossConfig(),
-                           TrainSchedule(epochs=args.epochs, seed=seed))
-            embs = embed_images(result.params, tiles.features)
-            preds, _ = evaluation.classify(embs, class_embs)
-            acc = float(np.mean(preds == gts))
-            accs[frac].append(acc)
-            print(f"seed {seed} budget {frac:>5.0%}: {len(sub.tiles):4d} tiles "
-                  f"-> accuracy {acc:.4f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for seed in args.seeds:
+            held_world, held_dataset = build_world(root, seed + 1, args.n_ground, args.extent_km)
+            for frac in args.fractions:
+                n_ground = int(args.n_ground * frac)
+                world, dataset = build_world(root, seed, n_ground, args.extent_km)
+                run = root / f"run{seed}_{n_ground}"
+                graft("train", "--world", world, "--dataset", dataset, "--out", run,
+                      "--seed", seed, "--epochs", args.epochs)
+                graft("eval", "classify", "--world", held_world, "--dataset", held_dataset,
+                      "--checkpoint", run / "checkpoint.grcp", "--out", run)
+                lines = dict(line.split() for line in
+                             (run / "classify_metrics.txt").read_text().splitlines())
+                acc = float(lines["accuracy"])
+                accs[frac].append(acc)
+                print(f"seed {seed} budget {frac:>5.0%}: {n_ground:5d} grounds "
+                      f"-> accuracy {acc:.4f}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

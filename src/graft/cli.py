@@ -2,9 +2,9 @@
 
 Every command takes `--config PATH` (key-value file), `--seed`, `--out DIR`
 and repeatable `--set key=value` overrides (flags win over the file). Each
-run writes a resolved-config snapshot next to its outputs, and identical
-(config, seed) runs produce byte-identical primary outputs. The `GRAFT_LOG`
-environment variable sets log verbosity (debug/info/warning).
+run writes a resolved-config snapshot next to its outputs. Primary outputs
+are byte-identical across runs of one config, seed, input and BLAS thread
+count (one unless set). `GRAFT_LOG` sets log verbosity (debug/info/warning).
 
 Exit codes by failure class: 2 config, 3 I/O, 4 manifest/referential
 integrity or a corrupt container, fixture or world.json, 5 training
@@ -317,6 +317,17 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+# Most cells of a density map, at about 150 bytes each with 16-dim embeddings
+MAP_MAX_CELLS = 2**22
+
+
+def _arange_length(start: float, stop: float, step: float) -> int | float:
+    """len(np.arange(start, stop, step)), ceil((stop - start) / step), without
+    the array; inf for a zero step, 0 for a NaN or zero quotient."""
+    n = (stop - start) / step if step else math.inf
+    return max(0, math.ceil(n)) if math.isfinite(n) else (n if n > 0 else 0)
+
+
 def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(args)
     world = _load_world(args)
@@ -336,17 +347,22 @@ def cmd_map(cfg: RunConfig, args: argparse.Namespace) -> int:
     lon_m_per_degree = geo.METERS_PER_DEGREE * math.cos(math.radians(fld.origin.lat))
     dlat = cell_m / geo.METERS_PER_DEGREE
     dlon = cell_m / lon_m_per_degree
-    lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
-    lon_centers = np.arange(lon_min + dlon / 2, lon_max, dlon)
-    if not (len(lat_centers) and len(lon_centers)):
+    rows = _arange_length(lat_max - dlat / 2, lat_min, -dlat)
+    cols = _arange_length(lon_min + dlon / 2, lon_max, dlon)
+    if not (rows and cols):
         raise ConfigError(f"map.cell_px={cfg['map.cell_px']} leaves no cell center inside the "
                           f"world's {(lat_max - lat_min) * geo.METERS_PER_DEGREE:.0f} x "
                           f"{(lon_max - lon_min) * lon_m_per_degree:.0f} m extent")
+    if rows * cols > MAP_MAX_CELLS:
+        raise ConfigError(f"map.cell_px={cfg['map.cell_px']} at tile.resolution_m="
+                          f"{spec.resolution_m_per_px!r} gives {rows:.0f} x {cols:.0f} = "
+                          f"{rows * cols:.4g} cells, more than the {MAP_MAX_CELLS} a map holds")
+    lat_centers = np.arange(lat_max - dlat / 2, lat_min, -dlat)
+    lon_centers = np.arange(lon_min + dlon / 2, lon_max, dlon)
 
     # cells row-major, materialized and embedded one field block at a time, so
     # the map never holds every cell's features (7921 cells as float32 would
     # be 99 MB)
-    rows, cols = len(lat_centers), len(lon_centers)
     cell_lat = np.repeat(lat_centers, cols)
     cell_lon = geo.wrap_lon(np.tile(lon_centers, rows))
     cell_embs = np.empty((rows * cols, params.embed_dim))

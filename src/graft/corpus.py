@@ -129,12 +129,6 @@ class TileTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, indices) -> TileTable:
-        """The tiles at `indices`, in that order, their features in memory."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return TileTable(self.spec, [self.ids[i] for i in idx.tolist()], self.lat[idx],
-                         self.lon[idx], self.timestamp[idx], self.features[idx])
-
 
 class TileFeatures:
     """(N, G, G, F) float32 tile features that are not held as one array.
@@ -166,9 +160,6 @@ class TileFeatures:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
-    def copy(self) -> np.ndarray:
-        return self[:]
-
     def __repr__(self) -> str:
         return repr(self[:])
 
@@ -199,12 +190,8 @@ class TileFeatures:
 
 
 class FieldFeatures(TileFeatures):
-    """The features of tiles drawn from their snapshots' feature fields.
-
-    A run of tiles (`save_dataset` writes a block at a time) is materialized
-    on its own and not kept; any other index materializes every tile once and
-    keeps them, so the batches of an epoch in memory draw no tile twice.
-    """
+    """The features of tiles drawn from their snapshots' feature fields on
+    each gather; nothing is held from one gather to the next."""
 
     def __init__(self, fields: Mapping[str, VoronoiFeatureField], blob: np.ndarray,
                  spec: TileSpec, lat: np.ndarray, lon: np.ndarray, timestamp: np.ndarray,
@@ -212,26 +199,23 @@ class FieldFeatures(TileFeatures):
         super().__init__((len(lat), spec.grid_px, spec.grid_px, feature_dim))
         self.fields, self.blob, self.spec = fields, blob, spec
         self.lat, self.lon, self.timestamp = lat, lon, timestamp
-        self.kept: np.ndarray | None = None
 
     def _span(self, start: int, stop: int) -> np.ndarray:
-        if self.kept is not None:
-            return self.kept[start:stop].copy()
-        rows = slice(start, stop)
+        return self._rows(slice(start, stop))
+
+    def _rows(self, rows: slice | np.ndarray) -> np.ndarray:
+        """The tiles `rows`, a run or an index array, materialized from the
+        field of each one's blob ref. `materialize_many` gives a tile the same
+        bits whichever tiles share its call."""
         blob, lat, lon, ts = self.blob[rows], self.lat[rows], self.lon[rows], self.timestamp[rows]
         refs = dict.fromkeys(blob.tolist())
         if len(refs) == 1:  # as in every synth world: no copy
             return materialize_many(self.fields[blob[0]], self.spec, lat, lon, ts)
-        out = self._empty(stop - start)
+        out = self._empty(len(blob))
         for ref in refs:
             idx = np.flatnonzero(blob == ref)
             out[idx] = materialize_many(self.fields[ref], self.spec, lat[idx], lon[idx], ts[idx])
         return out
-
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        if self.kept is None:
-            self.kept = self._span(0, len(self))
-        return self.kept[rows]
 
 
 @dataclass
@@ -294,7 +278,7 @@ class PairedDataset:
     def pair_index(self) -> PairIndex:
         """Each pair's pixel and patch, computed and checked on first use.
 
-        Datasets are read-only after construction, so the pack is kept.
+        Datasets are read-only after construction, so the pack is stored.
         """
         if self._pairs is None:
             self._pairs = _pack_pairs(self)
@@ -623,10 +607,10 @@ def pcg64_states(key: int, parts) -> list[dict]:
     n_key = len(key_words)
     # each part's low word, then its high word when nonzero, packed to the left
     words = np.stack([parts & _MASK32, parts >> 32], axis=-1).reshape(len(parts), -1)
-    kept = words != 0
-    kept[:, 0::2] = True
-    words = np.take_along_axis(words, np.argsort(~kept, axis=1, kind="stable"), axis=1)
-    lengths = kept.sum(axis=1)
+    used = words != 0
+    used[:, 0::2] = True
+    words = np.take_along_axis(words, np.argsort(~used, axis=1, kind="stable"), axis=1)
+    lengths = used.sum(axis=1)
     states = [None] * len(parts)
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
@@ -891,23 +875,11 @@ def _segments(offsets: np.ndarray, tiles: np.ndarray) -> tuple[np.ndarray, np.nd
                                                      sizes)
 
 
-def subset_tiles(ds: PairedDataset, indices: Sequence[int]) -> PairedDataset:
-    """A dataset restricted to the given tile indices (ground list is shared)."""
-    tiles = ds.tiles.take(indices)
-    sizes, rows = _segments(ds.offsets, np.asarray(indices, dtype=np.intp))
-    provenance = dict(ds.provenance)
-    provenance["subset_of"] = provenance.get("n_tiles", len(ds.tiles))
-    provenance["n_tiles"] = len(tiles)
-    provenance["n_pairs"] = len(rows)
-    return PairedDataset(tiles, ds.grounds, np.append(0, np.cumsum(sizes)), ds.ground[rows],
-                         provenance)
-
-
 def make_batches(ds: PairedDataset, batch_size: int, seed: int = 0) -> list[PairBatch]:
     """One epoch of batches: seeded tile permutation, chunks of `batch_size`.
 
-    A final short chunk is kept only if it still has at least two tiles; a
-    lone leftover tile cannot contrast against anything and is dropped.
+    A final short chunk makes a batch only if it still has at least two
+    tiles; a lone leftover tile cannot contrast against anything and is dropped.
     Pair indices come from the dataset's pack, so no geotag is mapped twice.
     """
     if batch_size < 1:
@@ -1048,7 +1020,7 @@ def synth_world(cfg: SynthWorldConfig, seed: int = 0) -> SynthWorld:
     # areas are balanced, so no class collapses into a sliver. A plain single
     # draw routinely produces 5x area spreads, which would break the 3x bound
     # on empirical class frequencies that downstream checks rely on. When no
-    # draw gives every class a raster point, the first draw is kept.
+    # draw gives every class a raster point, the first draw is used.
     rng_seeds = np.random.default_rng(np.random.SeedSequence([seed, _SALT_CLASS_SEEDS]))
     raster = np.meshgrid(np.linspace(bounds[0], bounds[1], 48),
                          np.linspace(bounds[2], bounds[3], 48), indexing="ij")
@@ -1287,7 +1259,7 @@ def _read_tiles(r: Reader) -> TileTable:
     against the section's size before any record is read; every record must
     then share tile 0's layout and have an id of its own. The records are read
     READ_BLOCK_BYTES at a time into one buffer; the layout is checked on each
-    read, and the other checks on the kept columns once all are read, so the
+    read, and the other checks on the stored columns once all are read, so the
     error raised is the one a check of all records at once, in this order,
     would raise. An empty section reads as a table of the default geometry.
     """

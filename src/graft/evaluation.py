@@ -162,12 +162,6 @@ def hit_accuracy(counts: np.ndarray, hits: np.ndarray) -> tuple[dict[int, float]
     return accs, float(np.mean(list(accs.values())))
 
 
-def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
-    """Accuracy per class present in the ground truth, and their mean; classes
-    absent from the ground truth do not appear at all. Classes are indices >= 0."""
-    return hit_accuracy(*class_hits(pred, gt))
-
-
 @dataclass
 class DensityMap:
     """Cosine scores of one text query over a geographic grid of tiles.

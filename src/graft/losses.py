@@ -126,7 +126,7 @@ def pixel_loss_anchors(
     Row r of `anchors` is the embedding of the patch containing ground r's
     geotag, so anchors and grounds share one row order; the positive of row r
     is ground r, the denominator is every ground in the batch. Returns the
-    gradient wrt each anchor row (duplicates are kept separate; the caller
+    gradient wrt each anchor row (duplicates stay separate; the caller
     accumulates them onto shared patches).
     """
     anchors, grounds, sizes, owner = _positives(anchors, grounds, sizes, per_pair=True)

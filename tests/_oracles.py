@@ -18,9 +18,9 @@ from pathlib import Path
 
 from graft import corpus, geo
 from graft.codec import Reader, Writer
-from graft.corpus import GroundTable, ManifestError, PairedDataset
+from graft.corpus import GroundTable, ManifestError, PairedDataset, TileTable
 from graft.encoder import forward_patch_rows
-from graft.evaluation import DensityMap
+from graft.evaluation import DensityMap, class_hits, hit_accuracy
 from graft.frozen import UNIT_NORM_TOL, FrozenEncoder
 from graft.geo import GeoPoint
 from graft.losses import pixel_loss_anchors
@@ -592,6 +592,31 @@ def with_tile_pairs(ds: PairedDataset, tile: int, ground) -> PairedDataset:
     shift = (np.arange(len(ds.offsets)) > tile) * (len(ground) - (b - a))
     return dataclasses.replace(ds, offsets=ds.offsets + shift, ground=np.concatenate(
         [ds.ground[:a], np.asarray(ground, dtype=np.int64), ds.ground[b:]]))
+
+
+def take_tiles(tiles: TileTable, indices) -> TileTable:
+    """The tiles at `indices`, in that order, their features in memory."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return TileTable(tiles.spec, [tiles.ids[i] for i in idx.tolist()], tiles.lat[idx],
+                     tiles.lon[idx], tiles.timestamp[idx], tiles.features[idx])
+
+
+def subset_tiles(ds: PairedDataset, indices) -> PairedDataset:
+    """A dataset restricted to the given tile indices (ground list is shared)."""
+    tiles = take_tiles(ds.tiles, indices)
+    sizes, rows = corpus._segments(ds.offsets, np.asarray(indices, dtype=np.intp))
+    provenance = dict(ds.provenance)
+    provenance["subset_of"] = provenance.get("n_tiles", len(ds.tiles))
+    provenance["n_tiles"] = len(tiles)
+    provenance["n_pairs"] = len(rows)
+    return PairedDataset(tiles, ds.grounds, np.append(0, np.cumsum(sizes)), ds.ground[rows],
+                         provenance)
+
+
+def per_class_accuracy(pred: np.ndarray, gt: np.ndarray) -> tuple[dict[int, float], float]:
+    """Accuracy per class present in the ground truth, and their mean; classes
+    absent from the ground truth do not appear at all. Classes are indices >= 0."""
+    return hit_accuracy(*class_hits(pred, gt))
 
 
 def select_snapshot_scan(candidates, target: int) -> int:

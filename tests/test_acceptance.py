@@ -2,8 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The quantitative alignment criteria share module-scoped synthetic worlds and
-trained models; timings cover world construction, pairing, training and
-evaluation for the seeds each criterion uses.
+trained models; timings cover world construction, pairing, the dataset
+container's save and load, training and evaluation for the seeds each
+criterion uses.
 """
 
 from __future__ import annotations
@@ -11,14 +12,15 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from _oracles import (ap_at_k_bruteforce, fd_gradient, flat_earth_distance_m,
-                      flat_earth_offset_m, geotag_to_pixel, pack_groups, pixel_to_geotag,
-                      rand_unit, relative_error, tile_contains)
+                      flat_earth_offset_m, geotag_to_pixel, pack_groups, per_class_accuracy,
+                      pixel_to_geotag, rand_unit, relative_error, subset_tiles, tile_contains)
 from graft import corpus, evaluation, geo
 from graft.cli import main as cli_main
 from graft.encoder import embed_images
@@ -59,7 +61,9 @@ class Bundle:
     train_seconds: dict = field(default_factory=dict)
 
 
-def _make_bundle(seed: int) -> Bundle:
+def _make_bundle(seed: int, container: Path) -> Bundle:
+    """The world at `seed`, paired and saved as `graft build` saves it, then
+    loaded back and split: training reads the tiles the container holds."""
     t0 = time.monotonic()
     cfg = corpus.SynthWorldConfig(
         n_classes=8, embed_dim=16, feature_dim=16, extent_km=30.0,
@@ -67,14 +71,16 @@ def _make_bundle(seed: int) -> Bundle:
     )
     world = corpus.synth_world(cfg, seed=seed)
     spec = geo.TileSpec()
-    ds = corpus.build_pairs(
+    corpus.save_dataset(corpus.build_pairs(
         world.grounds, world.snapshots, spec, cap=25, min_sep_px=112, seed=seed,
         fields={"field.json": world.field}, embeddings=world.ground_encoder,
-    )
+    ), container)
+    ds = corpus.load_dataset(container)
     assert len(ds.tiles) >= N_TRAIN + N_EVAL, f"world too small: {len(ds.tiles)} tiles"
     order = np.random.default_rng(seed + 777).permutation(len(ds.tiles))
-    ds_train = corpus.subset_tiles(ds, order[:N_TRAIN])
-    ds_eval = corpus.subset_tiles(ds, order[N_TRAIN : N_TRAIN + N_EVAL])
+    ds_train = subset_tiles(ds, order[:N_TRAIN])
+    ds_eval = subset_tiles(ds, order[N_TRAIN : N_TRAIN + N_EVAL])
+    container.unlink()  # both splits hold their features in memory
     eval_grids = corpus.class_grids(world.field, spec, ds_eval.tiles.lat, ds_eval.tiles.lon)
     return Bundle(
         world=world,
@@ -90,8 +96,9 @@ def _make_bundle(seed: int) -> Bundle:
 
 
 @pytest.fixture(scope="module")
-def bundles():
-    return {seed: _make_bundle(seed) for seed in SEEDS5}
+def bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("acceptance")
+    return {seed: _make_bundle(seed, root / f"seed{seed}.grft") for seed in SEEDS5}
 
 
 def _train_variant(bundle: Bundle, variant: str, seed: int,
@@ -253,8 +260,7 @@ def test_criterion_5_pixel_level_alignment(bundles):
         t0 = time.monotonic()
         result = _train_variant(bundle, "pixel_default", seed)
         pred = evaluation.segment_tiles(result.params, _eval_grids(bundle), bundle.class_embs)
-        _, mean_acc = evaluation.per_class_accuracy(pred.reshape(1, -1),
-                                                    bundle.eval_grids.reshape(1, -1))
+        _, mean_acc = per_class_accuracy(pred.reshape(1, -1), bundle.eval_grids.reshape(1, -1))
         means.append(mean_acc)
         elapsed += (time.monotonic() - t0) + bundle.build_seconds
     mean3 = float(np.mean(means))
@@ -424,7 +430,7 @@ def test_criterion_10_scaling_property(bundles, image_models):
     for seed in SEEDS5:
         bundle = bundles[seed]
         for frac in (0.1, 0.5):
-            sub = corpus.subset_tiles(bundle.ds_train, range(int(N_TRAIN * frac)))
+            sub = subset_tiles(bundle.ds_train, range(int(N_TRAIN * frac)))
             result = _train_variant(bundle, "image_default", seed, ds=sub)
             budget_accs[frac].append(_classification_accuracy(bundle, result.params))
         budget_accs[1.0].append(

@@ -17,7 +17,8 @@ import pytest
 import graft
 from _oracles import (class_grid_per_tile, density_scores_per_cell, encoder_forward,
                       load_density_grid, majority_class_per_tile,
-                      min_center_separation_per_tile, with_tile_pairs)
+                      min_center_separation_per_tile, per_class_accuracy, subset_tiles,
+                      with_tile_pairs)
 from graft import corpus, encoder, evaluation
 from graft.cli import _min_center_separation_m, main
 from graft.config import RunConfig
@@ -257,7 +258,7 @@ def test_train_tile_without_grounds_exits_4(pipeline, tmp_path, capsys):
 def test_eval_empty_container_exits_4(pipeline, tmp_path, capsys):
     _, world_dir, dataset, ckpt = pipeline
     empty = tmp_path / "empty.grft"
-    corpus.save_dataset(corpus.subset_tiles(corpus.load_dataset(dataset), []), empty)
+    corpus.save_dataset(subset_tiles(corpus.load_dataset(dataset), []), empty)
     capsys.readouterr()
     assert main(["eval", "classify", "--world", str(world_dir), "--dataset", str(empty),
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 4
@@ -288,7 +289,7 @@ def test_train_on_fewer_than_two_tiles_exits_4(pipeline, tmp_path, capsys, n_til
     # a lone tile has no negative, so no batch would hold it
     _, world_dir, dataset, _ = pipeline
     small = tmp_path / "small.grft"
-    corpus.save_dataset(corpus.subset_tiles(corpus.load_dataset(dataset), range(n_tiles)), small)
+    corpus.save_dataset(subset_tiles(corpus.load_dataset(dataset), range(n_tiles)), small)
     capsys.readouterr()
     assert train_on(world_dir, small, tmp_path / "run") == 4
     err = capsys.readouterr().err
@@ -400,7 +401,7 @@ def test_eval_segment_blocks_match_per_tile_labels(pipeline, tmp_path, monkeypat
     np.testing.assert_array_equal(np.concatenate(seen["gt"], axis=None),
                                   np.concatenate(gt, axis=None))
     # the per-block counts give the accuracies of the whole arrays
-    accs, mean = evaluation.per_class_accuracy(np.concatenate(want), np.concatenate(gt))
+    accs, mean = per_class_accuracy(np.concatenate(want), np.concatenate(gt))
     assert (tmp_path / "seg" / "segment_metrics.txt").read_text() == "".join(
         f"{world.class_names[c]} {accs[c]!r}\n" for c in sorted(accs)) + f"mean {mean!r}\n"
 
@@ -639,6 +640,34 @@ def test_train_divergence_stderr_is_one_line(pipeline, tmp_path):
     assert done.stderr.startswith("training diverged: step ") and done.stderr.count("\n") == 1
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_pixel_checkpoint_does_not_depend_on_the_blas_thread_variables(tmp_path):
+    # a world that saturates the 25-ground cap: a batch's pixel-loss logits are
+    # an (M, D) @ (D, M) product with M near 800, which a threaded OpenBLAS splits
+    # by thread; unless the variables are set, graft runs BLAS on one thread
+    capped = ["--seed", "0", "--set", "world.n_ground=1500", "--set", "world.extent_km=1.5"]
+    world, data = tmp_path / "world", tmp_path / "data"
+    assert main(["synth", "--out", str(world), *capped]) == 0
+    assert main(["build", "--world", str(world), "--out", str(data), *capped]) == 0
+    src = str(Path(graft.__file__).resolve().parents[1])
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    unset["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="1")):
+        out = tmp_path / f"run{len(digests)}"
+        done = subprocess.run(
+            [sys.executable, "-m", "graft.cli", "train", "--world", str(world), "--dataset",
+             str(data / "dataset.grft"), "--out", str(out), "--loss", "pixel", "--epochs", "1",
+             *capped],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(file_hash(out / "checkpoint.grcp"))
+    assert digests[0] == digests[1]
+
+
 def test_train_corrupt_container_exits_4(pipeline, tmp_path, capsys):
     _, world_dir, dataset, _ = pipeline
     raw = bytearray(dataset.read_bytes())
@@ -753,17 +782,30 @@ def test_non_finite_checkpoint_exits_6(pipeline, tmp_path, capsys, command):
     assert not [*(tmp_path / "o").glob("*_metrics.txt"), *(tmp_path / "o").glob("*.grid")]
 
 
-@pytest.mark.parametrize("cell_px, message", [("0", "out of range"), ("-1", "out of range"),
-                                              ("100000", "4000 x 4000 m extent")],
-                         ids=["zero", "negative", "wider_than_world"])
-def test_map_cell_px_out_of_domain_exits_2(pipeline, tmp_path, capsys, cell_px, message):
+def too_large(cell_px: int, resolution: float, grid: str) -> str:
+    return (f"map.cell_px={cell_px} at tile.resolution_m={resolution!r} gives {grid} cells, "
+            f"more than the 4194304 a map holds")
+
+
+@pytest.mark.parametrize("override, message", [
+    ("map.cell_px=0", "out of range"), ("map.cell_px=-1", "out of range"),
+    ("map.cell_px=100000", "4000 x 4000 m extent"),
+    ("tile.resolution_m=1e307", "4000 x 4000 m extent"),  # the cell size overflows to inf
+    # grids too large to hold, counted before any per-cell array is made
+    ("map.cell_px=1", too_large(1, 1.0, "4000 x 4000 = 1.6e+07")),
+    ("tile.resolution_m=1e-3", too_large(224, 1e-3, "17857 x 17857 = 3.189e+08")),
+    ("tile.resolution_m=1e-6", too_large(224, 1e-6, "17857143 x 17857143 = 3.189e+14")),
+    ("tile.resolution_m=5e-324", too_large(224, 5e-324, "inf x inf = inf")),  # step 0
+], ids=["zero", "negative", "wider_than_world", "wider_than_a_float", "cell_px_1",
+        "resolution_1e-3", "resolution_1e-6", "resolution_subnormal"])
+def test_map_cell_px_out_of_domain_exits_2(pipeline, tmp_path, capsys, override, message):
     root, world_dir, _, ckpt = pipeline
     capsys.readouterr()
     assert main(["map", "water", "--world", str(world_dir), "--checkpoint", str(ckpt),
-                 "--out", str(tmp_path / "m"), *WORLD_ARGS,
-                 "--set", f"map.cell_px={cell_px}"]) == 2
+                 "--out", str(tmp_path / "m"), *WORLD_ARGS, "--set", override]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "m" / "density_water.grid").exists()
 
 
 def run_on_edited_world(command, pipeline, tmp_path, capsys, name, edit):

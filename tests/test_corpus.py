@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from _oracles import (class_at, class_centroids, class_grid_per_tile, class_grids_argmin,
                       class_grids_broadcast, geotag_to_pixel, ground_rows, ground_table,
                       materialize_many_put, materialize_per_tile, pair_lists, pixel_to_patch,
-                      select_snapshot_scan, tile_contains, with_tile_pairs)
+                      select_snapshot_scan, subset_tiles, take_tiles, tile_contains,
+                      with_tile_pairs)
 from graft import corpus, geo
 from graft.codec import FormatError
 from graft.corpus import (
@@ -31,14 +32,13 @@ from graft.corpus import (
     save_dataset,
     save_feature_field,
     select_snapshot,
-    subset_tiles,
     synth_world,
 )
 from graft.geo import GeoPoint, TileSpec
 
 
 def test_pair_index_of_a_dataset_without_tiles(small_dataset):
-    ds = corpus.PairedDataset(tiles=small_dataset.tiles.take([]), grounds=ground_table([]),
+    ds = corpus.PairedDataset(tiles=take_tiles(small_dataset.tiles, []), grounds=ground_table([]),
                               offsets=np.zeros(1, np.int64), ground=np.empty(0, np.int64),
                               provenance={})
     pairs = ds.pair_index()
@@ -753,7 +753,7 @@ def test_tile_ids_share_one_width(n, width):
 def test_subset_tiles_keeps_integrity(small_dataset):
     sub = subset_tiles(small_dataset, [3, 1, 4])
     assert sub.tiles.ids == [small_dataset.tiles.ids[i] for i in (3, 1, 4)]
-    assert sub.tiles == small_dataset.tiles.take([3, 1, 4])
+    assert sub.tiles == take_tiles(small_dataset.tiles, [3, 1, 4])
     sub.pair_index()
     lists = pair_lists(small_dataset.offsets, small_dataset.ground)
     assert pair_lists(sub.offsets, sub.ground) == [lists[i] for i in (3, 1, 4)]
@@ -780,7 +780,7 @@ def test_cap_applies_in_build(noiseless_world):
 def differing(value):
     """A value of the same kind and shape as `value` that is not equal to it."""
     if isinstance(value, (np.ndarray, corpus.TileFeatures)):  # features not in memory: an array
-        out = value.copy()
+        out = np.array(value)
         out.flat[0] += 1
         return out
     if isinstance(value, list):

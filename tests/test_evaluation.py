@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (ap_at_k_bruteforce, load_density_grid, majority_class_per_tile, rand_unit,
-                      upsample_logits)
+from _oracles import (ap_at_k_bruteforce, load_density_grid, majority_class_per_tile,
+                      per_class_accuracy, rand_unit, upsample_logits)
 from graft.evaluation import (
     DensityMap,
     average_precision_at_k,
     classify,
     majority_labels,
     multilabel_map,
-    per_class_accuracy,
     retrieval_ap,
     retrieve,
     segment_patches,

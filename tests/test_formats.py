@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from graft import codec, corpus
 from graft.cli import main
 from graft.codec import FileBytes, FormatError, Reader
-from _oracles import ground_table, pairs_of, section_at
+from _oracles import ground_table, pairs_of, section_at, subset_tiles
 from graft.corpus import IntegrityError, PairedDataset, TileTable
 from graft.encoder import init_params
 from graft.frozen import (
@@ -298,7 +298,7 @@ def test_error_does_not_depend_on_the_read_block(samples, fmt, first, second):
 # an empty id is unique in a one-tile container only
 @pytest.mark.parametrize("ids", [[""], ["é0", "é1"], ["t\x000", "t\x001"]])
 def test_container_roundtrip_of_ids(tmp_path, ids):
-    ds = corpus.subset_tiles(tiny_dataset(), range(len(ids)))
+    ds = subset_tiles(tiny_dataset(), range(len(ids)))
     ds.tiles.ids = ids
     corpus.save_dataset(ds, tmp_path / "ds")
     assert corpus.load_dataset(tmp_path / "ds") == ds

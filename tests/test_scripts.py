@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from graft import corpus, evaluation
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
@@ -32,7 +35,7 @@ TSV_HEADERS = {
 
 @pytest.mark.parametrize("script", sorted(TSV_HEADERS))
 def test_script_runs_end_to_end(script, tmp_path):
-    # a small world and one epoch: the scripts score through graft.evaluation
+    # a small world and one epoch: the scripts train and score through the CLI
     out = tmp_path / "out.tsv"
     done = subprocess.run(
         [sys.executable, str(SCRIPTS[0].parent / script), "--seeds", "0", "--n-ground", "500",
@@ -44,11 +47,10 @@ def test_script_runs_end_to_end(script, tmp_path):
 
 
 def test_run_synth_pipeline_end_to_end(tmp_path):
-    # the one CLI path that evaluates on held-out tiles
     out = tmp_path / "pipeline"
     done = subprocess.run(
         [sys.executable, str(SCRIPTS[0].parent / "run_synth_pipeline.py"), "--out", str(out),
-         "--n-ground", "500", "--extent-km", "8", "--epochs", "1", "--holdout", "20"],
+         "--n-ground", "500", "--extent-km", "8", "--epochs", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -56,3 +58,14 @@ def test_run_synth_pipeline_end_to_end(tmp_path):
         assert (out / "eval" / name).is_file(), name
     for name in ("density_water.grid", "density_water.pgm"):
         assert (out / "maps" / name).is_file(), name
+    # the evals scored the held-out world's container, tile by tile, against
+    # that world's own ground truth
+    held = corpus.load_tiles(out / "holdout_data" / "dataset.grft")
+    assert len(held) != len(corpus.load_tiles(out / "data" / "dataset.grft"))
+    results = [line.split() for line in
+               (out / "eval" / "classify_results.txt").read_text().splitlines()]
+    field = corpus.load_world_dir(out / "holdout_world").field
+    gt = evaluation.majority_labels(corpus.class_grids(field, held.spec, held.lat, held.lon),
+                                    len(field.class_names))
+    assert [tile for tile, _, _ in results] == held.ids
+    assert np.array_equal([int(g) for _, _, g in results], gt)

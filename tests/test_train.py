@@ -163,7 +163,7 @@ def test_full_parameter_gradient_matches_fd(tiny_setup, variant, rng):
 def test_divergence_raises_with_step(tiny_setup):
     world, ds = tiny_setup
     batch = corpus.make_batches(ds, 4, seed=2)[0]
-    poisoned = ds.tiles.features.copy()
+    poisoned = ds.tiles.features[:]
     poisoned[batch.tiles[0], 0, 0, 0] = np.nan
     batch = dataclasses.replace(batch, all_features=poisoned)
     params = init_params(8, 6, 8, 16, seed=3)
@@ -212,22 +212,24 @@ def test_frozen_encoder_untouched_by_training(tiny_setup):
     assert world.ground_encoder.content_hash() == before
 
 
-def test_training_in_memory_materializes_the_tiles_once(tiny_setup, monkeypatch):
-    # an unsaved dataset draws its tiles from the feature field on first use
-    # and keeps them, so no later batch or epoch materializes a tile again
+def test_field_features_materialize_each_gather(tiny_setup, monkeypatch):
+    # an unsaved dataset holds no tiles: each gather, an index array or a run,
+    # draws just its tiles from the feature field, with the bits those tiles
+    # have when every tile is materialized in one call
     world, ds = tiny_setup
-    fresh = corpus.build_pairs(
-        world.grounds, world.snapshots, ds.tiles.spec, cap=25, min_sep_px=16, seed=3,
-        fields={"field.json": world.field}, embeddings=world.ground_encoder,
-    )
-    calls = []
+    tiles = ds.tiles
     materialize = corpus.materialize_many
+    every = materialize(world.field, tiles.spec, tiles.lat, tiles.lon, tiles.timestamp)
+    calls = []
     monkeypatch.setattr(corpus, "materialize_many",
                         lambda *args: calls.append(len(args[2])) or materialize(*args))
-    train(fresh, world.ground_encoder, LossConfig(), TrainSchedule(epochs=3, seed=6),
-          batch_size=4, hidden_dim=6)
-    assert calls == [len(fresh.tiles)]
-    np.testing.assert_array_equal(fresh.tiles.features, ds.tiles.features)
+    for key, want in (([5, 0, -1, 5], every[[5, 0, -1, 5]]), (slice(2, 6), every[2:6])):
+        alone = materialize(world.field, tiles.spec, tiles.lat[key], tiles.lon[key],
+                            tiles.timestamp[key])
+        for _ in range(2):
+            got = tiles.features[key]
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes() == alone.tobytes()
+    assert calls == [4, 4, 4, 4]  # two gathers of four tiles, twice
 
 
 def test_checkpoint_roundtrip(tmp_path):
